@@ -23,7 +23,7 @@ print("agents: %d, states per agent: %d" % (g.n, model.n))
 print("a(L) = %.6f" % sp.a_of_l)
 
 # The feasibility search looks for (P, s) making the consensus matrix
-# inequality strictly negative; this takes a few seconds.
+# inequality strictly negative; this takes about a second.
 design = design_leaderless(model, sp)
 print("certificate margin: %.3e (feasible: %s)" %
       (design.cert.margin, design.cert.feasible))

@@ -23,8 +23,8 @@ That rule caps the scalar from above (the requirement grows with the scalar
 while the achievable margin saturates), so the feasible-with-margin region
 is a window and a plain bisection would fail.
 
-Infeasibility is reported, never certified: exhausting the budget yields
-feasible=False with the best margin found.
+Infeasibility is reported, never certified: exhausting the scalar ladder
+yields feasible=False with the best margin the smoothed descent reached.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from typing import Optional, TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from . import numkit
 
@@ -110,7 +109,6 @@ class SolverOptions:
     bound_factor: float = 100.0
     margin_rel: float = numkit.TOL.lmi_margin_rel
     target_factor: float = 3.0
-    fallback_iters: int = 400
 
 
 def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
@@ -161,51 +159,40 @@ def verify(problem: LmiProblem, cert: LmiCertificate,
     )
 
 
-def _sym_basis(n: int) -> list[NDArray[np.float64]]:
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-    return basis
-
-
-def _vech(p: NDArray[np.float64]) -> NDArray[np.float64]:
-    n = p.shape[0]
-    diag = [p[i, i] for i in range(n)]
-    off = [p[i, j] for i in range(n) for j in range(i + 1, n)]
-    return np.array(diag + off)
-
-
-def _unvech(v: NDArray[np.float64], basis) -> NDArray[np.float64]:
-    p = np.zeros_like(basis[0])
-    for coeff, e in zip(v, basis):
-        p = p + coeff * e
-    return p
-
-
 class _Stacker:
     """Affine map (vech(p), scalar) -> blockdiag(assembled, -p + delta I).
 
     The trailing block enforces positive definiteness of p through the same
-    largest-eigenvalue objective as the inequality itself.
+    largest-eigenvalue objective as the inequality itself. The coefficient
+    matrices of vech(p) are kept flattened as the rows of m_flat, so the map
+    and the gradient of any linear functional of it are single products.
     """
 
     def __init__(self, problem: LmiProblem, delta_p: float):
         self.problem = problem
         self.n = problem.model.a.shape[0]
-        self.basis = _sym_basis(self.n)
+        # vech(p) order: the diagonal first, then the upper triangle row by row
+        diag = np.arange(self.n)
+        iu, ju = np.triu_indices(self.n, 1)
+        self.rows = np.concatenate([diag, iu])
+        self.cols = np.concatenate([diag, ju])
         self.delta_p = delta_p
         zero_p = np.zeros((self.n, self.n))
         self.m_zero = self._stack(zero_p, 0.0)
         self.m_scalar = self._stack(zero_p, 1.0) - self.m_zero
-        self.m_basis = [self._stack(e, 0.0) - self.m_zero for e in self.basis]
         self.dim = self.m_zero.shape[0]
+        self.m_flat = np.array([
+            (self._stack(self.unvech(e), 0.0) - self.m_zero).ravel()
+            for e in np.eye(len(self.rows))])
+
+    def vech(self, p):
+        return p[self.rows, self.cols]
+
+    def unvech(self, v):
+        p = np.zeros((self.n, self.n))
+        p[self.rows, self.cols] = v
+        p[self.cols, self.rows] = v
+        return p
 
     def _stack(self, p, scalar):
         m = assemble(self.problem, p, scalar)
@@ -216,38 +203,42 @@ class _Stacker:
         return out
 
     def at(self, v, scalar):
-        m = self.m_zero + scalar * self.m_scalar
-        for coeff, mk in zip(v, self.m_basis):
-            m = m + coeff * mk
-        return m
+        return (self.m_zero + scalar * self.m_scalar
+                + (v @ self.m_flat).reshape(self.dim, self.dim))
+
+
+def _objective(stacker: _Stacker, scalar: float, v, mu: float):
+    """Smoothed largest eigenvalue mu * log(sum(exp(lam / mu))) at vech(p) = v.
+
+    Returns the value, its exact gradient in v (through the eigenvectors)
+    and the true largest eigenvalue.
+    """
+    lam, vec = np.linalg.eigh(stacker.at(v, scalar))
+    top = lam[-1]
+    e = np.exp((lam - top) / mu)
+    total = e.sum()
+    grad_mat = (vec * (e / total)) @ vec.T
+    return top + mu * np.log(total), stacker.m_flat @ grad_mat.ravel(), top
 
 
 def _inner_solve(stacker: _Stacker, scalar: float, p0: NDArray[np.float64],
                  target: float, rho: float, opts: SolverOptions):
     """Minimize the largest eigenvalue of the stacked matrix over vech(p).
 
-    Smoothed objective mu * logsumexp(eigenvalues / mu) with exact gradient
-    through the eigenvectors, driven through a decreasing-mu continuation.
+    The smoothed objective is driven through a decreasing-mu continuation.
     Returns the best true largest eigenvalue seen and its p.
     """
-    state = {"best": np.inf, "vbest": _vech(p0), "evals": 0}
+    state = {"best": np.inf, "vbest": stacker.vech(p0), "evals": 0}
 
     def fg(v, mu):
-        m = stacker.at(v, scalar)
-        lam, vec = np.linalg.eigh(m)
+        f, grad, top = _objective(stacker, scalar, v, mu)
         state["evals"] += 1
-        if lam[-1] < state["best"]:
-            state["best"] = lam[-1]
+        if top < state["best"]:
+            state["best"] = top
             state["vbest"] = v.copy()
-        f = mu * logsumexp(lam / mu)
-        w = np.exp((lam - lam.max()) / mu)
-        w = w / w.sum()
-        grad_mat = (vec * w) @ vec.T
-        grad = np.array([np.tensordot(grad_mat, mk)
-                         for mk in stacker.m_basis])
         return f, grad
 
-    v = _vech(p0)
+    v = stacker.vech(p0)
     lam0 = np.linalg.eigvalsh(stacker.at(v, scalar))[-1]
     scale = max(1.0, abs(float(lam0)))
     bounds = [(-rho, rho)] * len(v)
@@ -260,49 +251,18 @@ def _inner_solve(stacker: _Stacker, scalar: float, p0: NDArray[np.float64],
                        options={"maxiter": opts.inner_maxiter,
                                 "ftol": 1e-15, "gtol": 1e-13})
         v = res.x
-    p = _unvech(state["vbest"], stacker.basis)
-    return p, float(state["best"])
+    return stacker.unvech(state["vbest"]), float(state["best"])
 
 
-def _alternating_projections(stacker: _Stacker, scalar: float,
-                             p0: NDArray[np.float64], delta: float,
-                             iters: int):
-    """Fallback: alternate between the negative-definite cone and the
-    affine structure subspace, holding the scalar fixed.
-
-    Both sets are convex, so the alternation converges whenever they
-    intersect. Returns (p, largest eigenvalue) for the best structural point.
-    """
-    mats = stacker.m_basis
-    grams = np.array([[np.tensordot(a, b) for b in mats] for a in mats])
-    try:
-        grams_inv = np.linalg.inv(grams)
-    except np.linalg.LinAlgError:
-        return p0, np.inf
-    v = _vech(p0)
-    best_p, best_lam = p0, np.inf
-    for _ in range(iters):
-        m = stacker.at(v, scalar)
-        lam, vec = np.linalg.eigh(m)
-        if lam[-1] < best_lam:
-            best_lam = lam[-1]
-            best_p = _unvech(v, stacker.basis)
-        if lam[-1] <= -delta:
-            break
-        clipped = np.minimum(lam, -delta)
-        target = (vec * clipped) @ vec.T
-        resid = target - stacker.m_zero - scalar * stacker.m_scalar
-        rhs = np.array([np.tensordot(resid, mk) for mk in mats])
-        v = grams_inv @ rhs
-    return best_p, float(best_lam)
+def _required_margin(problem: LmiProblem, p, scalar, margin_rel):
+    """Relative strictness requirement margin_rel * (1 + ||assembled||_F)."""
+    m = assemble(problem, p, scalar)
+    return margin_rel * (1.0 + float(np.linalg.norm(m, "fro")))
 
 
 def _margin_and_req(problem: LmiProblem, p, scalar, margin_rel):
-    m = assemble(problem, p, scalar)
-    lam = np.linalg.eigvalsh(m)
-    margin = -float(lam[-1])
-    req = margin_rel * (1.0 + float(np.linalg.norm(m, "fro")))
-    return margin, req
+    margin = -float(np.linalg.eigvalsh(assemble(problem, p, scalar))[-1])
+    return margin, _required_margin(problem, p, scalar, margin_rel)
 
 
 def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
@@ -312,9 +272,9 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
     Deterministic: initialization p = ||A||_F I, scalar = 10 ||A||_F^2, the
     scalar laddered up tenfold until strictly feasible (the scalar enters
     through -s B B^T, so larger values enlarge the feasible set), then
-    descended while feasibility persists. If the smoothed descent never
-    reaches strict feasibility an alternating-projections fallback is tried
-    at each ladder rung before giving up.
+    descended while feasibility persists. If no rung of the ladder reaches
+    strict feasibility the point with the smallest largest eigenvalue is
+    returned as infeasible.
 
     The returned margin is recomputed by a fresh eigensolve of the assembled
     matrix, independent of the solver's internal objective.
@@ -340,13 +300,6 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
         if lam < 0:
             feasible_pt = (s, p_try)
             break
-        p_fb, lam_fb = _alternating_projections(
-            stacker, s, p_try, delta=delta_p, iters=opts.fallback_iters)
-        if lam_fb < best_lam:
-            best_lam, best_pt = lam_fb, (p_fb, s)
-        if lam_fb < 0:
-            feasible_pt = (s, p_fb)
-            break
         p_cur = p_try
         s *= 10.0
 
@@ -363,7 +316,7 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
     probes.append((s_cur, p_cur, margin, req, pmin))
     for _ in range(opts.max_descents):
         s_next = s_cur / 10.0
-        _, req_est = _margin_and_req(problem, p_cur, s_next, opts.margin_rel)
+        req_est = _required_margin(problem, p_cur, s_next, opts.margin_rel)
         p_try, lam = _inner_solve(stacker, s_next, p_cur,
                                   target=-opts.target_factor * req_est,
                                   rho=rho, opts=opts)
@@ -378,7 +331,7 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
     if ok:
         s_fin, p_fin, _ = min(ok, key=lambda t: t[0])
         s_try = s_fin / np.sqrt(10.0)
-        _, req_est = _margin_and_req(problem, p_fin, s_try, opts.margin_rel)
+        req_est = _required_margin(problem, p_fin, s_try, opts.margin_rel)
         p_ref, lam = _inner_solve(stacker, s_try, p_fin,
                                   target=-opts.target_factor * req_est,
                                   rho=rho, opts=opts)

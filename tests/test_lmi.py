@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from consyn import AgentModel, LmiCertificate, assemble, solve, verify
 from consyn import benchmark
-from consyn.lmi import LmiKind, LmiProblem, _margin_and_req
+from consyn.lmi import (LmiKind, LmiProblem, _margin_and_req, _objective,
+                        _Stacker)
 
 from conftest import scalar_model
 
@@ -126,13 +127,61 @@ def test_solve_benchmark_hinf_certificate(hinf_design, bench_model):
     assert margin >= req
 
 
-def test_solve_is_deterministic():
-    problem = LmiProblem(LmiKind.CONSENSUS, scalar_model())
+def assert_same_solve(problem):
     a = solve(problem)
     b = solve(problem)
     assert np.array_equal(a.p, b.p)
     assert a.scalar == b.scalar
     assert a.margin == b.margin
+
+
+def test_solve_is_deterministic():
+    assert_same_solve(LmiProblem(LmiKind.CONSENSUS, scalar_model()))
+
+
+def test_solve_is_deterministic_on_manipulator_hinf(bench_model):
+    assert_same_solve(LmiProblem(LmiKind.HINF, bench_model, gamma=2.0))
+
+
+def test_stacker_vech_order():
+    # diagonal first, then the upper triangle row by row
+    model = AgentModel(a=np.zeros((3, 3)), b=np.zeros((3, 1)),
+                       d1=np.zeros((3, 1)))
+    stacker = _Stacker(LmiProblem(LmiKind.CONSENSUS, model), 0.0)
+    p = np.array([[1.0, 4.0, 5.0], [4.0, 2.0, 6.0], [5.0, 6.0, 3.0]])
+    assert_allclose(stacker.vech(p), [1, 2, 3, 4, 5, 6], atol=0.0)
+    assert_allclose(stacker.unvech(stacker.vech(p)), p, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", [LmiKind.CONSENSUS, LmiKind.HINF])
+def test_stacker_at_matches_stack(kind, bench_model):
+    problem = LmiProblem(kind, bench_model, gamma=benchmark.GAMMA)
+    stacker = _Stacker(problem, 1e-3)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        v = rng.standard_normal(len(stacker.rows))
+        s = float(rng.uniform(0.0, 10.0))
+        expected = stacker._stack(stacker.unvech(v), s)
+        assert_allclose(stacker.at(v, s), expected, rtol=0.0,
+                        atol=1e-14 * np.abs(expected).max())
+
+
+def test_objective_gradient_matches_central_difference(bench_model):
+    problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
+    stacker = _Stacker(problem, 1e-3)
+    rng = np.random.default_rng(11)
+    v = (stacker.vech(benchmark.REFERENCE_P)
+         + 0.1 * rng.standard_normal(len(stacker.rows)))
+    # entries of the stacked matrix reach ~1e4, so eigh rounding in f
+    # dominates the difference quotient below h ~ 1e-5
+    s, mu, h = benchmark.REFERENCE_EPSILON, 0.5, 1e-5
+    f, grad, top = _objective(stacker, s, v, mu)
+    assert top <= f <= top + mu * np.log(stacker.dim)
+    fd = np.array([
+        (_objective(stacker, s, v + h * e, mu)[0]
+         - _objective(stacker, s, v - h * e, mu)[0]) / (2 * h)
+        for e in np.eye(len(v))])
+    assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
 
 
 def test_schur_equivalence_on_random_instances():
