@@ -9,8 +9,8 @@
 
 import numpy as np
 
-from consyn import (Scenario, design_leaderless, integrate, lyapunov_diag,
-                    max_pairwise_distance, spectra, write_csv)
+from consyn import (Scenario, integrate, lyapunov_diag, max_pairwise_distance,
+                    spectra, synthesize, write_csv)
 from consyn.benchmark import benchmark_graph, initial_states, manipulator_model
 
 np.set_printoptions(precision=4, suppress=True)
@@ -23,8 +23,9 @@ print("agents: %d, states per agent: %d" % (g.n, model.n))
 print("a(L) = %.6f" % sp.a_of_l)
 
 # The feasibility search looks for (P, s) making the consensus matrix
-# inequality strictly negative; this takes about a second.
-design = design_leaderless(model, sp)
+# inequality strictly negative; this takes about a second. synthesize checks
+# that the graph is strongly connected and divides s by a(L).
+design = synthesize(model, g, "leaderless")
 print("certificate margin: %.3e (feasible: %s)" %
       (design.cert.margin, design.cert.feasible))
 print("gain K =", design.k)
@@ -52,8 +53,8 @@ for k in range(len(traj.times)):
 print("first sample below 1e-3:", crossing)
 
 # V(t) = sum_i r_i e_i^T P^{-1} e_i must not increase along the run when
-# the coupling meets its threshold.
-lyap = lyapunov_diag(traj, design, sp)
+# the coupling meets its threshold; integrate records it in traj.v_lyap.
+lyap = lyapunov_diag(traj)
 print("V(0) = %.4f, steps where V increased: %d" % (lyap.v0, lyap.n_increasing))
 
 write_csv(traj, "consensus_demo.csv", decimation=10)

@@ -10,8 +10,8 @@ import dataclasses
 
 import numpy as np
 
-from consyn import (LmiKind, LmiProblem, Scenario, design_hinf, hinf_cost,
-                    inject_certificate, integrate, spectra, write_csv)
+from consyn import (Scenario, hinf_cost, inject_certificate, integrate,
+                    problem_for, synthesize, write_csv)
 from consyn.benchmark import (GAMMA, REFERENCE_C, REFERENCE_EPSILON,
                               REFERENCE_P, benchmark_disturbance,
                               benchmark_graph, manipulator_model)
@@ -20,15 +20,16 @@ np.set_printoptions(precision=4, suppress=True)
 
 model = manipulator_model()
 g = benchmark_graph()
-sp = spectra(g)
 
 # The published (P, epsilon) pair is a valid certificate for the
 # attenuation inequality at gamma = 2; injecting it skips the solver.
-problem = LmiProblem(LmiKind.HINF, model, gamma=GAMMA)
+problem = problem_for(model, "hinf", GAMMA)
 cert = inject_certificate(problem, REFERENCE_P, REFERENCE_EPSILON)
 print("injected certificate margin: %.3e" % cert.margin)
 
-design = design_hinf(model, sp, GAMMA, cert=cert)
+# The threshold divides epsilon by lambda2 of the symmetrized Laplacian;
+# synthesize checks that the graph is balanced and strongly connected.
+design = synthesize(model, g, "hinf", GAMMA, cert=cert)
 print("gain K =", design.k)
 print("coupling threshold c >= %.6f" % design.c_threshold)
 

@@ -8,9 +8,9 @@
 
 import numpy as np
 
-from consyn import (AgentModel, DiGraph, LmiKind, LmiProblem, Nonlinearity,
-                    Scenario, classify, design_leader_follower,
-                    inject_certificate, integrate, leader_follower_data)
+from consyn import (AgentModel, DiGraph, Nonlinearity, Scenario,
+                    inject_certificate, integrate, leader_follower_data,
+                    problem_for, synthesize)
 
 # Stable scalar integrator, no nonlinearity. With p = 1 and s = 1 the
 # design inequality holds with margin 2 - sqrt(2), so the unit pair is a
@@ -22,15 +22,16 @@ model = AgentModel(
     alpha=0.0,
     f=Nonlinearity.zero(),
 )
-problem = LmiProblem(LmiKind.CONSENSUS, model)
+problem = problem_for(model, "leader-follower")
 cert = inject_certificate(problem, np.array([[1.0]]), 1.0)
 print("unit certificate margin: %.6f" % cert.margin)
 
 
 def run(g: DiGraph, label: str, t_end: float = 10.0):
-    flags = classify(g)
-    lf = leader_follower_data(g, flags.leader_follower_root)
-    design = design_leader_follower(model, lf, cert=cert)
+    # synthesize finds the leader (the zero in-degree root) itself; the
+    # partition is recomputed here only to print q and lambda1(H).
+    design = synthesize(model, g, "leader-follower", cert=cert)
+    lf = leader_follower_data(g, design.leader)
     print()
     print(label)
     print("  leader: node %d, followers: %s" % (lf.leader, list(lf.followers)))

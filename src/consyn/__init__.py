@@ -20,12 +20,10 @@ from .numkit import (SymEig, Tolerances, TOL, as_matrix, as_vector,
                      sym_eig)
 from .sim import (AgentModel, DisturbanceSpec, HinfCost, LipschitzReport,
                   LyapunovReport, Nonlinearity, Scenario, Trajectory,
-                  check_lipschitz, hinf_cost, integrate, lyapunov_diag,
-                  max_pairwise_distance, rhs_disturbed, rhs_leader_follower,
-                  rhs_leaderless, square_wave, write_csv)
-from .synthesis import (DesignMode, ProtocolDesign, design_hinf,
-                        design_leader_follower, design_leaderless,
-                        inject_certificate)
+                  check_lipschitz, closed_loop, hinf_cost, integrate,
+                  lyapunov_diag, max_pairwise_distance, square_wave, write_csv)
+from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
+                        problem_for, synthesize)
 
 __all__ = [
     "__version__",
@@ -40,9 +38,8 @@ __all__ = [
     "sym_eig",
     "AgentModel", "DisturbanceSpec", "HinfCost", "LipschitzReport",
     "LyapunovReport", "Nonlinearity", "Scenario", "Trajectory",
-    "check_lipschitz", "hinf_cost", "integrate", "lyapunov_diag",
-    "max_pairwise_distance", "rhs_disturbed", "rhs_leader_follower",
-    "rhs_leaderless", "square_wave", "write_csv",
-    "DesignMode", "ProtocolDesign", "design_hinf", "design_leader_follower",
-    "design_leaderless", "inject_certificate",
+    "check_lipschitz", "closed_loop", "hinf_cost", "integrate",
+    "lyapunov_diag", "max_pairwise_distance", "square_wave", "write_csv",
+    "DesignMode", "ProtocolDesign", "inject_certificate", "problem_for",
+    "synthesize",
 ]

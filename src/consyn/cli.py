@@ -21,17 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, benchmark, lmi, numkit, sim, synthesis
+from . import __version__, benchmark, lmi
 from .errors import BlowUpError, InfeasibleError, PreconditionError
-from .graph import (DiGraph, classify, digraph_from_adjacency, laplacian,
-                    leader_follower_data, left_perron, parse_edge_list,
-                    spectra)
+from .graph import (DiGraph, classify, digraph_from_adjacency,
+                    leader_follower_data, parse_edge_list, spectra)
 from .sim import (AgentModel, DisturbanceSpec, Nonlinearity, Scenario,
-                  hinf_cost, integrate, lyapunov_diag, max_pairwise_distance,
-                  write_csv)
-from .synthesis import (DesignMode, ProtocolDesign, design_hinf,
-                        design_leader_follower, design_leaderless,
-                        inject_certificate)
+                  check_lipschitz, hinf_cost, integrate, lyapunov_diag,
+                  max_pairwise_distance, write_csv)
+from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
+                        problem_for, synthesize)
 
 OUT_DIR_ENV = "CONSYN_OUT_DIR"
 
@@ -80,7 +78,11 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
 
 
 def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
-    """Load a JSON model file; returns (model, gamma, embedded graph)."""
+    """Load a JSON model file; returns (model, gamma, embedded graph).
+
+    The declared Lipschitz constant alpha is checked by sampling f: a
+    witnessed difference ratio above it is a precondition violation.
+    """
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -88,6 +90,12 @@ def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"model file {path} is not valid JSON: {exc}") from exc
     model, gamma = model_from_dict(data)
+    lip = check_lipschitz(model)
+    if not lip.ok:
+        raise PreconditionError(
+            f"model file {path}: nonlinearity f has a difference ratio of "
+            f"{lip.worst_ratio:.6g}, above its declared Lipschitz constant "
+            f"alpha = {model.alpha:.6g}")
     g = None
     if "adjacency" in data:
         g = digraph_from_adjacency(np.asarray(data["adjacency"], dtype=float))
@@ -241,37 +249,12 @@ def cmd_graph(ns) -> int:
 
 def _build_design(ns, model: AgentModel, g: DiGraph,
                   gamma_from_model=None) -> ProtocolDesign:
-    mode = ns.mode
     gamma = ns.gamma if ns.gamma is not None else gamma_from_model
     cert = None
-    if mode == "leaderless":
-        sp = spectra(g)
-        if ns.cert:
-            cert = load_certificate(
-                ns.cert, lmi.LmiProblem(lmi.LmiKind.CONSENSUS, model))
-        return design_leaderless(model, sp, cert=cert,
-                                 c_multiplier=ns.c_multiplier)
-    if mode == "hinf":
-        if gamma is None:
-            raise PreconditionError("hinf mode needs --gamma (or model gamma)")
-        sp = spectra(g)
-        if ns.cert:
-            cert = load_certificate(
-                ns.cert, lmi.LmiProblem(lmi.LmiKind.HINF, model, gamma=gamma))
-        return design_hinf(model, sp, gamma, cert=cert,
-                           c_multiplier=ns.c_multiplier)
-    flags = classify(g)
-    if flags.leader_follower_root is None:
-        raise PreconditionError(
-            "leader-follower mode needs a zero in-degree root reaching all "
-            "nodes"
-        )
-    lf = leader_follower_data(g, flags.leader_follower_root)
     if ns.cert:
-        cert = load_certificate(
-            ns.cert, lmi.LmiProblem(lmi.LmiKind.CONSENSUS, model))
-    return design_leader_follower(model, lf, cert=cert,
-                                  c_multiplier=ns.c_multiplier)
+        cert = load_certificate(ns.cert, problem_for(model, ns.mode, gamma))
+    return synthesize(model, g, ns.mode, gamma, cert=cert,
+                      c_multiplier=ns.c_multiplier)
 
 
 def cmd_synth(ns) -> int:
@@ -301,10 +284,10 @@ def cmd_simulate(ns) -> int:
     g = load_graph(ns.graph_file) if ns.graph_file else embedded
     if g is None:
         raise PreconditionError("no graph given (file or embedded adjacency)")
-    design = _build_design(ns, model, g, gamma_model)
-    if ns.disturbance != "none" and ns.mode == "leader-follower":
+    if ns.disturbance != "none" and ns.mode == DesignMode.LEADER_FOLLOWER:
         raise PreconditionError(
             "disturbance rejection for tracking runs is out of scope")
+    design = _build_design(ns, model, g, gamma_model)
     if ns.disturbance != "none":
         x0 = np.zeros((g.n, model.n))
         dist = DisturbanceSpec(kind=ns.disturbance)
@@ -318,12 +301,7 @@ def cmd_simulate(ns) -> int:
     out_dir = _out_dir(ns)
     csv_path = out_dir / "trajectory.csv"
     write_csv(traj, csv_path)
-    if design.mode == DesignMode.LEADER_FOLLOWER:
-        weights_src = leader_follower_data(
-            g, classify(g).leader_follower_root)
-    else:
-        weights_src = spectra(g)
-    lyap = lyapunov_diag(traj, design, weights_src)
+    lyap = lyapunov_diag(traj)
     summary = {
         "final_consensus_error": max_pairwise_distance(traj.states[-1]),
         "v_fraction_increasing": lyap.fraction_increasing,
@@ -379,18 +357,18 @@ def cmd_repro(ns) -> int:
         sp = spectra(g)
 
         stage = "attenuation-solve"
-        solved = design_hinf(model, sp, benchmark.GAMMA)
+        solved = synthesize(model, g, DesignMode.HINF, benchmark.GAMMA)
 
         stage = "attenuation-inject"
-        problem = lmi.LmiProblem(lmi.LmiKind.HINF, model,
-                                 gamma=benchmark.GAMMA)
-        ref_cert = inject_certificate(problem, benchmark.REFERENCE_P,
-                                      benchmark.REFERENCE_EPSILON)
-        injected = design_hinf(model, sp, benchmark.GAMMA, cert=ref_cert)
+        ref_cert = inject_certificate(
+            problem_for(model, DesignMode.HINF, benchmark.GAMMA),
+            benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON)
+        injected = synthesize(model, g, DesignMode.HINF, benchmark.GAMMA,
+                              cert=ref_cert)
         published = dataclasses.replace(injected, c=benchmark.REFERENCE_C)
 
         stage = "consensus-solve"
-        consensus = design_leaderless(model, sp)
+        consensus = synthesize(model, g, DesignMode.LEADERLESS)
 
         stage = "consensus-sim"
         x0 = benchmark.initial_states(ns.seed)
@@ -398,7 +376,7 @@ def cmd_repro(ns) -> int:
             model=model, graph=g, design=consensus, x0=x0,
             t_end=ns.t_end, dt=ns.dt))
         write_csv(traj_c, out_dir / "consensus_traj.csv", decimation=10)
-        lyap = lyapunov_diag(traj_c, consensus, sp)
+        lyap = lyapunov_diag(traj_c)
 
         stage = "attenuation-sim"
         traj_h = integrate(Scenario(
@@ -489,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("model_file")
         p.add_argument("graph_file", nargs="?", default=None)
         p.add_argument("--mode", required=True,
-                       choices=["leaderless", "hinf", "leader-follower"])
+                       choices=[m.value for m in DesignMode])
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--c-multiplier", type=float, default=1.0,
                        dest="c_multiplier")

@@ -23,24 +23,12 @@ class Tolerances:
     sym_asym:
         Relative asymmetry accepted by :func:`sym_eig` before rejecting the
         input as non-symmetric.
-    eig_recon:
-        Relative Frobenius bound on the eigendecomposition reconstruction
-        residual.
-    eig_ortho:
-        Per-dimension orthonormality slack for eigenvector matrices.
     solve_resid:
         Relative residual bound for :func:`solve_linear`.
     cond_max:
         Condition-estimate ceiling above which linear solves are refused.
     perron_resid:
         Residual bound for the left null vector of a Laplacian.
-    spectra_floor:
-        Lower bound accepted for the smallest eigenvalue of the mixed
-        symmetric form R L + L^T R, which is positive semidefinite in exact
-        arithmetic for strongly connected graphs.
-    balanced_match:
-        Agreement bound between the connectivity value and the symmetrized
-        Laplacian eigenvalue on balanced graphs.
     lmi_margin_rel:
         Relative strictness margin the feasibility solver aims for:
         margin >= lmi_margin_rel * (1 + ||assembled||_F).
@@ -53,25 +41,17 @@ class Tolerances:
     v_step_rel:
         Per-step relative tolerance when flagging increases of the decrease
         diagnostic V.
-    proj_resid:
-        Residual bound for the weighted-projection identity of consensus
-        errors.
     """
 
     sym_asym: float = 1e-12
-    eig_recon: float = 1e-9
-    eig_ortho: float = 1e-10
     solve_resid: float = 1e-9
     cond_max: float = 1e12
     perron_resid: float = 1e-9
-    spectra_floor: float = -1e-9
-    balanced_match: float = 1e-8
     lmi_margin_rel: float = 1e-6
     verify_margin: float = 0.0
     lipschitz_slack: float = 1e-9
     blowup_norm: float = 1e9
     v_step_rel: float = 1e-10
-    proj_resid: float = 1e-9
 
 
 TOL = Tolerances()

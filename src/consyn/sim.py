@@ -1,15 +1,16 @@
 """Closed-loop network simulation, disturbances, costs, and diagnostics.
 
-The integrator is fixed-step classical Runge-Kutta (RK4), deterministic by
-construction. States are carried as an (N, n) array, one row per agent.
-Consensus errors use the weighted-average reference e_i = x_i - sum_j r_j x_j
-for leaderless and disturbance runs, and the leader offset v_i = x_i - x_lead
-for tracking runs.
+The integrator is fixed-step classical Runge-Kutta (RK4) over the single
+closed-loop vector field :func:`closed_loop`, deterministic by construction.
+States are carried as an (N, n) array, one row per agent. The design fixes
+the error reference: the weighted average e_i = x_i - sum_j r_j x_j for
+leaderless and disturbance runs, the leader offset v_i = x_i - x_lead for
+tracking runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -17,8 +18,8 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from . import numkit
 from .errors import BlowUpError, PreconditionError
-from .graph import (DiGraph, GraphSpectra, LeaderFollowerData, classify,
-                    laplacian, left_perron)
+from .graph import DiGraph, laplacian
+from .synthesis import ProtocolDesign
 
 NONLINEARITY_KINDS = ("zero", "sine", "saturation", "tanh")
 
@@ -225,7 +226,7 @@ class Scenario:
 
     model: AgentModel
     graph: DiGraph
-    design: "object"
+    design: ProtocolDesign
     x0: NDArray[np.float64]
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     t_end: float = 10.0
@@ -242,6 +243,11 @@ class Scenario:
                 f"x0 shape {x0.shape} does not match "
                 f"({self.graph.n}, {self.model.n})"
             )
+        if len(self.design.weights) != self.graph.n:
+            raise ValueError(
+                f"design has {len(self.design.weights)} agent weights, "
+                f"graph has {self.graph.n} nodes"
+            )
         object.__setattr__(self, "x0", x0)
 
 
@@ -250,8 +256,9 @@ class Trajectory:
     """Sampled closed-loop run.
 
     states has shape (T, N, n); e holds consensus (or tracking) errors; z
-    the performance outputs; v_lyap the decrease diagnostic; j_running the
-    running attenuation cost integral; omega the applied disturbance.
+    the performance outputs; v_lyap the error energy
+    V = sum_i w_i e_i^T P^{-1} e_i with the design's weights w; j_running
+    the running attenuation cost integral; omega the applied disturbance.
     """
 
     times: NDArray[np.float64]
@@ -263,91 +270,35 @@ class Trajectory:
     omega: NDArray[np.float64]
 
 
-def _as_state_array(x, n_agents: int, n: int):
-    arr = np.asarray(x, dtype=float)
-    if arr.shape == (n_agents, n):
-        return arr.copy(), False
-    if arr.shape == (n_agents * n,):
-        return arr.reshape(n_agents, n).copy(), True
-    raise ValueError(
-        f"state shape {arr.shape} is neither ({n_agents}, {n}) nor "
-        f"({n_agents * n},)"
-    )
+def closed_loop(model: AgentModel, graph: DiGraph, design: ProtocolDesign,
+                disturbance: Optional[DisturbanceSpec] = None
+                ) -> Callable[[float, NDArray[np.float64]], NDArray[np.float64]]:
+    """Closed-loop vector field f(t, x) of the network on (N, n) states.
 
+    The protocol feeds back relative states only: u_i = c K sum_j a_ij
+    (x_i - x_j), which is row i of c K L x, so
 
-def _core_rhs(model: AgentModel, lap, design, x, omega_t=None):
-    coupling = model.b @ design.k
-    dx = (x @ model.a.T
-          + model.nonlinear(x) @ model.d1.T
-          + design.c * (lap @ x) @ coupling.T)
-    if omega_t is not None:
-        dx = dx + omega_t @ model.d2.T
-    return dx
+        dx = x A^T + f(x) D1^T + c (L x) (B K)^T (+ w(t) D2^T).
 
-
-def rhs_leaderless(model: AgentModel, g: DiGraph, design, x):
-    """Closed-loop derivative of the leaderless network.
-
-    Accepts states as (N, n) or stacked (N*n,) and returns the same layout.
-    The protocol feeds back relative states only: u_i depends on
-    sum_j a_ij (x_i - x_j), which is row i of L x.
+    A tracking design's leader has no incoming edges, so its Laplacian row
+    is zero and it evolves open loop.
     """
-    lap = laplacian(g)
-    xs, flat = _as_state_array(x, g.n, model.n)
-    dx = _core_rhs(model, lap, design, xs)
-    return dx.reshape(-1) if flat else dx
+    lap = laplacian(graph)
+    if design.leader is not None and np.any(lap[design.leader - 1]):
+        raise PreconditionError(
+            f"leader {design.leader} must have no incoming edges")
+    a_t, d1_t, d2_t = model.a.T, model.d1.T, model.d2.T
+    coupling_t = (model.b @ design.k).T
+    c = design.c
+    n_agents, m1 = graph.n, model.d2.shape[1]
+    disturbed = disturbance is not None and disturbance.kind != "none"
 
-
-def rhs_disturbed(model: AgentModel, g: DiGraph, design, x, omega_t):
-    """Leaderless derivative plus the additive disturbance channel D2 w."""
-    lap = laplacian(g)
-    xs, flat = _as_state_array(x, g.n, model.n)
-    om = np.asarray(omega_t, dtype=float)
-    if om.shape != (g.n, model.d2.shape[1]):
-        raise ValueError(
-            f"omega shape {om.shape} does not match ({g.n}, {model.d2.shape[1]})"
-        )
-    dx = _core_rhs(model, lap, design, xs, om)
-    return dx.reshape(-1) if flat else dx
-
-
-def rhs_leader_follower(model: AgentModel, g: DiGraph, design, x):
-    """Tracking derivative: agent 1 is the leader and receives no input.
-
-    The leader's Laplacian row is zero (no incoming edges), so the shared
-    coupling term vanishes for it and it evolves open loop.
-    """
-    lap = laplacian(g)
-    if np.any(np.abs(lap[0]) > 0):
-        raise PreconditionError("agent 1 must have no incoming edges")
-    xs, flat = _as_state_array(x, g.n, model.n)
-    dx = _core_rhs(model, lap, design, xs)
-    return dx.reshape(-1) if flat else dx
-
-
-def _error_weights(scenario: Scenario):
-    """Error reference and diagnostic weights for the scenario's mode.
-
-    Returns (weights, reference) where reference is either the left null
-    vector r (weighted-average errors) or a leader index (offset errors).
-    """
-    mode = getattr(scenario.design, "mode", None)
-    mode_value = getattr(mode, "value", mode)
-    if mode_value == "leader-follower":
-        flags = classify(scenario.graph)
-        if flags.leader_follower_root is None:
-            raise PreconditionError(
-                "tracking run needs a zero in-degree root reaching all nodes"
-            )
-        leader = flags.leader_follower_root
-        from .graph import leader_follower_data
-        lf = leader_follower_data(scenario.graph, leader)
-        weights = np.zeros(scenario.graph.n)
-        for w, node in zip(lf.q, lf.followers):
-            weights[node - 1] = w
-        return weights, leader
-    r = left_perron(laplacian(scenario.graph))
-    return r, None
+    def f(t, x):
+        dx = x @ a_t + model.nonlinear(x) @ d1_t + c * (lap @ x) @ coupling_t
+        if disturbed:
+            dx = dx + disturbance.omega(t, n_agents, m1) @ d2_t
+        return dx
+    return f
 
 
 def integrate(scenario: Scenario, tol: numkit.Tolerances = numkit.TOL
@@ -357,18 +308,13 @@ def integrate(scenario: Scenario, tol: numkit.Tolerances = numkit.TOL
     Deterministic for fixed inputs. Aborts with BlowUpError when the state
     norm crosses the blow-up guard, carrying the last valid time.
     """
-    model, g, design = scenario.model, scenario.graph, scenario.design
-    n_agents, n = g.n, model.n
-    lap = laplacian(g)
+    model, design, dist = scenario.model, scenario.design, scenario.disturbance
+    n_agents, n = scenario.graph.n, model.n
     m1 = model.d2.shape[1]
-    dist = scenario.disturbance
     steps = int(round(scenario.t_end / scenario.dt))
     dt = scenario.dt
     times = np.arange(steps + 1) * dt
-
-    def f(t, x):
-        om = dist.omega(t, n_agents, m1) if dist.kind != "none" else None
-        return _core_rhs(model, lap, design, x, om)
+    f = closed_loop(model, scenario.graph, design, dist)
 
     states = np.empty((steps + 1, n_agents, n))
     x = scenario.x0.copy()
@@ -387,17 +333,17 @@ def integrate(scenario: Scenario, tol: numkit.Tolerances = numkit.TOL
             )
         states[k + 1] = x
 
-    weights, leader = _error_weights(scenario)
+    leader = design.leader
     if leader is None:
-        mean = np.einsum("j,tjk->tk", weights, states)
+        mean = np.einsum("j,tjk->tk", design.weights, states)
         e = states - mean[:, None, :]
     else:
         e = states - states[:, leader - 1: leader, :]
     z = e @ model.c_out.T
     omega = dist.omega(times, n_agents, m1)
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
-    v = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
-    gamma = getattr(design, "gamma", None) or 0.0
+    v = np.einsum("i,tik,kl,til->t", design.weights, e, p_inv, e)
+    gamma = design.gamma or 0.0
     integrand = (z ** 2).sum(axis=(1, 2)) - gamma ** 2 * (omega ** 2).sum(axis=(1, 2))
     j_running = np.concatenate(
         [[0.0], cumulative_trapezoid(integrand, times)])
@@ -439,27 +385,18 @@ class LyapunovReport:
     step_tolerance: float
 
 
-def lyapunov_diag(traj: Trajectory, design,
-                  weights_source: Union[GraphSpectra, LeaderFollowerData],
-                  tol: numkit.Tolerances = numkit.TOL) -> LyapunovReport:
+def lyapunov_diag(traj: Trajectory, tol: numkit.Tolerances = numkit.TOL
+                  ) -> LyapunovReport:
     """Decrease diagnostic for the weighted quadratic error energy.
 
-    V(t) = sum_i w_i e_i(t)^T P^{-1} e_i(t) with w the left null vector r
-    (leaderless modes) or the follower weights q (tracking mode). Reports
-    the fraction of steps where V increases beyond the per-step tolerance
+    Reads V(t) = sum_i w_i e_i(t)^T P^{-1} e_i(t) from the trajectory, with
+    w the design's weights (r, or q for tracking). Reports the fraction of
+    steps where V increases beyond the per-step tolerance
     v_step_rel * V(0). Guaranteed decrease is a sufficient condition tied
     to the coupling threshold, so an increase under a weakened design is
     flagged, not raised.
     """
-    n_agents = traj.states.shape[1]
-    if isinstance(weights_source, LeaderFollowerData):
-        weights = np.zeros(n_agents)
-        for w, node in zip(weights_source.q, weights_source.followers):
-            weights[node - 1] = w
-    else:
-        weights = weights_source.r
-    p_inv = numkit.solve_linear(design.cert.p, np.eye(traj.states.shape[2]))
-    v = np.einsum("i,tik,kl,til->t", weights, traj.e, p_inv, traj.e)
+    v = traj.v_lyap
     dv = np.diff(v)
     step_tol = tol.v_step_rel * float(v[0])
     increasing = dv > step_tol

@@ -1,18 +1,20 @@
 """Protocol synthesis: compose a feasibility certificate with graph spectra.
 
-All three design routes share the same gain rule K = -1/2 B^T P^{-1} and
-differ in the coupling-strength threshold:
+All three modes share the gain rule K = -1/2 B^T P^{-1}. A mode only picks
+the inequality kind the certificate (P, s) solves, the graph class it needs,
+and the spectral quantity that divides s into the coupling threshold:
 
-- leaderless consensus: scalar / a(L) with a(L) the generalized algebraic
-  connectivity of the (strongly connected) communication graph;
-- disturbance attenuation at level gamma: scalar / lambda2 with lambda2 the
-  second-smallest eigenvalue of (L + L^T)/2, valid on balanced strongly
-  connected graphs;
-- leader-follower tracking: scalar / (lambda1(H) * min q) from the
+- leaderless consensus: consensus kind on a strongly connected graph,
+  threshold s / a(L) with a(L) the generalized algebraic connectivity;
+- disturbance attenuation at level gamma: attenuation kind on a balanced,
+  strongly connected graph, threshold s / lambda2 with lambda2 the
+  second-smallest eigenvalue of (L + L^T)/2;
+- leader-follower tracking: consensus kind under a spanning tree rooted at
+  a zero in-degree leader, threshold s / (lambda1(H) * min q) from the
   follower-block partition.
 
-The coupling strength defaults to the threshold exactly; a multiplier >= 1
-adds headroom.
+:func:`synthesize` is the single entry point. The coupling strength defaults
+to the threshold exactly; a multiplier >= 1 adds headroom.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from numpy.typing import NDArray
 
 from . import lmi, numkit
 from .errors import InfeasibleError, PreconditionError
-from .graph import GraphSpectra, LeaderFollowerData
+from .graph import DiGraph, classify, leader_follower_data, spectra
 
 if TYPE_CHECKING:
     from .sim import AgentModel
@@ -42,10 +44,14 @@ class ProtocolDesign:
     """Complete synthesized protocol.
 
     k is the feedback gain, c the coupling strength, c_threshold the
-    algorithmic lower bound on c. c_threshold_simplified carries the
-    alternative leader-follower bound (smallest eigenvalue of the
-    symmetrized follower block) when the follower subgraph is balanced and
-    strongly connected, None otherwise.
+    algorithmic lower bound on c. weights are the per-agent weights of the
+    error energy V: the left null vector r of the Laplacian, or for tracking
+    the follower weights q with 0 at the leader. leader is the leader's node
+    number for tracking designs, None otherwise; it selects the error
+    reference (leader offset instead of the r-weighted average).
+    c_threshold_simplified carries the alternative leader-follower bound
+    (smallest eigenvalue of the symmetrized follower block) when the
+    follower subgraph is balanced and strongly connected, None otherwise.
     """
 
     k: NDArray[np.float64]
@@ -53,35 +59,49 @@ class ProtocolDesign:
     cert: lmi.LmiCertificate
     c_threshold: float
     mode: DesignMode
+    weights: NDArray[np.float64]
+    leader: Optional[int] = None
     gamma: Optional[float] = None
     c_threshold_simplified: Optional[float] = None
 
 
-def _gain(cert: lmi.LmiCertificate, b: NDArray[np.float64]
-          ) -> NDArray[np.float64]:
-    x = numkit.solve_linear(cert.p, b)
-    return -0.5 * x.T
+def problem_for(model: "AgentModel", mode, gamma: Optional[float] = None
+                ) -> lmi.LmiProblem:
+    """The inequality a mode's certificate must satisfy.
+
+    gamma is required in hinf mode and ignored in the others.
+    """
+    if DesignMode(mode) is DesignMode.HINF:
+        if gamma is None:
+            raise PreconditionError(
+                "hinf mode needs an attenuation level gamma")
+        return lmi.LmiProblem(lmi.LmiKind.HINF, model, gamma=gamma)
+    return lmi.LmiProblem(lmi.LmiKind.CONSENSUS, model)
 
 
-def _resolve_cert(problem: lmi.LmiProblem,
-                  cert: Optional[lmi.LmiCertificate],
-                  options: Optional[lmi.SolverOptions]) -> lmi.LmiCertificate:
-    if cert is None:
-        found = lmi.solve(problem, options)
-        if not found.feasible:
+def _certify(problem: lmi.LmiProblem,
+             cert: Optional[lmi.LmiCertificate]) -> lmi.LmiCertificate:
+    """Search for a certificate unless one is given; verify either way."""
+    injected = cert is not None
+    if not injected:
+        cert = lmi.solve(problem)
+        if not cert.feasible:
             raise InfeasibleError(
                 "feasibility search exhausted its budget "
-                f"(best margin {found.margin:.3e})",
-                best_margin=found.margin,
+                f"(best margin {cert.margin:.3e})",
+                best_margin=cert.margin,
             )
-        return found
     report = lmi.verify(problem, cert, tolerance=0.0)
     if not report.passed:
-        raise PreconditionError(
-            "injected certificate fails verification "
-            f"(p margin {report.p_margin:.3e}, scalar {report.scalar_value:.3e}, "
-            f"inequality margin {report.lmi_margin:.3e})"
+        message = (
+            f"{'injected' if injected else 'solver'} certificate fails "
+            f"verification (p margin {report.p_margin:.3e}, scalar "
+            f"{report.scalar_value:.3e}, inequality margin "
+            f"{report.lmi_margin:.3e})"
         )
+        if injected:
+            raise PreconditionError(message)
+        raise InfeasibleError(message, best_margin=report.lmi_margin)
     return cert
 
 
@@ -93,100 +113,64 @@ def inject_certificate(problem: lmi.LmiProblem, p, scalar: float
     rounded, so any strictly positive margin is accepted downstream.
     """
     pm = numkit.as_matrix(p, "p")
-    margin = -float(numkit.sym_eig(assemble_for(problem, pm, scalar)).values[-1])
+    margin = -float(numkit.sym_eig(lmi.assemble(problem, pm, scalar)).values[-1])
     return lmi.LmiCertificate(p=pm, scalar=float(scalar), margin=margin,
                               feasible=margin > 0)
 
 
-def assemble_for(problem: lmi.LmiProblem, p, scalar: float):
-    return lmi.assemble(problem, p, scalar)
+def synthesize(model: "AgentModel", graph: DiGraph, mode,
+               gamma: Optional[float] = None,
+               cert: Optional[lmi.LmiCertificate] = None,
+               c_multiplier: float = 1.0) -> ProtocolDesign:
+    """Design the protocol of one mode on one graph.
 
-
-def design_leaderless(model: "AgentModel", spectra: GraphSpectra,
-                      cert: Optional[lmi.LmiCertificate] = None,
-                      c_multiplier: float = 1.0,
-                      solver_options: Optional[lmi.SolverOptions] = None
-                      ) -> ProtocolDesign:
-    """Consensus protocol for a strongly connected graph.
-
-    Solves the consensus inequality (or verifies an injected certificate),
-    then sets the coupling threshold scalar / a(L).
+    Checks the graph class the mode needs, solves the mode's inequality (or
+    verifies an injected certificate; solver certificates are re-verified
+    too), and divides the certificate scalar by the mode's spectral
+    quantity. mode is a DesignMode or its string value; gamma is required
+    in hinf mode.
     """
-    if not spectra.flags.strongly_connected:
-        raise PreconditionError(
-            "leaderless synthesis requires a strongly connected graph"
-        )
+    mode = DesignMode(mode)
     if c_multiplier < 1.0:
         raise ValueError("c_multiplier must be >= 1")
-    problem = lmi.LmiProblem(lmi.LmiKind.CONSENSUS, model)
-    cert = _resolve_cert(problem, cert, solver_options)
-    threshold = cert.scalar / spectra.a_of_l
+    problem = problem_for(model, mode, gamma)
+    flags = classify(graph)
+    leader = None
+    simplified_divisor = None
+    if mode is DesignMode.LEADER_FOLLOWER:
+        if flags.leader_follower_root is None:
+            raise PreconditionError(
+                "leader-follower mode needs a zero in-degree root reaching "
+                "all nodes"
+            )
+        lf = leader_follower_data(graph, flags.leader_follower_root)
+        leader = lf.leader
+        weights = np.zeros(graph.n)
+        weights[np.asarray(lf.followers) - 1] = lf.q
+        divisor = lf.lambda1_h * lf.min_q
+        if lf.simplified_applicable and lf.lambda1_sym and lf.lambda1_sym > 0:
+            simplified_divisor = lf.lambda1_sym
+    else:
+        hinf = mode is DesignMode.HINF
+        if not flags.strongly_connected or (hinf and not flags.balanced):
+            need = "a balanced, strongly connected" if hinf \
+                else "a strongly connected"
+            raise PreconditionError(
+                f"{mode.value} synthesis requires {need} graph")
+        sp = spectra(graph)
+        weights = sp.r
+        divisor = sp.lambda2_sym if hinf else sp.a_of_l
+    cert = _certify(problem, cert)
+    threshold = cert.scalar / divisor
     return ProtocolDesign(
-        k=_gain(cert, model.b),
+        k=-0.5 * numkit.solve_linear(cert.p, model.b).T,
         c=threshold * c_multiplier,
         cert=cert,
         c_threshold=threshold,
-        mode=DesignMode.LEADERLESS,
-    )
-
-
-def design_hinf(model: "AgentModel", spectra: GraphSpectra, gamma: float,
-                cert: Optional[lmi.LmiCertificate] = None,
-                c_multiplier: float = 1.0,
-                solver_options: Optional[lmi.SolverOptions] = None
-                ) -> ProtocolDesign:
-    """Disturbance-attenuating protocol at level gamma.
-
-    Valid on balanced, strongly connected graphs; the threshold divides the
-    certificate scalar by the second-smallest eigenvalue of the symmetrized
-    Laplacian, computed at full precision.
-    """
-    if not (spectra.flags.balanced and spectra.flags.strongly_connected):
-        raise PreconditionError(
-            "hinf synthesis requires a balanced, strongly connected graph"
-        )
-    if c_multiplier < 1.0:
-        raise ValueError("c_multiplier must be >= 1")
-    if spectra.lambda2_sym is None or spectra.lambda2_sym <= 0:
-        raise PreconditionError("symmetrized Laplacian eigenvalue unavailable")
-    problem = lmi.LmiProblem(lmi.LmiKind.HINF, model, gamma=gamma)
-    cert = _resolve_cert(problem, cert, solver_options)
-    threshold = cert.scalar / spectra.lambda2_sym
-    return ProtocolDesign(
-        k=_gain(cert, model.b),
-        c=threshold * c_multiplier,
-        cert=cert,
-        c_threshold=threshold,
-        mode=DesignMode.HINF,
-        gamma=float(gamma),
-    )
-
-
-def design_leader_follower(model: "AgentModel", lf: LeaderFollowerData,
-                           cert: Optional[lmi.LmiCertificate] = None,
-                           c_multiplier: float = 1.0,
-                           solver_options: Optional[lmi.SolverOptions] = None
-                           ) -> ProtocolDesign:
-    """Tracking protocol under a leader rooted spanning tree.
-
-    Reuses the consensus inequality; the threshold divides the scalar by
-    lambda1(H) * min q. When the follower subgraph is balanced and strongly
-    connected the simplified alternative threshold scalar / lambda1 of the
-    symmetrized follower block is reported alongside.
-    """
-    if c_multiplier < 1.0:
-        raise ValueError("c_multiplier must be >= 1")
-    problem = lmi.LmiProblem(lmi.LmiKind.CONSENSUS, model)
-    cert = _resolve_cert(problem, cert, solver_options)
-    threshold = cert.scalar / (lf.lambda1_h * lf.min_q)
-    simplified = None
-    if lf.simplified_applicable and lf.lambda1_sym and lf.lambda1_sym > 0:
-        simplified = cert.scalar / lf.lambda1_sym
-    return ProtocolDesign(
-        k=_gain(cert, model.b),
-        c=threshold * c_multiplier,
-        cert=cert,
-        c_threshold=threshold,
-        mode=DesignMode.LEADER_FOLLOWER,
-        c_threshold_simplified=simplified,
+        mode=mode,
+        weights=weights,
+        leader=leader,
+        gamma=float(gamma) if mode is DesignMode.HINF else None,
+        c_threshold_simplified=(cert.scalar / simplified_divisor
+                                if simplified_divisor else None),
     )

@@ -6,10 +6,9 @@ import pytest
 from consyn import (
     AgentModel,
     DiGraph,
-    design_hinf,
-    design_leaderless,
     inject_certificate,
     spectra,
+    synthesize,
 )
 from consyn import benchmark
 from consyn.lmi import LmiKind, LmiProblem
@@ -90,20 +89,20 @@ def bench_spectra(bench_graph):
 
 
 @pytest.fixture(scope="session")
-def consensus_design(bench_model, bench_spectra):
+def consensus_design(bench_model, bench_graph):
     # one solver run shared across the suite; acceptance re-times its own
-    return design_leaderless(bench_model, bench_spectra)
+    return synthesize(bench_model, bench_graph, "leaderless")
 
 
 @pytest.fixture(scope="session")
-def hinf_design(bench_model, bench_spectra):
-    return design_hinf(bench_model, bench_spectra, gamma=benchmark.GAMMA)
+def hinf_design(bench_model, bench_graph):
+    return synthesize(bench_model, bench_graph, "hinf", gamma=benchmark.GAMMA)
 
 
 @pytest.fixture(scope="session")
-def injected_hinf_design(bench_model, bench_spectra):
+def injected_hinf_design(bench_model, bench_graph):
     problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
     cert = inject_certificate(problem, benchmark.REFERENCE_P,
                               benchmark.REFERENCE_EPSILON)
-    return design_hinf(bench_model, bench_spectra, gamma=benchmark.GAMMA,
-                       cert=cert)
+    return synthesize(bench_model, bench_graph, "hinf", gamma=benchmark.GAMMA,
+                      cert=cert)

@@ -23,9 +23,6 @@ from consyn import (
     Scenario,
     assemble,
     classify,
-    design_hinf,
-    design_leader_follower,
-    design_leaderless,
     generalized_connectivity,
     hinf_cost,
     inject_certificate,
@@ -37,6 +34,7 @@ from consyn import (
     max_pairwise_distance,
     solve,
     spectra,
+    synthesize,
     verify,
 )
 from consyn import benchmark
@@ -71,14 +69,14 @@ def test_benchmark_graph_spectra():
     assert elapsed < 1.0
 
 
-def test_injected_certificate_gain(bench_model, bench_spectra):
+def test_injected_certificate_gain(bench_model, bench_graph):
     """Published certificate reproduces the published gain to 5e-3."""
     t0 = time.perf_counter()
     problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
     cert = inject_certificate(problem, benchmark.REFERENCE_P,
                               benchmark.REFERENCE_EPSILON)
-    design = design_hinf(bench_model, bench_spectra, gamma=benchmark.GAMMA,
-                         cert=cert)
+    design = synthesize(bench_model, bench_graph, "hinf",
+                        gamma=benchmark.GAMMA, cert=cert)
     elapsed = time.perf_counter() - t0
     assert np.max(np.abs(design.k - benchmark.REFERENCE_GAIN)) < 5e-3
     assert elapsed < 1.0
@@ -113,8 +111,7 @@ def test_solver_feasibility(bench_model):
     assert time.perf_counter() - t0 < 30.0
 
 
-def test_consensus_convergence(bench_model, bench_graph, bench_spectra,
-                               consensus_design):
+def test_consensus_convergence(bench_model, bench_graph, consensus_design):
     """Solver-found design at the threshold: pairwise distances below 1e-3
     before t_end = 10 from seeded states in [-1, 1]^4, V non-increasing."""
     scenario = Scenario(model=bench_model, graph=bench_graph,
@@ -127,7 +124,7 @@ def test_consensus_convergence(bench_model, bench_graph, bench_spectra,
     assert traj.times[below[0]] < 10.0
     assert series[-1] < 1e-3
 
-    report = lyapunov_diag(traj, consensus_design, bench_spectra)
+    report = lyapunov_diag(traj)
     assert report.step_tolerance == pytest.approx(1e-10 * report.v0)
     assert report.n_increasing == 0
 
@@ -204,7 +201,7 @@ def test_leader_follower_tracking():
     model = scalar_model()
     cert = inject_certificate(
         LmiProblem(LmiKind.CONSENSUS, model), [[1.0]], 1.0)
-    design = design_leader_follower(model, lf, cert=cert)
+    design = synthesize(model, g, "leader-follower", cert=cert)
     scenario = Scenario(model=model, graph=g, design=design,
                         x0=np.array([[1.0], [0.0], [-1.0]]),
                         t_end=10.0, dt=1e-3)
@@ -214,8 +211,7 @@ def test_leader_follower_tracking():
 
     from consyn import DiGraph
     g_sym = DiGraph.from_edges(3, [(1, 2), (1, 3), (2, 3), (3, 2)])
-    lf_sym = leader_follower_data(g_sym, 1)
-    design_sym = design_leader_follower(model, lf_sym, cert=cert)
+    design_sym = synthesize(model, g_sym, "leader-follower", cert=cert)
     assert design_sym.c_threshold_simplified is not None
     assert design_sym.c_threshold_simplified == pytest.approx(
         design_sym.c_threshold, rel=1e-12)

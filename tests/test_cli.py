@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from consyn import adjacency
 from consyn import benchmark
-from consyn import cli
+from consyn import cli, lmi
 from consyn.graph import format_edge_list
 
 from conftest import scalar_model
@@ -214,6 +214,36 @@ def test_simulate_rejects_disturbed_tracking(tmp_path, capsys):
                 "--cert", cert, "--disturbance", "bipolar",
                 "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+def test_simulate_rejects_disturbed_tracking_before_solving(tmp_path,
+                                                            monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("certificate search started")
+
+    monkeypatch.setattr(lmi, "solve", no_solve)
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("nodes 3\n1 2\n2 3\n")
+    code = run(["simulate", model, str(gfile), "--mode", "leader-follower",
+                "--disturbance", "bipolar", "--out-dir", str(tmp_path)])
+    assert code == 2
+
+
+def test_model_with_understated_lipschitz_constant_exit_code(tmp_path,
+                                                            capsys):
+    # f = 50 sin(x) declared with alpha = 0: the sampled difference ratio
+    # reaches 50, so the certificate's hypothesis fails at load time
+    model = write_json(tmp_path / "m.json", dict(
+        SCALAR_MODEL, a=[[0.0]], f={"kind": "sine", "terms": [[1, 1, 50]]}))
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("nodes 3\n1 2\n2 3\n3 1\n")
+    code = run(["simulate", model, str(gfile), "--mode", "leaderless",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Lipschitz" in err and "alpha = 0" in err
+    assert not (tmp_path / "simulate_report.json").exists()
 
 
 def test_simulate_blow_up_exit_code(tmp_path, capsys):

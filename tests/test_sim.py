@@ -15,32 +15,27 @@ from consyn import (
     Scenario,
     Trajectory,
     check_lipschitz,
-    design_leader_follower,
-    design_leaderless,
+    closed_loop,
     hinf_cost,
     inject_certificate,
     integrate,
     laplacian,
-    leader_follower_data,
     lyapunov_diag,
     max_pairwise_distance,
-    rhs_disturbed,
-    rhs_leader_follower,
-    rhs_leaderless,
-    spectra,
     square_wave,
+    synthesize,
     write_csv,
 )
 from consyn import benchmark
 from consyn.lmi import LmiKind, LmiProblem
 
-from conftest import path_graph, scalar_model, two_node_graph
+from conftest import path_graph, scalar_model, three_cycle, two_node_graph
 
 
 def witness_design(model, g, p=1.0, scalar=1.0, c=None):
     cert = inject_certificate(
         LmiProblem(LmiKind.CONSENSUS, model), [[p]], scalar)
-    design = design_leaderless(model, spectra(g), cert=cert)
+    design = synthesize(model, g, "leaderless", cert=cert)
     if c is not None:
         design = dataclasses.replace(design, c=c)
     return design
@@ -165,7 +160,7 @@ def test_rhs_consensus_manifold_invariant(bench_model, bench_graph,
                                           consensus_design):
     xbar = np.array([0.3, -0.2, 0.5, 0.1])
     x = np.tile(xbar, (6, 1))
-    dx = rhs_leaderless(bench_model, bench_graph, consensus_design, x)
+    dx = closed_loop(bench_model, bench_graph, consensus_design)(0.0, x)
     open_loop = (bench_model.a @ xbar
                  + bench_model.d1 @ bench_model.nonlinear(xbar))
     for row in dx:
@@ -176,7 +171,7 @@ def test_rhs_two_node_arithmetic():
     model = scalar_model()
     g = two_node_graph()
     design = witness_design(model, g, c=1.0)  # K = -1/2
-    dx = rhs_leaderless(model, g, design, np.array([[1.0], [0.0]]))
+    dx = closed_loop(model, g, design)(0.0, np.array([[1.0], [0.0]]))
     # u1 = cK(x1 - x2) = -0.5, u2 = cK(x2 - x1) = +0.5
     assert_allclose(dx, [[-1.5], [0.5]], atol=1e-15)
 
@@ -185,7 +180,8 @@ def test_rhs_matches_kronecker_form(bench_model, bench_graph,
                                     consensus_design):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(24)
-    dx = rhs_leaderless(bench_model, bench_graph, consensus_design, x)
+    dx = closed_loop(bench_model, bench_graph, consensus_design)(
+        0.0, x.reshape(6, 4)).reshape(-1)
     eye = np.eye(6)
     lap = laplacian(bench_graph)
     big_a = np.kron(eye, bench_model.a)
@@ -200,47 +196,53 @@ def test_rhs_disturbed_reduces_to_leaderless(bench_model, bench_graph,
                                              consensus_design):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 4))
-    dx0 = rhs_disturbed(bench_model, bench_graph, consensus_design, x,
-                        np.zeros((6, 1)))
-    assert_allclose(dx0, rhs_leaderless(bench_model, bench_graph,
-                                        consensus_design, x), atol=0.0)
+    # the square wave is off after t = 2
+    dist = benchmark.benchmark_disturbance()
+    assert np.all(dist.omega(3.0, 6, 1) == 0.0)
+    dx0 = closed_loop(bench_model, bench_graph, consensus_design, dist)(3.0, x)
+    assert_allclose(dx0, closed_loop(bench_model, bench_graph,
+                                     consensus_design)(3.0, x), atol=0.0)
 
 
 def test_rhs_disturbed_zero_state(bench_model, bench_graph, hinf_design):
-    om = benchmark.benchmark_disturbance().omega(0.5, 6, 1)
-    dx = rhs_disturbed(bench_model, bench_graph, hinf_design,
-                       np.zeros((6, 4)), om)
+    dist = benchmark.benchmark_disturbance()
+    om = dist.omega(0.5, 6, 1)
+    dx = closed_loop(bench_model, bench_graph, hinf_design, dist)(
+        0.5, np.zeros((6, 4)))
     assert_allclose(dx, om @ bench_model.d2.T, atol=1e-15)
 
 
-def test_rhs_leader_follower_requires_source_leader(bench_model, bench_graph,
-                                                    consensus_design):
+def test_rhs_leader_follower_requires_source_leader(bench_model, bench_graph):
+    # every node of the benchmark ring has inputs, so none can lead
     with pytest.raises(PreconditionError):
-        rhs_leader_follower(bench_model, bench_graph, consensus_design,
-                            np.zeros((6, 4)))
+        synthesize(bench_model, bench_graph, "leader-follower")
+    # a tracking design run on a graph where its leader hears a neighbour
+    model = scalar_model()
+    cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
+                              [[1.0]], 1.0)
+    design = synthesize(model, path_graph(), "leader-follower", cert=cert)
+    with pytest.raises(PreconditionError):
+        closed_loop(model, three_cycle(), design)
 
 
 def test_rhs_leader_follower_tracking_manifold():
     model = scalar_model()
     g = path_graph()
-    lf = leader_follower_data(g, 1)
     cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
                               [[1.0]], 1.0)
-    design = design_leader_follower(model, lf, cert=cert)
+    design = synthesize(model, g, "leader-follower", cert=cert)
     x = np.full((3, 1), 0.7)
-    dx = rhs_leader_follower(model, g, design, x)
+    dx = closed_loop(model, g, design)(0.0, x)
     assert_allclose(dx, np.full((3, 1), -0.7), atol=1e-15)
 
 
 def test_rhs_leader_follower_constant_leader():
     model = AgentModel(a=[[0.0]], b=[[1.0]], d1=[[1.0]])
     g = path_graph()
-    lf = leader_follower_data(g, 1)
     cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
                               [[1.0]], 2.0)
-    design = design_leader_follower(model, lf, cert=cert)
-    dx = rhs_leader_follower(model, g, design,
-                             np.array([[1.0], [0.4], [0.2]]))
+    design = synthesize(model, g, "leader-follower", cert=cert)
+    dx = closed_loop(model, g, design)(0.0, np.array([[1.0], [0.4], [0.2]]))
     assert dx[0, 0] == 0.0
 
 
@@ -249,12 +251,13 @@ def test_translation_leaves_protocol_unchanged(bench_graph):
                        d1=np.zeros((2, 2)))
     cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
                               np.eye(2), 1.0)
-    design = design_leaderless(model, spectra(bench_graph), cert=cert)
+    design = synthesize(model, bench_graph, "leaderless", cert=cert)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 2))
     shift = np.array([0.8, -1.1])
-    dx = rhs_leaderless(model, bench_graph, design, x)
-    dx_shifted = rhs_leaderless(model, bench_graph, design, x + shift)
+    f = closed_loop(model, bench_graph, design)
+    dx = f(0.0, x)
+    dx_shifted = f(0.0, x + shift)
     assert_allclose(dx_shifted - dx, np.tile(model.a @ shift, (6, 1)),
                     atol=1e-12)
 
@@ -292,6 +295,11 @@ def test_scenario_validation(bench_model, bench_graph, consensus_design):
     with pytest.raises(ValueError):
         Scenario(model=bench_model, graph=bench_graph,
                  design=consensus_design, x0=np.zeros((4, 6)))
+    # a design carries one weight per agent of the graph it was made for
+    other = witness_design(scalar_model(), two_node_graph())
+    with pytest.raises(ValueError, match="weights"):
+        Scenario(model=scalar_model(), graph=bench_graph, design=other,
+                 x0=np.zeros((6, 1)))
 
 
 def test_trajectory_error_invariants(bench_model, bench_graph,
@@ -317,7 +325,7 @@ def test_error_dynamics_consistency(bench_model, bench_graph,
     r = bench_spectra.r
     proj = np.eye(6) - np.outer(np.ones(6), r)
     e = proj @ x
-    dx = rhs_leaderless(bench_model, bench_graph, consensus_design, x)
+    dx = closed_loop(bench_model, bench_graph, consensus_design)(0.0, x)
     lap = laplacian(bench_graph)
     coupling = bench_model.b @ consensus_design.k
     fx = bench_model.nonlinear(x)
@@ -385,12 +393,12 @@ def test_running_cost_matches_batch_quadrature(bench_model, bench_graph,
 
 
 def test_lyapunov_zero_on_manifold(bench_model, bench_graph,
-                                   consensus_design, bench_spectra):
+                                   consensus_design):
     x0 = np.tile([0.5, 0.1, -0.3, 0.2], (6, 1))
     scenario = Scenario(model=bench_model, graph=bench_graph,
                         design=consensus_design, x0=x0, t_end=0.1, dt=1e-3)
     traj = integrate(scenario)
-    report = lyapunov_diag(traj, consensus_design, bench_spectra)
+    report = lyapunov_diag(traj)
     assert report.v0 == pytest.approx(0.0, abs=1e-24)
     # V never leaves numerical zero; the per-step tolerance 1e-10 V(0)
     # degenerates here, so flag counts are not meaningful
@@ -399,12 +407,11 @@ def test_lyapunov_zero_on_manifold(bench_model, bench_graph,
 
 
 def test_lyapunov_decreases_on_benchmark(bench_model, bench_graph,
-                                         consensus_design, bench_spectra):
+                                         consensus_design):
     scenario = Scenario(model=bench_model, graph=bench_graph,
                         design=consensus_design,
                         x0=benchmark.initial_states(), t_end=1.0, dt=1e-3)
-    report = lyapunov_diag(integrate(scenario), consensus_design,
-                           bench_spectra)
+    report = lyapunov_diag(integrate(scenario))
     assert report.v0 > 0
     assert report.n_increasing == 0
     assert report.fraction_increasing == 0.0
@@ -418,7 +425,7 @@ def test_lyapunov_flags_weakened_coupling():
     design = witness_design(model, g, p=1.0, scalar=4.0, c=0.05)
     scenario = Scenario(model=model, graph=g, design=design,
                         x0=np.array([[1.0], [-1.0]]), t_end=1.0, dt=1e-3)
-    report = lyapunov_diag(integrate(scenario), design, spectra(g))
+    report = lyapunov_diag(integrate(scenario))
     assert report.fraction_increasing > 0.5
     assert report.max_increase > 0
 
@@ -426,15 +433,14 @@ def test_lyapunov_flags_weakened_coupling():
 def test_lyapunov_leader_follower_weights():
     model = scalar_model()
     g = path_graph()
-    lf = leader_follower_data(g, 1)
     cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
                               [[1.0]], 1.0)
-    design = design_leader_follower(model, lf, cert=cert)
+    design = synthesize(model, g, "leader-follower", cert=cert)
     scenario = Scenario(model=model, graph=g, design=design,
                         x0=np.array([[1.0], [0.0], [-1.0]]),
                         t_end=2.0, dt=1e-3)
     traj = integrate(scenario)
-    report = lyapunov_diag(traj, design, lf)
+    report = lyapunov_diag(traj)
     assert report.v0 > 0
     assert report.n_increasing == 0
     # tracking errors are offsets from the leader state
