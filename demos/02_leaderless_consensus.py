@@ -23,7 +23,7 @@ print("agents: %d, states per agent: %d" % (g.n, model.n))
 print("a(L) = %.6f" % sp.a_of_l)
 
 # The feasibility search looks for (P, s) making the consensus matrix
-# inequality strictly negative; this takes about a second. synthesize checks
+# inequality strictly negative in a few tens of milliseconds. synthesize checks
 # that the graph is strongly connected and divides s by a(L).
 design = synthesize(model, g, "leaderless")
 print("certificate margin: %.3e (feasible: %s)" %

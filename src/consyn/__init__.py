@@ -14,7 +14,8 @@ from .graph import (DiGraph, GraphFlags, GraphSpectra, LeaderFollowerData,
                     leader_follower_data, left_perron, parse_edge_list,
                     spectra)
 from .lmi import (LmiCertificate, LmiKind, LmiProblem, MarginReport,
-                  SolverOptions, assemble, solve, verify)
+                  ProbeRecord, SolveTrace, SolverOptions, assemble, solve,
+                  verify)
 from .numkit import (SymEig, Tolerances, TOL, as_matrix, as_vector,
                      eigvals_general, is_positive_definite, kron, solve_linear,
                      sym_eig)
@@ -32,7 +33,8 @@ __all__ = [
     "adjacency", "classify", "generalized_connectivity", "laplacian",
     "leader_follower_data", "left_perron", "parse_edge_list", "spectra",
     "LmiCertificate", "LmiKind", "LmiProblem", "MarginReport",
-    "SolverOptions", "assemble", "solve", "verify",
+    "ProbeRecord", "SolveTrace", "SolverOptions", "assemble", "solve",
+    "verify",
     "SymEig", "Tolerances", "TOL", "as_matrix", "as_vector",
     "eigvals_general", "is_positive_definite", "kron", "solve_linear",
     "sym_eig",

@@ -154,7 +154,10 @@ def _provenance(args_dict, extra_parts=()) -> dict:
     return {
         "tool": "consyn",
         "version": __version__,
-        "config_hash": _config_hash([args_dict, list(extra_parts)]),
+        # func, the subcommand function, prints with a memory address
+        "config_hash": _config_hash([
+            {k: v for k, v in args_dict.items() if k != "func"},
+            list(extra_parts)]),
         "seed": args_dict.get("seed"),
     }
 

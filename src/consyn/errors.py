@@ -9,12 +9,14 @@ class InfeasibleError(RuntimeError):
     """The feasibility search exhausted its budget without a certificate.
 
     This is "infeasible within budget": the solver never certifies that no
-    solution exists, it only reports that it could not find one.
+    solution exists, it only reports that it could not find one. trace is
+    the solver's lmi.SolveTrace when the search ran.
     """
 
-    def __init__(self, message, best_margin=None):
+    def __init__(self, message, best_margin=None, trace=None):
         super().__init__(message)
         self.best_margin = best_margin
+        self.trace = trace
 
 
 class BlowUpError(RuntimeError):

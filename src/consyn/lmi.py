@@ -14,27 +14,29 @@ the performance output and the disturbance input channel at a given gamma:
      [C P,                                      0, -I,          0 ],
      [D2^T,                                     0,  0, -gamma^2 I]]
 
-The solver minimizes a smoothed largest eigenvalue over the symmetric P at a
-fixed scalar, laddering the scalar up until strictly feasible and then
-descending it geometrically while feasibility holds. Among the visited
-points it returns the smallest scalar whose verified margin meets the
-relative strictness rule margin >= lmi_margin_rel * (1 + ||assembled||_F).
-That rule caps the scalar from above (the requirement grows with the scalar
-while the achievable margin saturates), so the feasible-with-margin region
-is a window and a plain bisection would fail.
+At each scalar the solver seeds P from the equivalent Riccati equation
+(Gahinet and Apkarian 1994) and takes damped Newton steps to the analytic
+centre, where the log-det barrier is smallest. The scalar is laddered
+up until a centre exists, then descended geometrically while one does; the
+smallest visited scalar whose verified margin meets the relative rule
+margin >= lmi_margin_rel * (1 + ||assembled||_F) is returned. That rule caps
+the scalar from above (the requirement grows with the scalar while the
+achievable margin saturates), so the feasible-with-margin region is a window
+and a plain bisection would fail.
 
 Infeasibility is reported, never certified: exhausting the scalar ladder
-yields feasible=False with the best margin the smoothed descent reached.
+yields feasible=False at the largest scalar tried.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import minimize
+from scipy.linalg import block_diag, solve_continuous_are
 
 from . import numkit
 
@@ -75,17 +77,40 @@ class LmiProblem:
 
 
 @dataclass(frozen=True)
+class ProbeRecord:
+    """One scalar tried; an infeasible probe has NaN margins and p_min."""
+
+    scalar: float
+    margin: float
+    required: float
+    p_min: float
+    newton_steps: int
+    seconds: float
+
+
+@dataclass(frozen=True)
+class SolveTrace:
+    """The probes of one solve, in order, and why the search stopped:
+    "ladder_exhausted", "descent_infeasible" or "descent_budget"."""
+
+    probes: tuple[ProbeRecord, ...]
+    stop: str
+
+
+@dataclass(frozen=True)
 class LmiCertificate:
     """Feasibility certificate: matrix p, scalar, verified margin.
 
     margin is the negated largest eigenvalue of the assembled block matrix.
-    feasible certificates satisfy p > 0, scalar > 0, margin > 0.
+    feasible certificates satisfy p > 0, scalar > 0, margin > 0. trace is
+    set on certificates from solve and None on injected ones.
     """
 
     p: NDArray[np.float64]
     scalar: float
     margin: float
     feasible: bool
+    trace: Optional[SolveTrace] = None
 
 
 @dataclass(frozen=True)
@@ -103,12 +128,7 @@ class MarginReport:
 class SolverOptions:
     max_ladder: int = 7
     max_descents: int = 18
-    inner_eval_budget: int = 6000
-    inner_maxiter: int = 300
-    mu_stages: int = 10
-    bound_factor: float = 100.0
     margin_rel: float = numkit.TOL.lmi_margin_rel
-    target_factor: float = 3.0
 
 
 def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
@@ -162,10 +182,9 @@ def verify(problem: LmiProblem, cert: LmiCertificate,
 class _Stacker:
     """Affine map (vech(p), scalar) -> blockdiag(assembled, -p + delta I).
 
-    The trailing block enforces positive definiteness of p through the same
-    largest-eigenvalue objective as the inequality itself. The coefficient
-    matrices of vech(p) are kept flattened as the rows of m_flat, so the map
-    and the gradient of any linear functional of it are single products.
+    The trailing block keeps p positive definite inside the same barrier as
+    the inequality. The coefficient matrices of vech(p) are the rows of
+    m_flat, so the map is a single product; basis is their (k, d, d) view.
     """
 
     def __init__(self, problem: LmiProblem, delta_p: float):
@@ -184,6 +203,7 @@ class _Stacker:
         self.m_flat = np.array([
             (self._stack(self.unvech(e), 0.0) - self.m_zero).ravel()
             for e in np.eye(len(self.rows))])
+        self.basis = self.m_flat.reshape(-1, self.dim, self.dim)
 
     def vech(self, p):
         return p[self.rows, self.cols]
@@ -207,154 +227,133 @@ class _Stacker:
                 + (v @ self.m_flat).reshape(self.dim, self.dim))
 
 
-def _objective(stacker: _Stacker, scalar: float, v, mu: float):
-    """Smoothed largest eigenvalue mu * log(sum(exp(lam / mu))) at vech(p) = v.
+def _barrier_derivatives(stacker: _Stacker, v, scalar: float):
+    """Gradient tr(W E_i) and Hessian tr(W E_i W E_j) of -log det(-S(v)),
+    S = stacker.at(v, scalar), W = (-S)^-1, through G_i = L^-1 E_i L^-T with
+    -S = L L^T. None unless S is strictly negative definite."""
+    try:
+        chol = np.linalg.cholesky(-stacker.at(v, scalar))
+    except np.linalg.LinAlgError:
+        return None
+    c_inv = np.linalg.inv(chol)
+    g = c_inv @ stacker.basis @ c_inv.T
+    flat = g.reshape(len(g), -1)
+    return np.trace(g, axis1=1, axis2=2), flat @ flat.T
 
-    Returns the value, its exact gradient in v (through the eigenvectors)
-    and the true largest eigenvalue.
+
+def _center(stacker: _Stacker, scalar: float):
+    """Analytic centre of the strictly feasible p at a fixed scalar.
+
+    Seed: with Y = P^-1 the Schur complement of the consensus block is
+    Y A + A^T Y - s Y B B^T Y + alpha^2 Y D1 D1^T Y + I (hinf adds C^T C +
+    gamma^-2 Y D2 D2^T Y); the Riccati equation (indefinite R) sets it to
+    -0.01 I. Then damped Newton: step 1 / (1 + lambda) while the decrement
+    lambda >= 1/4, full steps after, until lambda < 1e-7 or 60 steps; a
+    singular Hessian or an infeasible step keeps the current point. Returns
+    (p, Newton steps), or None without a strictly feasible seed.
     """
-    lam, vec = np.linalg.eigh(stacker.at(v, scalar))
-    top = lam[-1]
-    e = np.exp((lam - top) / mu)
-    total = e.sum()
-    grad_mat = (vec * (e / total)) @ vec.T
-    return top + mu * np.log(total), stacker.m_flat @ grad_mat.ravel(), top
-
-
-def _inner_solve(stacker: _Stacker, scalar: float, p0: NDArray[np.float64],
-                 target: float, rho: float, opts: SolverOptions):
-    """Minimize the largest eigenvalue of the stacked matrix over vech(p).
-
-    The smoothed objective is driven through a decreasing-mu continuation.
-    Returns the best true largest eigenvalue seen and its p.
-    """
-    state = {"best": np.inf, "vbest": stacker.vech(p0), "evals": 0}
-
-    def fg(v, mu):
-        f, grad, top = _objective(stacker, scalar, v, mu)
-        state["evals"] += 1
-        if top < state["best"]:
-            state["best"] = top
-            state["vbest"] = v.copy()
-        return f, grad
-
-    v = stacker.vech(p0)
-    lam0 = np.linalg.eigvalsh(stacker.at(v, scalar))[-1]
-    scale = max(1.0, abs(float(lam0)))
-    bounds = [(-rho, rho)] * len(v)
-    for k in range(opts.mu_stages):
-        if state["best"] <= target or state["evals"] > opts.inner_eval_budget:
+    problem, m = stacker.problem, stacker.problem.model
+    cols, r = [m.b], [np.eye(m.b.shape[1]) / scalar]
+    if m.alpha > 0:
+        cols.append(m.d1)
+        r.append(-np.eye(m.d1.shape[1]) / m.alpha ** 2)
+    q = 1.01 * np.eye(stacker.n)
+    if problem.kind == LmiKind.HINF:
+        cols.append(m.d2)
+        r.append(-problem.gamma ** 2 * np.eye(m.d2.shape[1]))
+        q = q + m.c_out.T @ m.c_out
+    try:
+        p0 = np.linalg.inv(solve_continuous_are(m.a, np.hstack(cols), q,
+                                                block_diag(*r)))
+    except (np.linalg.LinAlgError, ValueError):
+        return None
+    v, steps = stacker.vech((p0 + p0.T) / 2.0), 0
+    derivs = _barrier_derivatives(stacker, v, scalar)
+    if derivs is None:
+        return None
+    while steps < 60:
+        grad, hess = derivs
+        try:
+            dv = -np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
             break
-        mu = scale * 10.0 ** (-k)
-        res = minimize(fg, v, args=(mu,), jac=True, method="L-BFGS-B",
-                       bounds=bounds,
-                       options={"maxiter": opts.inner_maxiter,
-                                "ftol": 1e-15, "gtol": 1e-13})
-        v = res.x
-    return stacker.unvech(state["vbest"]), float(state["best"])
-
-
-def _required_margin(problem: LmiProblem, p, scalar, margin_rel):
-    """Relative strictness requirement margin_rel * (1 + ||assembled||_F)."""
-    m = assemble(problem, p, scalar)
-    return margin_rel * (1.0 + float(np.linalg.norm(m, "fro")))
+        dec = float(np.sqrt(max(-grad @ dv, 0.0)))
+        if not 1e-7 <= dec < np.inf:
+            break
+        v_next = v + (1.0 / (1.0 + dec) if dec >= 0.25 else 1.0) * dv
+        derivs = _barrier_derivatives(stacker, v_next, scalar)
+        if derivs is None:
+            break
+        v, steps = v_next, steps + 1
+    return stacker.unvech(v), steps
 
 
 def _margin_and_req(problem: LmiProblem, p, scalar, margin_rel):
-    margin = -float(np.linalg.eigvalsh(assemble(problem, p, scalar))[-1])
-    return margin, _required_margin(problem, p, scalar, margin_rel)
+    """Margin and its requirement margin_rel * (1 + ||assembled||_F)."""
+    m = assemble(problem, p, scalar)
+    margin = -float(np.linalg.eigvalsh(m)[-1])
+    return margin, margin_rel * (1.0 + float(np.linalg.norm(m, "fro")))
 
 
 def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
           ) -> LmiCertificate:
     """Search for a strictly feasible (p, scalar) pair.
 
-    Deterministic: initialization p = ||A||_F I, scalar = 10 ||A||_F^2, the
-    scalar laddered up tenfold until strictly feasible (the scalar enters
-    through -s B B^T, so larger values enlarge the feasible set), then
-    descended while feasibility persists. If no rung of the ladder reaches
-    strict feasibility the point with the smallest largest eigenvalue is
-    returned as infeasible.
-
-    The returned margin is recomputed by a fresh eigensolve of the assembled
-    matrix, independent of the solver's internal objective.
+    Deterministic: the scalar starts at 10 ||A||_F^2, is laddered up tenfold
+    until the centre exists (-s B B^T grows the feasible set with s), then
+    descended tenfold while it exists and refined once by sqrt(10). With no
+    feasible rung the certificate is infeasible at the largest scalar tried,
+    with p = ||A||_F I. The margin is recomputed by a fresh eigensolve.
     """
     opts = options or SolverOptions()
-    m = problem.model
-    norm_a = max(1.0, float(np.linalg.norm(m.a, "fro")))
-    delta_p = 1e-6 * (1.0 + norm_a)
-    rho = opts.bound_factor * norm_a
-    stacker = _Stacker(problem, delta_p)
+    norm_a = max(1.0, float(np.linalg.norm(problem.model.a, "fro")))
+    stacker = _Stacker(problem, 1e-6 * (1.0 + norm_a))
+    records, points = [], {}
 
-    s0 = 10.0 * norm_a ** 2
-    p_cur = norm_a * np.eye(stacker.n)
-    s = s0
-    feasible_pt = None
-    best_lam = np.inf
-    best_pt = (p_cur, s)
-    for _ in range(opts.max_ladder):
-        p_try, lam = _inner_solve(stacker, s, p_cur, target=-1e-12 * norm_a,
-                                  rho=rho, opts=opts)
-        if lam < best_lam:
-            best_lam, best_pt = lam, (p_try, s)
-        if lam < 0:
-            feasible_pt = (s, p_try)
-            break
-        p_cur = p_try
+    def probe(s):
+        """Centre p at scalar s and record the probe; True when p exists."""
+        start = time.perf_counter()
+        p, steps = _center(stacker, s) or (None, 0)
+        margin = req = pmin = np.nan
+        if p is not None:
+            points[s] = p
+            margin, req = _margin_and_req(problem, p, s, opts.margin_rel)
+            pmin = float(np.linalg.eigvalsh(p)[0])
+        records.append(ProbeRecord(s, margin, req, pmin, steps,
+                                   time.perf_counter() - start))
+        return p is not None
+
+    def meets_rule(r):
+        return r.margin >= r.required and r.p_min > 0
+
+    s = 10.0 * norm_a ** 2
+    while not probe(s):
+        if len(records) >= opts.max_ladder:
+            p_nom = norm_a * np.eye(stacker.n)
+            margin, _ = _margin_and_req(problem, p_nom, s, opts.margin_rel)
+            return LmiCertificate(
+                p_nom, float(s), margin, False,
+                SolveTrace(tuple(records), "ladder_exhausted"))
         s *= 10.0
 
-    if feasible_pt is None:
-        p_best, s_best = best_pt
-        margin, _ = _margin_and_req(problem, p_best, s_best, opts.margin_rel)
-        return LmiCertificate(p=p_best, scalar=float(s_best),
-                              margin=margin, feasible=False)
-
-    s_cur, p_cur = feasible_pt
-    probes = []
-    margin, req = _margin_and_req(problem, p_cur, s_cur, opts.margin_rel)
-    pmin = float(np.linalg.eigvalsh(p_cur)[0])
-    probes.append((s_cur, p_cur, margin, req, pmin))
+    stop = "descent_budget"
     for _ in range(opts.max_descents):
-        s_next = s_cur / 10.0
-        req_est = _required_margin(problem, p_cur, s_next, opts.margin_rel)
-        p_try, lam = _inner_solve(stacker, s_next, p_cur,
-                                  target=-opts.target_factor * req_est,
-                                  rho=rho, opts=opts)
-        if lam >= 0:
+        s /= 10.0
+        if not probe(s):
+            stop = "descent_infeasible"
             break
-        margin, req = _margin_and_req(problem, p_try, s_next, opts.margin_rel)
-        pmin = float(np.linalg.eigvalsh(p_try)[0])
-        probes.append((s_next, p_try, margin, req, pmin))
-        s_cur, p_cur = s_next, p_try
 
-    ok = [(s, p, mg) for (s, p, mg, rq, pm) in probes if mg >= rq and pm > 0]
+    ok = [r.scalar for r in records if meets_rule(r)]
     if ok:
-        s_fin, p_fin, _ = min(ok, key=lambda t: t[0])
-        s_try = s_fin / np.sqrt(10.0)
-        req_est = _required_margin(problem, p_fin, s_try, opts.margin_rel)
-        p_ref, lam = _inner_solve(stacker, s_try, p_fin,
-                                  target=-opts.target_factor * req_est,
-                                  rho=rho, opts=opts)
-        if lam < 0:
-            margin, req = _margin_and_req(problem, p_ref, s_try,
-                                          opts.margin_rel)
-            pmin = float(np.linalg.eigvalsh(p_ref)[0])
-            if margin >= req and pmin > 0:
-                s_fin, p_fin = s_try, p_ref
+        s_fin = min(ok)
+        if probe(s_fin / np.sqrt(10.0)) and meets_rule(records[-1]):
+            s_fin = records[-1].scalar
     else:
-        # Strictly feasible points exist but none meets the relative rule;
-        # return the one with the widest verified margin.
-        strict = [(s, p, mg) for (s, p, mg, rq, pm) in probes
-                  if mg > 0 and pm > 0]
-        if not strict:
-            p_best, s_best = best_pt
-            margin, _ = _margin_and_req(problem, p_best, s_best,
-                                        opts.margin_rel)
-            return LmiCertificate(p=p_best, scalar=float(s_best),
-                                  margin=margin, feasible=False)
-        s_fin, p_fin, _ = max(strict, key=lambda t: t[2])
-
+        # No probe meets the rule: return the widest verified margin.
+        s_fin = records[int(np.nanargmax([r.margin for r in records]))].scalar
+    p_fin = points[s_fin]
     final_margin = -float(numkit.sym_eig(
         assemble(problem, p_fin, s_fin)).values[-1])
-    return LmiCertificate(p=p_fin, scalar=float(s_fin),
-                          margin=final_margin, feasible=final_margin > 0)
+    return LmiCertificate(p=p_fin, scalar=float(s_fin), margin=final_margin,
+                          feasible=final_margin > 0,
+                          trace=SolveTrace(tuple(records), stop))

@@ -87,10 +87,9 @@ def _certify(problem: lmi.LmiProblem,
         cert = lmi.solve(problem)
         if not cert.feasible:
             raise InfeasibleError(
-                "feasibility search exhausted its budget "
-                f"(best margin {cert.margin:.3e})",
-                best_margin=cert.margin,
-            )
+                "feasibility search exhausted its budget: no rung of the "
+                f"scalar ladder, up to {cert.scalar:.3e}, had a strictly "
+                "feasible Riccati point", trace=cert.trace)
     report = lmi.verify(problem, cert, tolerance=0.0)
     if not report.passed:
         message = (
@@ -101,7 +100,8 @@ def _certify(problem: lmi.LmiProblem,
         )
         if injected:
             raise PreconditionError(message)
-        raise InfeasibleError(message, best_margin=report.lmi_margin)
+        raise InfeasibleError(message, best_margin=report.lmi_margin,
+                              trace=cert.trace)
     return cert
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,21 @@ def test_graph_command_benchmark(tmp_path, capsys):
     assert sec["strongly_connected"] and sec["balanced"]
     assert sec["lambda2_sym"] == pytest.approx(0.8139, abs=1e-3)
     assert_allclose(sec["r"], np.full(6, 1 / 6), atol=1e-9)
+
+
+def test_config_hash_is_the_same_in_two_processes(tmp_path):
+    gfile = tmp_path / "two.txt"
+    gfile.write_text(TWO_NODE)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    hashes = []
+    for _ in range(2):
+        subprocess.run([sys.executable, "-m", "consyn.cli", "graph",
+                        str(gfile), "--out-dir", str(tmp_path)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        report = json.loads((tmp_path / "graph_report.json").read_text())
+        hashes.append(report["provenance"]["config_hash"])
+    assert hashes[0] == hashes[1]
 
 
 def test_graph_command_two_node(tmp_path):

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from consyn import AgentModel, LmiCertificate, assemble, solve, verify
 from consyn import benchmark
-from consyn.lmi import (LmiKind, LmiProblem, _margin_and_req, _objective,
+from consyn.lmi import (LmiKind, LmiProblem, SolverOptions,
+                        _barrier_derivatives, _center, _margin_and_req,
                         _Stacker)
 
 from conftest import scalar_model
@@ -106,6 +109,20 @@ def test_solve_uncontrollable_reports_infeasible_within_budget():
     cert = solve(problem)
     assert not cert.feasible
     assert cert.margin < 0
+    trace = cert.trace
+    assert trace.stop == "ladder_exhausted"
+    assert len(trace.probes) == SolverOptions().max_ladder
+    assert cert.scalar == trace.probes[-1].scalar
+    assert all(np.isnan(r.margin) and r.newton_steps == 0
+               for r in trace.probes)
+
+
+def assert_chosen_probe_in_trace(cert):
+    assert cert.trace.stop in ("descent_infeasible", "descent_budget")
+    chosen = [r for r in cert.trace.probes if r.scalar == cert.scalar]
+    assert len(chosen) == 1
+    assert chosen[0].margin >= chosen[0].required and chosen[0].p_min > 0
+    assert chosen[0].newton_steps > 0
 
 
 def test_solve_benchmark_consensus_certificate(consensus_design):
@@ -116,6 +133,7 @@ def test_solve_benchmark_consensus_certificate(consensus_design):
     assert report.passed
     margin, req = _margin_and_req(problem, cert.p, cert.scalar, 1e-6)
     assert margin >= req
+    assert_chosen_probe_in_trace(cert)
 
 
 def test_solve_benchmark_hinf_certificate(hinf_design, bench_model):
@@ -125,6 +143,7 @@ def test_solve_benchmark_hinf_certificate(hinf_design, bench_model):
     assert verify(problem, cert).passed
     margin, req = _margin_and_req(problem, cert.p, cert.scalar, 1e-6)
     assert margin >= req
+    assert_chosen_probe_in_trace(cert)
 
 
 def assert_same_solve(problem):
@@ -166,22 +185,61 @@ def test_stacker_at_matches_stack(kind, bench_model):
                         atol=1e-14 * np.abs(expected).max())
 
 
-def test_objective_gradient_matches_central_difference(bench_model):
+def test_barrier_derivatives_match_central_difference(bench_model):
     problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
     stacker = _Stacker(problem, 1e-3)
-    rng = np.random.default_rng(11)
-    v = (stacker.vech(benchmark.REFERENCE_P)
-         + 0.1 * rng.standard_normal(len(stacker.rows)))
-    # entries of the stacked matrix reach ~1e4, so eigh rounding in f
-    # dominates the difference quotient below h ~ 1e-5
-    s, mu, h = benchmark.REFERENCE_EPSILON, 0.5, 1e-5
-    f, grad, top = _objective(stacker, s, v, mu)
-    assert top <= f <= top + mu * np.log(stacker.dim)
-    fd = np.array([
-        (_objective(stacker, s, v + h * e, mu)[0]
-         - _objective(stacker, s, v - h * e, mu)[0]) / (2 * h)
-        for e in np.eye(len(v))])
-    assert_allclose(grad, fd, rtol=1e-6, atol=1e-7)
+    # the centre at s is strictly feasible at 3 s too, and not central there
+    s = benchmark.REFERENCE_EPSILON
+    p, _ = _center(stacker, s)
+    v, s = stacker.vech(p), 3.0 * s
+    grad, hess = _barrier_derivatives(stacker, v, s)
+
+    def f(w):
+        return -np.linalg.slogdet(-stacker.at(w, s))[1]
+
+    # the point is 1e-2 from the boundary in p, so the truncation error
+    # (O(h^2)) stays below the tolerances only for h ~ 1e-7
+    h = 1e-7
+    steps = h * np.eye(len(v))
+    fd_grad = np.array([(f(v + e) - f(v - e)) / (2 * h) for e in steps])
+    fd_hess = np.array([
+        (_barrier_derivatives(stacker, v + e, s)[0]
+         - _barrier_derivatives(stacker, v - e, s)[0]) / (2 * h)
+        for e in steps])
+    assert_allclose(grad, fd_grad, rtol=1e-4)
+    assert_allclose(hess, fd_hess, rtol=0.0, atol=1e-6 * np.abs(hess).max())
+
+
+def test_center_is_none_on_uncontrollable_scalar_model():
+    problem = LmiProblem(
+        LmiKind.CONSENSUS, scalar_model(a=1.0, b=0.0, d1=1.0, alpha=1.0))
+    stacker = _Stacker(problem, 1e-6)
+    for s in (1.0, 1e3, 1e6):
+        assert _center(stacker, s) is None
+
+
+def test_solve_manipulator_scalars_are_pinned(consensus_design, hinf_design):
+    # the benchmark's cert_scalar_geomean on repro is built from these two
+    assert consensus_design.cert.scalar == pytest.approx(0.4834112599999999,
+                                                         rel=1e-12)
+    assert hinf_design.cert.scalar == pytest.approx(1.5286806281718477,
+                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [LmiKind.CONSENSUS, LmiKind.HINF])
+def test_gain_is_stable_under_last_bit_perturbation(kind, bench_model):
+    def gain(model):
+        cert = solve(LmiProblem(kind, model, gamma=benchmark.GAMMA))
+        return cert.scalar, -0.5 * np.linalg.solve(cert.p, model.b).T
+
+    s_ref, k_ref = gain(bench_model)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        a = bench_model.a * (1.0 + 1e-15 * rng.standard_normal(
+            bench_model.a.shape))
+        s, k = gain(dataclasses.replace(bench_model, a=a))
+        assert s == pytest.approx(s_ref, rel=1e-12)  # same rungs
+        assert np.linalg.norm(k - k_ref) <= 1e-9 * np.linalg.norm(k_ref)
 
 
 def test_schur_equivalence_on_random_instances():

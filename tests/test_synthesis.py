@@ -197,8 +197,11 @@ def test_hinf_requires_balanced_graph():
 
 def test_infeasible_model_raises():
     model = scalar_model(a=1.0, b=0.0, d1=1.0, alpha=1.0)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="no rung") as info:
         synthesize(model, two_node_graph(), "leaderless")
+    trace = info.value.trace
+    assert trace.stop == "ladder_exhausted"
+    assert f"up to {trace.probes[-1].scalar:.3e}," in str(info.value)
 
 
 def test_injected_certificate_must_verify():
