@@ -1,14 +1,15 @@
 # Spectral tour of directed communication graphs: Laplacians, the left
 # null vector r, the generalized algebraic connectivity a(L), and the
-# leader-follower quantities q, G, H.
+# leader-follower quantities q, G, H. analyze(g) derives all of them in one
+# pass; spectra(g) is the same analysis for a graph that must be strongly
+# connected.
 #
 # Run from the repo root after `pip install -e .`:
 #   python demos/01_graph_spectra.py
 
 import numpy as np
 
-from consyn import (DiGraph, classify, generalized_connectivity, laplacian,
-                    leader_follower_data, left_perron, spectra)
+from consyn import DiGraph, analyze, laplacian, spectra
 from consyn.benchmark import benchmark_graph
 
 np.set_printoptions(precision=6, suppress=True)
@@ -17,9 +18,10 @@ np.set_printoptions(precision=6, suppress=True)
 ### connected graph; every spectral quantity is known in closed form.
 g2 = DiGraph.from_edges(2, [(1, 2), (2, 1)])
 print("two-node bidirectional")
+sp2 = spectra(g2)
 print("L =\n", laplacian(g2))
-print("r =", left_perron(laplacian(g2)))
-print("a(L) =", generalized_connectivity(laplacian(g2)))  # exactly 2
+print("r =", sp2.r)
+print("a(L) =", sp2.a_of_l)             # exactly 2
 print()
 
 ### A directed 3-cycle. Balanced (every node has in-degree = out-degree),
@@ -60,10 +62,10 @@ print()
 ### no incoming edges, so it qualifies as a leader and the follower block
 ### L1 is invertible. q = L1^{-1} 1, G = diag(1/q), H = (G L1 + L1^T G)/2.
 gp = DiGraph.from_edges(3, [(1, 2), (2, 3)])
-flags = classify(gp)
+ap = analyze(gp)
 print("directed path 1 -> 2 -> 3")
-print("leader_follower_root:", flags.leader_follower_root)
-lf = leader_follower_data(gp, flags.leader_follower_root)
+print("leader_follower_root:", ap.flags.leader_follower_root)
+lf = ap.leader_follower
 print("q =", lf.q)                      # [1, 2]
 print("G =\n", lf.bigG)
 print("H =\n", lf.h)

@@ -9,8 +9,7 @@
 import numpy as np
 
 from consyn import (AgentModel, DiGraph, Nonlinearity, Scenario,
-                    inject_certificate, integrate, leader_follower_data,
-                    problem_for, synthesize)
+                    inject_certificate, integrate, problem_for, synthesize)
 
 # Stable scalar integrator, no nonlinearity. With p = 1 and s = 1 the
 # design inequality holds with margin 2 - sqrt(2), so the unit pair is a
@@ -28,10 +27,10 @@ print("unit certificate margin: %.6f" % cert.margin)
 
 
 def run(g: DiGraph, label: str, t_end: float = 10.0):
-    # synthesize finds the leader (the zero in-degree root) itself; the
-    # partition is recomputed here only to print q and lambda1(H).
+    # synthesize finds the leader (the zero in-degree root) itself and
+    # carries the follower partition on its graph analysis.
     design = synthesize(model, g, "leader-follower", cert=cert)
-    lf = leader_follower_data(g, design.leader)
+    lf = design.analysis.leader_follower
     print()
     print(label)
     print("  leader: node %d, followers: %s" % (lf.leader, list(lf.followers)))

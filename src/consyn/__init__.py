@@ -9,16 +9,13 @@ spectra, and simulates the closed loops with and without disturbances.
 __version__ = "0.1.0"
 
 from .errors import BlowUpError, InfeasibleError, PreconditionError
-from .graph import (DiGraph, GraphFlags, GraphSpectra, LeaderFollowerData,
-                    adjacency, classify, generalized_connectivity, laplacian,
-                    leader_follower_data, left_perron, parse_edge_list,
-                    spectra)
+from .graph import (DiGraph, GraphAnalysis, GraphFlags, LeaderFollowerData,
+                    adjacency, analyze, classify, laplacian,
+                    leader_follower_data, parse_edge_list, spectra)
 from .lmi import (LmiCertificate, LmiKind, LmiProblem, MarginReport,
                   ProbeRecord, SolveTrace, SolverOptions, assemble, solve,
                   verify)
-from .numkit import (SymEig, Tolerances, TOL, as_matrix, as_vector,
-                     eigvals_general, is_positive_definite, kron, solve_linear,
-                     sym_eig)
+from .numkit import SymEig, Tolerances, TOL, as_matrix, solve_linear, sym_eig
 from .sim import (AgentModel, DisturbanceSpec, HinfCost, LipschitzReport,
                   LyapunovReport, Nonlinearity, Scenario, Trajectory,
                   check_lipschitz, closed_loop, hinf_cost, integrate,
@@ -29,15 +26,13 @@ from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
 __all__ = [
     "__version__",
     "BlowUpError", "InfeasibleError", "PreconditionError",
-    "DiGraph", "GraphFlags", "GraphSpectra", "LeaderFollowerData",
-    "adjacency", "classify", "generalized_connectivity", "laplacian",
-    "leader_follower_data", "left_perron", "parse_edge_list", "spectra",
+    "DiGraph", "GraphAnalysis", "GraphFlags", "LeaderFollowerData",
+    "adjacency", "analyze", "classify", "laplacian",
+    "leader_follower_data", "parse_edge_list", "spectra",
     "LmiCertificate", "LmiKind", "LmiProblem", "MarginReport",
     "ProbeRecord", "SolveTrace", "SolverOptions", "assemble", "solve",
     "verify",
-    "SymEig", "Tolerances", "TOL", "as_matrix", "as_vector",
-    "eigvals_general", "is_positive_definite", "kron", "solve_linear",
-    "sym_eig",
+    "SymEig", "Tolerances", "TOL", "as_matrix", "solve_linear", "sym_eig",
     "AgentModel", "DisturbanceSpec", "HinfCost", "LipschitzReport",
     "LyapunovReport", "Nonlinearity", "Scenario", "Trajectory",
     "check_lipschitz", "closed_loop", "hinf_cost", "integrate",

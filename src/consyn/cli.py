@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__, benchmark, lmi
 from .errors import BlowUpError, InfeasibleError, PreconditionError
-from .graph import (DiGraph, classify, digraph_from_adjacency,
-                    leader_follower_data, parse_edge_list, spectra)
+from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
+                    parse_edge_list)
 from .sim import (AgentModel, DisturbanceSpec, Nonlinearity, Scenario,
                   check_lipschitz, hinf_cost, integrate, lyapunov_diag,
                   max_pairwise_distance, write_csv)
@@ -77,6 +77,13 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
     return model, (float(gamma) if gamma is not None else None)
 
 
+def _adjacency_graph(value, path) -> DiGraph:
+    try:
+        return digraph_from_adjacency(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"{path}: malformed adjacency: {exc}") from exc
+
+
 def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
     """Load a JSON model file; returns (model, gamma, embedded graph).
 
@@ -98,7 +105,7 @@ def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
             f"alpha = {model.alpha:.6g}")
     g = None
     if "adjacency" in data:
-        g = digraph_from_adjacency(np.asarray(data["adjacency"], dtype=float))
+        g = _adjacency_graph(data["adjacency"], path)
     return model, gamma, g
 
 
@@ -118,7 +125,7 @@ def load_graph(path) -> DiGraph:
         if "adjacency" not in data:
             raise PreconditionError(
                 f"graph file {path} lacks an 'adjacency' entry")
-        return digraph_from_adjacency(np.asarray(data["adjacency"], dtype=float))
+        return _adjacency_graph(data["adjacency"], path)
     try:
         return parse_edge_list(text)
     except ValueError as exc:
@@ -175,8 +182,8 @@ def _write_report(report: dict, out_dir: Path, name: str) -> Path:
     return path
 
 
-def _graph_section(g: DiGraph) -> dict:
-    flags = classify(g)
+def _graph_section(analysis: GraphAnalysis) -> dict:
+    g, flags = analysis.graph, analysis.flags
     section = {
         "nodes": g.n,
         "edges": sorted(list(e) for e in g.edges),
@@ -186,13 +193,12 @@ def _graph_section(g: DiGraph) -> dict:
         "leader_follower_root": flags.leader_follower_root,
     }
     if flags.strongly_connected:
-        sp = spectra(g)
-        section["r"] = _listify(sp.r)
-        section["a_of_l"] = sp.a_of_l
-        if sp.lambda2_sym is not None:
-            section["lambda2_sym"] = sp.lambda2_sym
-    if flags.leader_follower_root is not None:
-        lf = leader_follower_data(g, flags.leader_follower_root)
+        section["r"] = _listify(analysis.r)
+        section["a_of_l"] = analysis.a_of_l
+        if analysis.lambda2_sym is not None:
+            section["lambda2_sym"] = analysis.lambda2_sym
+    lf = analysis.leader_follower
+    if lf is not None:
         section["leader_follower"] = {
             "leader": lf.leader,
             "q": _listify(lf.q),
@@ -225,7 +231,7 @@ def _design_section(design: ProtocolDesign) -> dict:
 
 def cmd_graph(ns) -> int:
     g = load_graph(ns.graph_file)
-    section = _graph_section(g)
+    section = _graph_section(analyze(g))
     if not section["strongly_connected"]:
         print("warning: graph is not strongly connected", file=sys.stderr)
     out_dir = _out_dir(ns)
@@ -268,7 +274,7 @@ def cmd_synth(ns) -> int:
     design = _build_design(ns, model, g, gamma_model)
     out_dir = _out_dir(ns)
     report = {
-        "graph": _graph_section(g),
+        "graph": _graph_section(design.analysis),
         "design": _design_section(design),
         "provenance": _provenance(vars(ns)),
     }
@@ -316,7 +322,7 @@ def cmd_simulate(ns) -> int:
         summary["j"] = cost.j
         summary["empirical_gain"] = cost.empirical_gain
     report = {
-        "graph": _graph_section(g),
+        "graph": _graph_section(design.analysis),
         "design": _design_section(design),
         "simulation": summary | {
             "dt": ns.dt, "t_end": ns.t_end,
@@ -357,7 +363,6 @@ def cmd_repro(ns) -> int:
     try:
         model = benchmark.manipulator_model()
         g = benchmark.benchmark_graph()
-        sp = spectra(g)
 
         stage = "attenuation-solve"
         solved = synthesize(model, g, DesignMode.HINF, benchmark.GAMMA)
@@ -392,7 +397,7 @@ def cmd_repro(ns) -> int:
 
         stage = "compare"
         rows = [
-            _compare_row("lambda2_sym", sp.lambda2_sym,
+            _compare_row("lambda2_sym", injected.analysis.lambda2_sym,
                          benchmark.REFERENCE_LAMBDA2, 1e-3),
             _compare_row("c_threshold_injected", injected.c_threshold,
                          benchmark.REFERENCE_C_THRESHOLD, 1e-3),
@@ -424,7 +429,7 @@ def cmd_repro(ns) -> int:
         raise
 
     report = {
-        "graph": _graph_section(g),
+        "graph": _graph_section(solved.analysis),
         "design_solver": _design_section(solved),
         "design_injected": _design_section(published),
         "design_consensus": _design_section(consensus),

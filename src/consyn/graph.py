@@ -4,6 +4,12 @@ Conventions. Nodes are 1-indexed. An edge (parent, child) means information
 flows from parent to child, so the adjacency matrix has a[child-1, parent-1]
 = 1 and the Laplacian is in-degree minus adjacency, with zero row sums.
 Edge weights are all 1; weighted graphs are out of scope.
+
+:func:`analyze` is the one place that derives graph quantities: it
+classifies the graph once, builds L once, and computes r, a(L) and lambda2
+for a strongly connected graph or the follower partition (q, G, H) for a
+leader-rooted one. :func:`spectra` and :func:`leader_follower_data` are the
+same analysis with the precondition of one class enforced.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from .errors import PreconditionError
 
 @dataclass(frozen=True)
 class DiGraph:
-    """Directed graph on nodes 1..n with unit-weight edges.
+    """Directed graph on nodes 1..n, n >= 2, with unit-weight edges.
 
     edges hold (parent, child) pairs. Self-loops are rejected.
     """
@@ -28,8 +34,8 @@ class DiGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("graph needs at least one node")
+        if self.n < 2:
+            raise ValueError(f"graph needs at least two nodes, got {self.n}")
         for (p, c) in self.edges:
             if p == c:
                 raise ValueError(f"self-loop on node {p} is not allowed")
@@ -47,24 +53,6 @@ class GraphFlags:
     balanced: bool
     has_spanning_tree: bool
     leader_follower_root: Optional[int]
-
-
-@dataclass(frozen=True)
-class GraphSpectra:
-    """Spectral summary of a strongly connected digraph.
-
-    r is the positive left null vector of the Laplacian normalized to sum 1,
-    bigR its diagonal matrix, a_of_l the generalized algebraic connectivity,
-    and lambda2_sym the second-smallest eigenvalue of (L + L^T)/2, populated
-    only when the graph is balanced.
-    """
-
-    laplacian: NDArray[np.float64]
-    r: NDArray[np.float64]
-    bigR: NDArray[np.float64]
-    a_of_l: float
-    lambda2_sym: Optional[float]
-    flags: GraphFlags
 
 
 @dataclass(frozen=True)
@@ -90,6 +78,28 @@ class LeaderFollowerData:
     min_q: float
     simplified_applicable: bool
     lambda1_sym: Optional[float]
+
+
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """Every graph quantity the coupling thresholds read, derived once.
+
+    flags and the Laplacian are always set. On a strongly connected graph,
+    r is the positive left null vector of the Laplacian normalized to sum
+    1, a_of_l the generalized algebraic connectivity, and lambda2_sym the
+    second-smallest eigenvalue of (L + L^T)/2, populated only when the
+    graph is balanced. When a zero in-degree root reaches all nodes,
+    leader_follower holds the follower-block partition around it; its H
+    need not be positive definite. The two cases exclude each other.
+    """
+
+    graph: DiGraph
+    laplacian: NDArray[np.float64]
+    flags: GraphFlags
+    r: Optional[NDArray[np.float64]] = None
+    a_of_l: Optional[float] = None
+    lambda2_sym: Optional[float] = None
+    leader_follower: Optional[LeaderFollowerData] = None
 
 
 def adjacency(g: DiGraph) -> NDArray[np.float64]:
@@ -120,10 +130,12 @@ def _in_degrees(g: DiGraph) -> list[int]:
     return deg
 
 
-def _scc_count(n: int, out: list[list[int]]) -> int:
+def _components(n: int, out: list[list[int]]) -> list[int]:
+    """Strongly connected component label of every node, 0-based."""
     # Iterative Tarjan; recursion depth would be a hazard on long paths.
     index = [-1] * n
     low = [0] * n
+    comp = [-1] * n
     on_stack = [False] * n
     stack: list[int] = []
     counter = 0
@@ -156,107 +168,58 @@ def _scc_count(n: int, out: list[list[int]]) -> int:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
             if low[v] == index[v]:
-                count += 1
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
+                    comp[w] = count
                     if w == v:
                         break
-    return count
-
-
-def _reaches_all(n: int, out: list[list[int]], root: int) -> bool:
-    seen = [False] * n
-    seen[root] = True
-    frontier = [root]
-    hits = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in out[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    hits += 1
-                    nxt.append(w)
-        frontier = nxt
-    return hits == n
+                count += 1
+    return comp
 
 
 def classify(g: DiGraph) -> GraphFlags:
     """Connectivity and balance flags.
 
-    Strong connectivity is decided by counting strongly connected components
+    Strong connectivity is decided on the strongly connected components
     (integer-exact, no spectral test). Balance means in-degree equals
-    out-degree at every node. A spanning tree exists when some node reaches
-    all others; the leader_follower_root is reported when a node with zero
-    in-degree reaches all others.
+    out-degree at every node. A spanning tree exists when exactly one
+    component has no edge entering it from another, for its nodes reach
+    all others. When that component is a single node, which then has zero
+    in-degree, it is the leader_follower_root.
     """
     out = _out_neighbors(g)
     indeg = _in_degrees(g)
-    outdeg = [len(x) for x in out]
-    balanced = all(i == o for i, o in zip(indeg, outdeg))
-    strongly_connected = _scc_count(g.n, out) == 1 if g.n > 0 else False
-    has_tree = False
+    balanced = all(i == len(o) for i, o in zip(indeg, out))
+    comp = _components(g.n, out)
+    entered = {comp[c - 1] for (p, c) in g.edges if comp[p - 1] != comp[c - 1]}
+    sources = [k for k in range(max(comp) + 1) if k not in entered]
     root = None
-    for v in range(g.n):
-        if _reaches_all(g.n, out, v):
-            has_tree = True
-            break
-    for v in range(g.n):
-        if indeg[v] == 0 and _reaches_all(g.n, out, v):
-            root = v + 1
-            break
+    if len(sources) == 1 and comp.count(sources[0]) == 1:
+        root = comp.index(sources[0]) + 1
     return GraphFlags(
-        strongly_connected=strongly_connected,
+        strongly_connected=max(comp) == 0,
         balanced=balanced,
-        has_spanning_tree=has_tree,
+        has_spanning_tree=len(sources) == 1,
         leader_follower_root=root,
     )
 
 
-def _graph_from_laplacian(l: NDArray[np.float64]) -> DiGraph:
-    n = l.shape[0]
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and l[i, j] < -0.5:
-                edges.append((j + 1, i + 1))
-    return DiGraph.from_edges(n, edges)
-
-
-def left_perron(l, tol: numkit.Tolerances = numkit.TOL) -> NDArray[np.float64]:
-    """Positive left null vector of a strongly connected Laplacian.
+def _left_perron(l: NDArray[np.float64], tol: numkit.Tolerances
+                 ) -> NDArray[np.float64]:
+    """Positive left null vector of a strongly connected graph's Laplacian.
 
     Normalized so the entries sum to 1. Extraction is deterministic: pin the
     last entry to 1 and solve the leading (n-1) principal block of L^T, which
     is nonsingular exactly when the graph is strongly connected.
-
-    Raises
-    ------
-    PreconditionError
-        If the matrix is not the Laplacian of a strongly connected graph
-        (zero eigenvalue not simple, or the null vector not positive).
     """
-    lm = numkit.as_matrix(l, "laplacian")
-    n = lm.shape[0]
-    if lm.shape[0] != lm.shape[1]:
-        raise ValueError("laplacian must be square")
-    scale = max(1.0, float(np.linalg.norm(lm, "fro")))
-    if np.max(np.abs(lm.sum(axis=1))) > tol.perron_resid * scale:
-        raise PreconditionError("matrix does not have zero row sums")
-    g = _graph_from_laplacian(lm)
-    if not classify(g).strongly_connected:
-        raise PreconditionError(
-            "left null vector requires a strongly connected graph "
-            "(zero Laplacian eigenvalue must be simple with a positive vector)"
-        )
-    if n == 1:
-        return np.array([1.0])
-    t = lm.T
+    n = l.shape[0]
+    t = l.T
     y = numkit.solve_linear(t[: n - 1, : n - 1], -t[: n - 1, n - 1], tol)
     r = np.append(y, 1.0)
     r = r / r.sum()
-    resid = float(np.linalg.norm(r @ lm))
+    scale = max(1.0, float(np.linalg.norm(l, "fro")))
+    resid = float(np.linalg.norm(r @ l))
     if resid > tol.perron_resid * scale or np.any(r <= 0):
         raise PreconditionError(
             f"left null vector extraction failed (residual {resid:.3e})"
@@ -264,8 +227,8 @@ def left_perron(l, tol: numkit.Tolerances = numkit.TOL) -> NDArray[np.float64]:
     return r
 
 
-def generalized_connectivity(l, r=None, tol: numkit.Tolerances = numkit.TOL
-                             ) -> float:
+def _generalized_connectivity(l: NDArray[np.float64], r: NDArray[np.float64],
+                              tol: numkit.Tolerances) -> float:
     """Generalized algebraic connectivity of a strongly connected digraph.
 
     Defined as the minimum of x^T (R L + L^T R) x / (2 x^T R x) over nonzero
@@ -278,65 +241,22 @@ def generalized_connectivity(l, r=None, tol: numkit.Tolerances = numkit.TOL
     For balanced graphs this equals the second-smallest eigenvalue of
     (L + L^T)/2.
     """
-    lm = numkit.as_matrix(l, "laplacian")
-    rv = left_perron(lm, tol) if r is None else numkit.as_vector(r, "r")
-    if np.any(rv <= 0):
-        raise PreconditionError("weight vector must be entrywise positive")
-    q = np.diag(rv) @ lm + lm.T @ np.diag(rv)
-    rs = 1.0 / np.sqrt(rv)
+    q = np.diag(r) @ l + l.T @ np.diag(r)
+    rs = 1.0 / np.sqrt(r)
     m = q * np.outer(rs, rs)
-    w = np.sqrt(rv)
+    w = np.sqrt(r)
     w = w / np.linalg.norm(w)
-    proj = np.eye(lm.shape[0]) - np.outer(w, w)
+    proj = np.eye(l.shape[0]) - np.outer(w, w)
     pm = proj @ m @ proj
     values = numkit.sym_eig(pm, tol).values
     return float(values[1]) / 2.0
 
 
-def spectra(g: DiGraph, tol: numkit.Tolerances = numkit.TOL) -> GraphSpectra:
-    """Full spectral summary; requires strong connectivity."""
-    flags = classify(g)
-    if not flags.strongly_connected:
-        raise PreconditionError(
-            "spectral summary requires a strongly connected graph"
-        )
-    l = laplacian(g)
-    r = left_perron(l, tol)
-    a_of_l = generalized_connectivity(l, r, tol)
-    lambda2 = None
-    if flags.balanced:
-        lambda2 = float(numkit.sym_eig((l + l.T) / 2.0, tol).values[1])
-    return GraphSpectra(
-        laplacian=l,
-        r=r,
-        bigR=np.diag(r),
-        a_of_l=a_of_l,
-        lambda2_sym=lambda2,
-        flags=flags,
-    )
-
-
-def leader_follower_data(g: DiGraph, leader: int,
-                         tol: numkit.Tolerances = numkit.TOL
-                         ) -> LeaderFollowerData:
-    """Partition the Laplacian around a leader and derive tracking weights.
-
-    The leader must have no incoming edges and must reach every follower
-    (directed spanning tree rooted at the leader).
-    """
-    if not (1 <= leader <= g.n):
-        raise ValueError(f"leader {leader} outside 1..{g.n}")
-    indeg = _in_degrees(g)
-    if indeg[leader - 1] != 0:
-        raise PreconditionError("leader must have no incoming edges")
-    out = _out_neighbors(g)
-    if not _reaches_all(g.n, out, leader - 1):
-        raise PreconditionError(
-            "graph needs a directed spanning tree rooted at the leader"
-        )
+def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int,
+                    tol: numkit.Tolerances) -> LeaderFollowerData:
+    """Partition L around a leader known to root a spanning tree."""
     followers = tuple(v for v in range(1, g.n + 1) if v != leader)
     idx = [v - 1 for v in followers]
-    l = laplacian(g)
     l1 = l[np.ix_(idx, idx)]
     l2 = l[np.ix_(idx, [leader - 1])]
     q = numkit.solve_linear(l1, np.ones(len(idx)), tol)
@@ -345,16 +265,17 @@ def leader_follower_data(g: DiGraph, leader: int,
     bigG = np.diag(1.0 / q)
     h = (bigG @ l1 + l1.T @ bigG) / 2.0
     lambda1_h = float(numkit.sym_eig(h, tol).values[0])
-    if lambda1_h <= 0:
-        raise PreconditionError("follower form H must be positive definite")
-    sub_edges = [(p, c) for (p, c) in g.edges if p != leader and c != leader]
-    relabel = {v: k + 1 for k, v in enumerate(followers)}
-    sub = DiGraph.from_edges(
-        len(followers), [(relabel[p], relabel[c]) for (p, c) in sub_edges]
-    )
-    sub_flags = classify(sub)
-    simplified = sub_flags.balanced and sub_flags.strongly_connected
+    # a lone follower is trivially balanced and strongly connected
+    simplified = True
     lambda1_sym = None
+    if len(followers) > 1:
+        sub_edges = [(p, c) for (p, c) in g.edges
+                     if p != leader and c != leader]
+        relabel = {v: k + 1 for k, v in enumerate(followers)}
+        sub = DiGraph.from_edges(
+            len(followers), [(relabel[p], relabel[c]) for (p, c) in sub_edges])
+        sub_flags = classify(sub)
+        simplified = sub_flags.balanced and sub_flags.strongly_connected
     if simplified:
         lambda1_sym = float(numkit.sym_eig((l1 + l1.T) / 2.0, tol).values[0])
     return LeaderFollowerData(
@@ -370,6 +291,62 @@ def leader_follower_data(g: DiGraph, leader: int,
         simplified_applicable=simplified,
         lambda1_sym=lambda1_sym,
     )
+
+
+def analyze(g: DiGraph, tol: numkit.Tolerances = numkit.TOL) -> GraphAnalysis:
+    """Classify the graph once and derive what its class supports.
+
+    A strongly connected graph gets r, a(L) and, when balanced, lambda2; a
+    graph rooted at a zero in-degree leader gets the follower partition.
+    Any other graph gets flags and the Laplacian only.
+    """
+    flags = classify(g)
+    l = laplacian(g)
+    if flags.strongly_connected:
+        r = _left_perron(l, tol)
+        lambda2 = None
+        if flags.balanced:
+            lambda2 = float(numkit.sym_eig((l + l.T) / 2.0, tol).values[1])
+        return GraphAnalysis(graph=g, laplacian=l, flags=flags, r=r,
+                             a_of_l=_generalized_connectivity(l, r, tol),
+                             lambda2_sym=lambda2)
+    lf = None
+    if flags.leader_follower_root is not None:
+        lf = _follower_block(g, l, flags.leader_follower_root, tol)
+    return GraphAnalysis(graph=g, laplacian=l, flags=flags, leader_follower=lf)
+
+
+def spectra(g: DiGraph, tol: numkit.Tolerances = numkit.TOL) -> GraphAnalysis:
+    """The analysis of a graph that must be strongly connected."""
+    analysis = analyze(g, tol)
+    if not analysis.flags.strongly_connected:
+        raise PreconditionError(
+            "spectral summary requires a strongly connected graph"
+        )
+    return analysis
+
+
+def leader_follower_data(g: DiGraph, leader: int,
+                         tol: numkit.Tolerances = numkit.TOL
+                         ) -> LeaderFollowerData:
+    """Partition the Laplacian around a leader and derive tracking weights.
+
+    The leader must have no incoming edges and must reach every follower
+    (directed spanning tree rooted at the leader), and H must be positive
+    definite.
+    """
+    if not (1 <= leader <= g.n):
+        raise ValueError(f"leader {leader} outside 1..{g.n}")
+    if _in_degrees(g)[leader - 1] != 0:
+        raise PreconditionError("leader must have no incoming edges")
+    lf = analyze(g, tol).leader_follower
+    if lf is None or lf.leader != leader:
+        raise PreconditionError(
+            "graph needs a directed spanning tree rooted at the leader"
+        )
+    if lf.lambda1_h <= 0:
+        raise PreconditionError("follower form H must be positive definite")
+    return lf
 
 
 def parse_edge_list(text: str) -> DiGraph:

@@ -1,8 +1,8 @@
 """Dense real linear algebra helpers shared by the rest of the package.
 
-Matrices are plain float ndarrays. :func:`as_matrix` and :func:`as_vector`
-are the construction boundary: everything that enters the package through a
-public call is validated there (two-dimensional shape, finite entries).
+Matrices are plain float ndarrays. :func:`as_matrix` is the construction
+boundary: everything that enters the package through a public call is
+validated there (two-dimensional shape, finite entries).
 Tolerances used across modules live in one :class:`Tolerances` table so they
 can be overridden in a single place.
 """
@@ -72,14 +72,6 @@ def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray[np.float64]:
     return m
 
 
-def as_vector(v: ArrayLike, name: str = "vector") -> NDArray[np.float64]:
-    """Validate and return ``v`` as a 1-D float array with finite entries."""
-    x = np.asarray(v, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return x
-
-
 @dataclass(frozen=True)
 class SymEig:
     """Eigendecomposition of a symmetric matrix.
@@ -131,14 +123,6 @@ def sym_eig(s: ArrayLike, tol: Tolerances = TOL) -> SymEig:
     return SymEig(values=values, vectors=vectors)
 
 
-def is_positive_definite(s: ArrayLike, margin: float = 0.0,
-                         tol: Tolerances = TOL) -> bool:
-    """True iff the smallest eigenvalue of the symmetric input exceeds margin."""
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    return bool(sym_eig(s, tol).values[0] > margin)
-
-
 def solve_linear(a: ArrayLike, b: ArrayLike, tol: Tolerances = TOL
                  ) -> NDArray[np.float64]:
     """Solve a x = b for a square, well-conditioned a.
@@ -167,20 +151,3 @@ def solve_linear(a: ArrayLike, b: ArrayLike, tol: Tolerances = TOL
             f"(cond estimate {cond:.3e})"
         )
     return x.reshape(bm.shape)
-
-
-def kron(a: ArrayLike, b: ArrayLike) -> NDArray[np.float64]:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
-
-
-def eigvals_general(a: ArrayLike) -> NDArray[np.complex128]:
-    """Eigenvalues of a general square matrix, best effort.
-
-    Diagnostics only: synthesis never depends on this (nonsymmetric
-    eigenproblems lack the accuracy guarantees of the symmetric path).
-    """
-    m = as_matrix(a, "a")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"a must be square, got shape {m.shape}")
-    return np.linalg.eigvals(m)

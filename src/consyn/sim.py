@@ -390,7 +390,7 @@ def lyapunov_diag(traj: Trajectory, tol: numkit.Tolerances = numkit.TOL
     """Decrease diagnostic for the weighted quadratic error energy.
 
     Reads V(t) = sum_i w_i e_i(t)^T P^{-1} e_i(t) from the trajectory, with
-    w the design's weights (r, or q for tracking). Reports the fraction of
+    w the design's weights (r, or 1/q for tracking). Reports the fraction of
     steps where V increases beyond the per-step tolerance
     v_step_rel * V(0). Guaranteed decrease is a sufficient condition tied
     to the coupling threshold, so an increase under a weakened design is

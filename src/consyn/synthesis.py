@@ -11,10 +11,12 @@ and the spectral quantity that divides s into the coupling threshold:
   second-smallest eigenvalue of (L + L^T)/2;
 - leader-follower tracking: consensus kind under a spanning tree rooted at
   a zero in-degree leader, threshold s / (lambda1(H) * min q) from the
-  follower-block partition.
+  follower-block partition with G = diag(1/q).
 
-:func:`synthesize` is the single entry point. The coupling strength defaults
-to the threshold exactly; a multiplier >= 1 adds headroom.
+:func:`synthesize` is the single entry point. It reads every spectral
+quantity from one :func:`graph.analyze` of the graph and carries that
+analysis on the design. The coupling strength defaults to the threshold
+exactly; a multiplier >= 1 adds headroom.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from numpy.typing import NDArray
 
 from . import lmi, numkit
 from .errors import InfeasibleError, PreconditionError
-from .graph import DiGraph, classify, leader_follower_data, spectra
+from .graph import DiGraph, GraphAnalysis, analyze
 
 if TYPE_CHECKING:
     from .sim import AgentModel
@@ -46,9 +48,11 @@ class ProtocolDesign:
     k is the feedback gain, c the coupling strength, c_threshold the
     algorithmic lower bound on c. weights are the per-agent weights of the
     error energy V: the left null vector r of the Laplacian, or for tracking
-    the follower weights q with 0 at the leader. leader is the leader's node
-    number for tracking designs, None otherwise; it selects the error
-    reference (leader offset instead of the r-weighted average).
+    the diagonal of G = diag(1/q) on the followers with 0 at the leader, the
+    weighting under which the threshold guarantees V decreases. analysis
+    is the graph analysis the threshold was read from. leader is the
+    leader's node number for tracking designs, None otherwise; it selects
+    the error reference (leader offset instead of the r-weighted average).
     c_threshold_simplified carries the alternative leader-follower bound
     (smallest eigenvalue of the symmetrized follower block) when the
     follower subgraph is balanced and strongly connected, None otherwise.
@@ -60,6 +64,7 @@ class ProtocolDesign:
     c_threshold: float
     mode: DesignMode
     weights: NDArray[np.float64]
+    analysis: GraphAnalysis
     leader: Optional[int] = None
     gamma: Optional[float] = None
     c_threshold_simplified: Optional[float] = None
@@ -134,19 +139,23 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
     if c_multiplier < 1.0:
         raise ValueError("c_multiplier must be >= 1")
     problem = problem_for(model, mode, gamma)
-    flags = classify(graph)
+    analysis = analyze(graph)
+    flags = analysis.flags
     leader = None
     simplified_divisor = None
     if mode is DesignMode.LEADER_FOLLOWER:
-        if flags.leader_follower_root is None:
+        lf = analysis.leader_follower
+        if lf is None:
             raise PreconditionError(
                 "leader-follower mode needs a zero in-degree root reaching "
                 "all nodes"
             )
-        lf = leader_follower_data(graph, flags.leader_follower_root)
+        if lf.lambda1_h <= 0:
+            raise PreconditionError(
+                "follower form H must be positive definite")
         leader = lf.leader
         weights = np.zeros(graph.n)
-        weights[np.asarray(lf.followers) - 1] = lf.q
+        weights[np.asarray(lf.followers) - 1] = np.diag(lf.bigG)
         divisor = lf.lambda1_h * lf.min_q
         if lf.simplified_applicable and lf.lambda1_sym and lf.lambda1_sym > 0:
             simplified_divisor = lf.lambda1_sym
@@ -157,9 +166,8 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
                 else "a strongly connected"
             raise PreconditionError(
                 f"{mode.value} synthesis requires {need} graph")
-        sp = spectra(graph)
-        weights = sp.r
-        divisor = sp.lambda2_sym if hinf else sp.a_of_l
+        weights = analysis.r
+        divisor = analysis.lambda2_sym if hinf else analysis.a_of_l
     cert = _certify(problem, cert)
     threshold = cert.scalar / divisor
     return ProtocolDesign(
@@ -169,6 +177,7 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
         c_threshold=threshold,
         mode=mode,
         weights=weights,
+        analysis=analysis,
         leader=leader,
         gamma=float(gamma) if mode is DesignMode.HINF else None,
         c_threshold_simplified=(cert.scalar / simplified_divisor

@@ -23,13 +23,11 @@ from consyn import (
     Scenario,
     assemble,
     classify,
-    generalized_connectivity,
     hinf_cost,
     inject_certificate,
     integrate,
     laplacian,
     leader_follower_data,
-    left_perron,
     lyapunov_diag,
     max_pairwise_distance,
     solve,
@@ -154,11 +152,11 @@ def test_lemma_suite_on_random_digraphs():
         assert flags.strongly_connected
         assert flags.has_spanning_tree
         ls = laplacian(g)
-        r = left_perron(ls)
-        big_r = np.diag(r)
+        sp = spectra(g)
+        big_r = np.diag(sp.r)
         q = big_r @ ls + ls.T @ big_r
         assert np.linalg.eigvalsh(q).min() >= -1e-9
-        a_of_l = generalized_connectivity(ls, r)
+        a_of_l = sp.a_of_l
         assert a_of_l > 0
         if flags.balanced:
             lam2 = np.sort(np.linalg.eigvalsh((ls + ls.T) / 2))[1]
@@ -174,8 +172,8 @@ def test_connectivity_matches_sampled_rayleigh_minimum():
     for _ in range(20):
         g = random_sc_digraph(rng, n=int(rng.integers(2, 6)))
         ls = laplacian(g)
-        r = left_perron(ls)
-        a_of_l = generalized_connectivity(ls, r)
+        sp = spectra(g)
+        r, a_of_l = sp.r, sp.a_of_l
         q = np.diag(r) @ ls + ls.T @ np.diag(r)
         big_r = np.diag(r)
         z = rng.standard_normal((100_000, g.n))

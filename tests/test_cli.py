@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from consyn import adjacency
@@ -20,6 +21,8 @@ SCALAR_MODEL = {
     "f": {"kind": "zero", "terms": []},
 }
 TWO_NODE = "nodes 2\n1 2\n2 1\n"
+# leader 1 -> 2 -> 3, then 3 fans out to six leaves; H is indefinite
+FAN_TREE = "nodes 9\n1 2\n2 3\n" + "".join(f"3 {k}\n" for k in range(4, 10))
 WITNESS = {"p": [[1.0]], "scalar": 1.0}
 
 
@@ -101,6 +104,68 @@ def test_graph_command_json_adjacency(tmp_path):
     assert run(["graph", str(gfile), "--out-dir", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "graph_report.json").read_text())
     assert report["graph"]["a_of_l"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_graph_command_reports_indefinite_tracking_form(tmp_path, capsys):
+    gfile = tmp_path / "fan.txt"
+    gfile.write_text(FAN_TREE)
+    assert run(["graph", str(gfile), "--out-dir", str(tmp_path)]) == 0
+    sec = json.loads((tmp_path / "graph_report.json").read_text())["graph"]
+    assert sec["leader_follower"]["lambda1_h"] == pytest.approx(-0.0255,
+                                                                abs=1e-4)
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    cert = write_json(tmp_path / "cert.json", WITNESS)
+    capsys.readouterr()
+    assert run(["synth", model, str(gfile), "--mode", "leader-follower",
+                "--cert", cert, "--out-dir", str(tmp_path)]) == 2
+    assert ("follower form H must be positive definite"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", ["nodes 1\n", '{"adjacency": [[0]]}'])
+def test_one_node_graph_exit_code(tmp_path, capsys, text):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text(text)
+    assert run(["graph", str(gfile), "--out-dir", str(tmp_path)]) == 2
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    assert run(["synth", model, str(gfile), "--mode", "leaderless",
+                "--out-dir", str(tmp_path)]) == 2
+    assert "at least two nodes" in capsys.readouterr().err
+
+
+EDGE_LINE = st.one_of(
+    st.builds("{} {}".format, st.integers(-1, 6), st.integers(-1, 6)),
+    st.text(st.characters(codec="utf-8"), max_size=6),
+)
+EDGE_LIST = st.one_of(
+    st.builds(lambda n, lines: "\n".join([f"nodes {n}"] + lines),
+              st.integers(-1, 6), st.lists(EDGE_LINE, max_size=8)),
+    st.lists(EDGE_LINE, max_size=8).map("\n".join),
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats()
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=12,
+)
+ADJACENCY = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 1, 1, 0.5]), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+ADJACENCY_JSON = st.one_of(ADJACENCY, JSON_VALUE).map(
+    lambda a: json.dumps({"adjacency": a}))
+
+
+@given(st.one_of(EDGE_LIST, ADJACENCY_JSON))
+@example("nodes 1\n")
+@example('{"adjacency": [[0]]}')
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_graph_command_fuzz_exit_codes(tmp_path, text):
+    """Any graph file text ends in exit 0 or 2, never a traceback."""
+    gfile = tmp_path / "fuzz.txt"
+    gfile.write_text(text)
+    assert run(["graph", str(gfile), "--out-dir", str(tmp_path)]) in (0, 2)
 
 
 def test_synth_scalar_witness(tmp_path, capsys):

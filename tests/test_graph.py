@@ -10,11 +10,10 @@ from consyn import (
     DiGraph,
     PreconditionError,
     adjacency,
+    analyze,
     classify,
-    generalized_connectivity,
     laplacian,
     leader_follower_data,
-    left_perron,
     parse_edge_list,
     spectra,
 )
@@ -43,6 +42,16 @@ BENCH_LAPLACIAN = np.array([
 def test_digraph_rejects_self_loop():
     with pytest.raises(ValueError):
         DiGraph.from_edges(2, [(1, 1)])
+
+
+def test_digraph_rejects_fewer_than_two_nodes():
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            DiGraph.from_edges(n, [])
+    with pytest.raises(ValueError, match="at least two nodes"):
+        parse_edge_list("nodes 1\n")
+    with pytest.raises(ValueError, match="at least two nodes"):
+        digraph_from_adjacency([[0.0]])
 
 
 def test_digraph_rejects_out_of_range_nodes():
@@ -107,32 +116,45 @@ def test_classify_isolated_node():
     assert flags.leader_follower_root is None
 
 
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_classify_matches_reachability(seed):
+    rng = np.random.default_rng(seed)
+    n, density = int(rng.integers(2, 8)), rng.uniform(0.05, 0.5)
+    edges = [(p, c) for p in range(1, n + 1) for c in range(1, n + 1)
+             if p != c and rng.random() < density]
+    g = DiGraph.from_edges(n, edges)
+    # reach[v, w]: w is reachable from v, by transitive closure
+    reach = (adjacency(g).T + np.eye(n)) > 0
+    for _ in range(n):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    roots = [v for v in range(n) if reach[v].all()]
+    indeg = adjacency(g).sum(axis=1)
+    flags = classify(g)
+    assert flags.strongly_connected == (len(roots) == n)
+    assert flags.has_spanning_tree == bool(roots)
+    assert flags.leader_follower_root == next(
+        (v + 1 for v in roots if indeg[v] == 0), None)
+
+
 def test_left_perron_balanced_is_uniform():
-    assert_allclose(left_perron(laplacian(two_node_graph())),
-                    [0.5, 0.5], atol=1e-12)
-    assert_allclose(left_perron(laplacian(three_cycle())),
-                    np.full(3, 1 / 3), atol=1e-12)
+    assert_allclose(spectra(two_node_graph()).r, [0.5, 0.5], atol=1e-12)
+    assert_allclose(spectra(three_cycle()).r, np.full(3, 1 / 3), atol=1e-12)
 
 
 def test_left_perron_benchmark_uniform(bench_graph):
-    assert_allclose(left_perron(laplacian(bench_graph)),
-                    np.full(6, 1 / 6), atol=1e-9)
+    assert_allclose(spectra(bench_graph).r, np.full(6, 1 / 6), atol=1e-9)
 
 
 def test_left_perron_unbalanced_against_null_space():
     g = DiGraph.from_edges(3, [(1, 2), (2, 1), (2, 3), (3, 1)])
     ls = laplacian(g)
-    r = left_perron(ls)
+    r = spectra(g).r
     assert_allclose(r, [0.25, 0.5, 0.25], atol=1e-12)
     basis = scipy.linalg.null_space(ls.T)
     assert basis.shape[1] == 1
     oracle = basis[:, 0] / basis[:, 0].sum()
     assert_allclose(r, oracle, atol=1e-10)
-
-
-def test_left_perron_requires_strong_connectivity():
-    with pytest.raises(PreconditionError):
-        left_perron(laplacian(star_graph()))
 
 
 @given(st.integers(0, 10_000))
@@ -141,24 +163,22 @@ def test_left_perron_properties(seed):
     rng = np.random.default_rng(seed)
     g = random_sc_digraph(rng)
     ls = laplacian(g)
-    r = left_perron(ls)
+    r = spectra(g).r
     assert np.all(r > 0)
     assert_allclose(r.sum(), 1.0, atol=1e-12)
     assert np.linalg.norm(r @ ls) <= 1e-9
 
 
 def test_generalized_connectivity_two_node():
-    ls = laplacian(two_node_graph())
-    assert_allclose(generalized_connectivity(ls), 2.0, atol=1e-12)
+    assert_allclose(spectra(two_node_graph()).a_of_l, 2.0, atol=1e-12)
 
 
 def test_generalized_connectivity_three_cycle():
-    ls = laplacian(three_cycle())
-    assert_allclose(generalized_connectivity(ls), 1.5, atol=1e-12)
+    assert_allclose(spectra(three_cycle()).a_of_l, 1.5, atol=1e-12)
 
 
 def test_generalized_connectivity_benchmark(bench_graph):
-    a_of_l = generalized_connectivity(laplacian(bench_graph))
+    a_of_l = spectra(bench_graph).a_of_l
     assert_allclose(a_of_l, 0.8138593383654928, atol=1e-9)
     assert_allclose(a_of_l, benchmark.REFERENCE_LAMBDA2, atol=1e-3)
 
@@ -169,10 +189,10 @@ def test_lemma_floor_and_positivity(seed):
     rng = np.random.default_rng(seed)
     g = random_sc_digraph(rng)
     ls = laplacian(g)
-    r = left_perron(ls)
-    q = np.diag(r) @ ls + ls.T @ np.diag(r)
+    sp = spectra(g)
+    q = np.diag(sp.r) @ ls + ls.T @ np.diag(sp.r)
     assert np.linalg.eigvalsh(q).min() >= -1e-9
-    assert generalized_connectivity(ls, r) > 0
+    assert sp.a_of_l > 0
 
 
 @given(st.integers(0, 10_000))
@@ -182,7 +202,7 @@ def test_balanced_connectivity_matches_fiedler(seed):
     g = random_balanced_sc_digraph(rng)
     ls = laplacian(g)
     lam2 = np.sort(np.linalg.eigvalsh((ls + ls.T) / 2))[1]
-    assert abs(generalized_connectivity(ls) - lam2) <= 1e-8
+    assert abs(spectra(g).a_of_l - lam2) <= 1e-8
 
 
 def test_rank_deficiency_matches_spanning_tree_flag():
@@ -190,6 +210,8 @@ def test_rank_deficiency_matches_spanning_tree_flag():
     cases = [
         (three_cycle(), True),
         (star_graph(), True),
+        # rooted in the cycle 1 <-> 2, with no zero in-degree node
+        (DiGraph.from_edges(3, [(1, 2), (2, 1), (2, 3)]), True),
         (DiGraph.from_edges(6, [(1, 2), (2, 3), (3, 1),
                                 (4, 5), (5, 6), (6, 4)]), False),
         (DiGraph.from_edges(3, [(1, 2)]), False),
@@ -210,7 +232,7 @@ def test_spectra_benchmark_fields(bench_spectra):
     assert bench_spectra.lambda2_sym is not None
     assert_allclose(bench_spectra.lambda2_sym, bench_spectra.a_of_l,
                     atol=1e-8)
-    assert_allclose(bench_spectra.bigR, np.diag(bench_spectra.r), atol=0.0)
+    assert bench_spectra.leader_follower is None
 
 
 def test_spectra_unbalanced_has_no_lambda2():
@@ -219,6 +241,36 @@ def test_spectra_unbalanced_has_no_lambda2():
     assert not s.flags.balanced
     assert s.lambda2_sym is None
     assert s.a_of_l > 0
+
+
+def test_analyze_graph_with_neither_class():
+    g = DiGraph.from_edges(3, [(1, 2)])
+    a = analyze(g)
+    assert not a.flags.has_spanning_tree
+    assert_allclose(a.laplacian, laplacian(g), atol=0.0)
+    assert a.r is None and a.a_of_l is None and a.lambda2_sym is None
+    assert a.leader_follower is None
+
+
+def test_analyze_reports_indefinite_h_that_tracking_rejects():
+    # leader 1 -> 2 -> 3, then 3 fans out to six leaves: a tree whose H
+    # under G = diag(1/q) is indefinite
+    g = DiGraph.from_edges(
+        9, [(1, 2), (2, 3)] + [(3, k) for k in range(4, 10)])
+    a = analyze(g)
+    assert a.r is None
+    lf = a.leader_follower
+    assert lf.leader == 1
+    assert lf.lambda1_h == pytest.approx(-0.0255, abs=1e-4)
+    with pytest.raises(PreconditionError, match="positive definite"):
+        leader_follower_data(g, 1)
+
+
+def test_leader_follower_lone_follower_is_simplified():
+    lf = analyze(DiGraph.from_edges(2, [(1, 2)])).leader_follower
+    assert lf.followers == (2,)
+    assert lf.simplified_applicable
+    assert lf.lambda1_sym == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leader_follower_path_closed_form():

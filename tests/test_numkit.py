@@ -7,9 +7,6 @@ from numpy.testing import assert_allclose
 
 from consyn import (
     as_matrix,
-    eigvals_general,
-    is_positive_definite,
-    kron,
     laplacian,
     solve_linear,
     sym_eig,
@@ -76,24 +73,6 @@ def test_sym_eig_eigenpair_residuals(seed, n):
     assert np.linalg.norm(s - recon) <= 1e-9 * max(norm, 1.0)
 
 
-def test_is_positive_definite_identity():
-    assert is_positive_definite(np.eye(3), margin=0.0)
-
-
-def test_is_positive_definite_singular():
-    assert not is_positive_definite([[0.0, 0.0], [0.0, 1.0]], margin=0.0)
-
-
-def test_is_positive_definite_reference_certificate():
-    assert is_positive_definite(benchmark.REFERENCE_P, margin=0.0)
-
-
-def test_is_positive_definite_margin_cutoff():
-    s = np.diag([0.5, 2.0])
-    assert is_positive_definite(s, margin=0.4)
-    assert not is_positive_definite(s, margin=0.6)
-
-
 def test_solve_linear_identity():
     b = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert_allclose(solve_linear(np.eye(2), b), b, atol=0.0)
@@ -126,49 +105,3 @@ def test_solve_linear_residual_bound(seed, n):
     x = solve_linear(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-9 * max(np.linalg.norm(b), 1.0)
 
-
-def test_kron_identity_blockdiag():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = kron(np.eye(2), m)
-    expected = np.block([[m, np.zeros((2, 2))], [np.zeros((2, 2)), m]])
-    assert_allclose(out, expected, atol=0.0)
-
-
-def test_kron_swap_scalar():
-    assert_allclose(kron([[0.0, 1.0], [1.0, 0.0]], [[2.0]]),
-                    [[0.0, 2.0], [2.0, 0.0]], atol=0.0)
-
-
-def test_kron_row_sum_extracts_agent_total():
-    # (1^T (x) I_n) e stacks to the sum of the per-agent blocks
-    rng = np.random.default_rng(7)
-    n_agents, n = 4, 3
-    e = rng.standard_normal(n_agents * n)
-    ones = np.ones((1, n_agents))
-    total = kron(ones, np.eye(n)) @ e
-    assert_allclose(total, e.reshape(n_agents, n).sum(axis=0), atol=1e-12)
-
-
-@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 3),
-       st.integers(1, 3), st.integers(1, 3))
-@settings(max_examples=30, deadline=None)
-def test_kron_mixed_product(seed, p, q, r, s):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((p, q))
-    c = rng.standard_normal((q, r))
-    b = rng.standard_normal((r, s))
-    d = rng.standard_normal((s, p))
-    left = kron(a, b) @ kron(c, d)
-    right = kron(a @ c, b @ d)
-    scale = max(np.linalg.norm(right), 1.0)
-    assert np.linalg.norm(left - right) <= 1e-10 * scale
-
-
-def test_eigvals_general_known_spectrum():
-    vals = np.sort_complex(eigvals_general([[0.0, 1.0], [-2.0, -3.0]]))
-    assert_allclose(vals, [-2.0, -1.0], atol=1e-12)
-
-
-def test_eigvals_general_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        eigvals_general(np.zeros((2, 3)))

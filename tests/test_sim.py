@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from consyn import (
     AgentModel,
     BlowUpError,
+    DiGraph,
     DisturbanceSpec,
     Nonlinearity,
     PreconditionError,
@@ -445,6 +446,23 @@ def test_lyapunov_leader_follower_weights():
     assert report.n_increasing == 0
     # tracking errors are offsets from the leader state
     assert_allclose(traj.e, traj.states - traj.states[:, 0:1, :], atol=0.0)
+
+
+def test_lyapunov_tracking_weights_follow_g():
+    # unstable scalar agent at c equal to the threshold s / (lambda1(H) min q)
+    # = 12 on a leader-rooted tree: V weighted by G = diag(1/q) must not
+    # increase, while weighting by q itself does on this start
+    model = AgentModel(a=[[0.5]], b=[[1.0]], d1=[[0.0]])
+    g = DiGraph.from_edges(5, [(1, 2), (2, 3), (2, 4), (2, 5)])
+    cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
+                              [[1.0]], 3.0)
+    design = synthesize(model, g, "leader-follower", cert=cert)
+    assert design.c == pytest.approx(12.0, rel=1e-12)
+    assert_allclose(design.weights, [0.0, 1.0, 0.5, 0.5, 0.5], atol=1e-12)
+    scenario = Scenario(model=model, graph=g, design=design,
+                        x0=np.array([[0.0], [2.0], [1.0], [1.0], [1.0]]),
+                        t_end=5.0, dt=1e-3)
+    assert lyapunov_diag(integrate(scenario)).n_increasing == 0
 
 
 def test_max_pairwise_distance():
