@@ -13,9 +13,8 @@ from .graph import (DiGraph, GraphAnalysis, GraphFlags, LeaderFollowerData,
                     adjacency, analyze, classify, laplacian,
                     leader_follower_data, parse_edge_list, spectra)
 from .lmi import (LmiCertificate, LmiKind, LmiProblem, MarginReport,
-                  ProbeRecord, SolveTrace, SolverOptions, assemble, solve,
-                  verify)
-from .numkit import SymEig, Tolerances, TOL, as_matrix, solve_linear, sym_eig
+                  ProbeRecord, SolveTrace, assemble, solve, verify)
+from .numkit import SymEig, as_matrix, solve_linear, sym_eig
 from .sim import (AgentModel, DisturbanceSpec, HinfCost, LipschitzReport,
                   LyapunovReport, Nonlinearity, Scenario, Trajectory,
                   check_lipschitz, closed_loop, hinf_cost, integrate,
@@ -30,9 +29,8 @@ __all__ = [
     "adjacency", "analyze", "classify", "laplacian",
     "leader_follower_data", "parse_edge_list", "spectra",
     "LmiCertificate", "LmiKind", "LmiProblem", "MarginReport",
-    "ProbeRecord", "SolveTrace", "SolverOptions", "assemble", "solve",
-    "verify",
-    "SymEig", "Tolerances", "TOL", "as_matrix", "solve_linear", "sym_eig",
+    "ProbeRecord", "SolveTrace", "assemble", "solve", "verify",
+    "SymEig", "as_matrix", "solve_linear", "sym_eig",
     "AgentModel", "DisturbanceSpec", "HinfCost", "LipschitzReport",
     "LyapunovReport", "Nonlinearity", "Scenario", "Trajectory",
     "check_lipschitz", "closed_loop", "hinf_cost", "integrate",

@@ -58,7 +58,11 @@ def model_to_dict(model: AgentModel, gamma=None) -> dict:
 
 def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
     try:
+        if not isinstance(d, dict):
+            raise TypeError("the model must be a JSON object")
         fdesc = d.get("f", {"kind": "zero", "terms": []})
+        if not isinstance(fdesc, dict):
+            raise TypeError("f must be a JSON object")
         terms = tuple((int(o) - 1, int(i) - 1, float(c))
                       for (o, i, c) in fdesc.get("terms", []))
         f = Nonlinearity(kind=fdesc.get("kind", "zero"), terms=terms)
@@ -71,10 +75,11 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
             alpha=float(d.get("alpha", 0.0)),
             f=f,
         )
+        gamma = d.get("gamma")
+        gamma = float(gamma) if gamma is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed model file: {exc}") from exc
-    gamma = d.get("gamma")
-    return model, (float(gamma) if gamma is not None else None)
+    return model, gamma
 
 
 def _adjacency_graph(value, path) -> DiGraph:
@@ -144,14 +149,6 @@ def load_certificate(path, problem: lmi.LmiProblem) -> lmi.LmiCertificate:
     return inject_certificate(problem, p, scalar)
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> dict:
-    return json.loads(text)
-
-
 def _config_hash(parts: list) -> str:
     payload = json.dumps(parts, sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
@@ -178,7 +175,7 @@ def _out_dir(ns) -> Path:
 
 def _write_report(report: dict, out_dir: Path, name: str) -> Path:
     path = out_dir / name
-    path.write_text(report_to_json(report) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -13,9 +13,8 @@ class InfeasibleError(RuntimeError):
     the solver's lmi.SolveTrace when the search ran.
     """
 
-    def __init__(self, message, best_margin=None, trace=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
-        self.best_margin = best_margin
         self.trace = trace
 
 

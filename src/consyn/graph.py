@@ -22,6 +22,9 @@ from numpy.typing import NDArray
 from . import numkit
 from .errors import PreconditionError
 
+# Residual bound, relative to max(1, ||L||_F), on the left null vector r.
+PERRON_RESID = 1e-9
+
 
 @dataclass(frozen=True)
 class DiGraph:
@@ -205,8 +208,7 @@ def classify(g: DiGraph) -> GraphFlags:
     )
 
 
-def _left_perron(l: NDArray[np.float64], tol: numkit.Tolerances
-                 ) -> NDArray[np.float64]:
+def _left_perron(l: NDArray[np.float64]) -> NDArray[np.float64]:
     """Positive left null vector of a strongly connected graph's Laplacian.
 
     Normalized so the entries sum to 1. Extraction is deterministic: pin the
@@ -215,20 +217,20 @@ def _left_perron(l: NDArray[np.float64], tol: numkit.Tolerances
     """
     n = l.shape[0]
     t = l.T
-    y = numkit.solve_linear(t[: n - 1, : n - 1], -t[: n - 1, n - 1], tol)
+    y = numkit.solve_linear(t[: n - 1, : n - 1], -t[: n - 1, n - 1])
     r = np.append(y, 1.0)
     r = r / r.sum()
     scale = max(1.0, float(np.linalg.norm(l, "fro")))
     resid = float(np.linalg.norm(r @ l))
-    if resid > tol.perron_resid * scale or np.any(r <= 0):
+    if resid > PERRON_RESID * scale or np.any(r <= 0):
         raise PreconditionError(
             f"left null vector extraction failed (residual {resid:.3e})"
         )
     return r
 
 
-def _generalized_connectivity(l: NDArray[np.float64], r: NDArray[np.float64],
-                              tol: numkit.Tolerances) -> float:
+def _generalized_connectivity(l: NDArray[np.float64], r: NDArray[np.float64]
+                              ) -> float:
     """Generalized algebraic connectivity of a strongly connected digraph.
 
     Defined as the minimum of x^T (R L + L^T R) x / (2 x^T R x) over nonzero
@@ -248,23 +250,23 @@ def _generalized_connectivity(l: NDArray[np.float64], r: NDArray[np.float64],
     w = w / np.linalg.norm(w)
     proj = np.eye(l.shape[0]) - np.outer(w, w)
     pm = proj @ m @ proj
-    values = numkit.sym_eig(pm, tol).values
+    values = numkit.sym_eig(pm).values
     return float(values[1]) / 2.0
 
 
-def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int,
-                    tol: numkit.Tolerances) -> LeaderFollowerData:
+def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int
+                    ) -> LeaderFollowerData:
     """Partition L around a leader known to root a spanning tree."""
     followers = tuple(v for v in range(1, g.n + 1) if v != leader)
     idx = [v - 1 for v in followers]
     l1 = l[np.ix_(idx, idx)]
     l2 = l[np.ix_(idx, [leader - 1])]
-    q = numkit.solve_linear(l1, np.ones(len(idx)), tol)
+    q = numkit.solve_linear(l1, np.ones(len(idx)))
     if np.any(q <= 0):
         raise PreconditionError("follower weights q must be positive")
     bigG = np.diag(1.0 / q)
     h = (bigG @ l1 + l1.T @ bigG) / 2.0
-    lambda1_h = float(numkit.sym_eig(h, tol).values[0])
+    lambda1_h = float(numkit.sym_eig(h).values[0])
     # a lone follower is trivially balanced and strongly connected
     simplified = True
     lambda1_sym = None
@@ -277,7 +279,7 @@ def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int,
         sub_flags = classify(sub)
         simplified = sub_flags.balanced and sub_flags.strongly_connected
     if simplified:
-        lambda1_sym = float(numkit.sym_eig((l1 + l1.T) / 2.0, tol).values[0])
+        lambda1_sym = float(numkit.sym_eig((l1 + l1.T) / 2.0).values[0])
     return LeaderFollowerData(
         leader=leader,
         followers=followers,
@@ -293,7 +295,7 @@ def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int,
     )
 
 
-def analyze(g: DiGraph, tol: numkit.Tolerances = numkit.TOL) -> GraphAnalysis:
+def analyze(g: DiGraph) -> GraphAnalysis:
     """Classify the graph once and derive what its class supports.
 
     A strongly connected graph gets r, a(L) and, when balanced, lambda2; a
@@ -303,22 +305,22 @@ def analyze(g: DiGraph, tol: numkit.Tolerances = numkit.TOL) -> GraphAnalysis:
     flags = classify(g)
     l = laplacian(g)
     if flags.strongly_connected:
-        r = _left_perron(l, tol)
+        r = _left_perron(l)
         lambda2 = None
         if flags.balanced:
-            lambda2 = float(numkit.sym_eig((l + l.T) / 2.0, tol).values[1])
+            lambda2 = float(numkit.sym_eig((l + l.T) / 2.0).values[1])
         return GraphAnalysis(graph=g, laplacian=l, flags=flags, r=r,
-                             a_of_l=_generalized_connectivity(l, r, tol),
+                             a_of_l=_generalized_connectivity(l, r),
                              lambda2_sym=lambda2)
     lf = None
     if flags.leader_follower_root is not None:
-        lf = _follower_block(g, l, flags.leader_follower_root, tol)
+        lf = _follower_block(g, l, flags.leader_follower_root)
     return GraphAnalysis(graph=g, laplacian=l, flags=flags, leader_follower=lf)
 
 
-def spectra(g: DiGraph, tol: numkit.Tolerances = numkit.TOL) -> GraphAnalysis:
+def spectra(g: DiGraph) -> GraphAnalysis:
     """The analysis of a graph that must be strongly connected."""
-    analysis = analyze(g, tol)
+    analysis = analyze(g)
     if not analysis.flags.strongly_connected:
         raise PreconditionError(
             "spectral summary requires a strongly connected graph"
@@ -326,9 +328,7 @@ def spectra(g: DiGraph, tol: numkit.Tolerances = numkit.TOL) -> GraphAnalysis:
     return analysis
 
 
-def leader_follower_data(g: DiGraph, leader: int,
-                         tol: numkit.Tolerances = numkit.TOL
-                         ) -> LeaderFollowerData:
+def leader_follower_data(g: DiGraph, leader: int) -> LeaderFollowerData:
     """Partition the Laplacian around a leader and derive tracking weights.
 
     The leader must have no incoming edges and must reach every follower
@@ -339,7 +339,7 @@ def leader_follower_data(g: DiGraph, leader: int,
         raise ValueError(f"leader {leader} outside 1..{g.n}")
     if _in_degrees(g)[leader - 1] != 0:
         raise PreconditionError("leader must have no incoming edges")
-    lf = analyze(g, tol).leader_follower
+    lf = analyze(g).leader_follower
     if lf is None or lf.leader != leader:
         raise PreconditionError(
             "graph needs a directed spanning tree rooted at the leader"

@@ -19,7 +19,7 @@ At each scalar the solver seeds P from the equivalent Riccati equation
 centre, where the log-det barrier is smallest. The scalar is laddered
 up until a centre exists, then descended geometrically while one does; the
 smallest visited scalar whose verified margin meets the relative rule
-margin >= lmi_margin_rel * (1 + ||assembled||_F) is returned. That rule caps
+margin >= MARGIN_REL * (1 + ||assembled||_F) is returned. That rule caps
 the scalar from above (the requirement grows with the scalar while the
 achievable margin saturates), so the feasible-with-margin region is a window
 and a plain bisection would fail.
@@ -43,6 +43,12 @@ from . import numkit
 if TYPE_CHECKING:
     from .sim import AgentModel
 
+# The scalar ladder climbs at most MAX_LADDER rungs and descends at most
+# MAX_DESCENTS times; a returned margin must reach MARGIN_REL * (1 + ||M||_F).
+MAX_LADDER = 7
+MAX_DESCENTS = 18
+MARGIN_REL = 1e-6
+
 
 class LmiKind(str, Enum):
     CONSENSUS = "consensus"
@@ -61,19 +67,9 @@ class LmiProblem:
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        m = self.model
-        n = m.a.shape[0]
-        if m.a.shape != (n, n):
-            raise ValueError("A must be square")
-        if m.b.shape[0] != n or m.d1.shape[0] != n:
-            raise ValueError("B and D1 must have as many rows as A")
-        if self.kind == LmiKind.HINF:
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("the hinf kind needs gamma > 0")
-            if m.d2.shape[0] != n:
-                raise ValueError("D2 must have as many rows as A")
-            if m.c_out.shape[1] != n:
-                raise ValueError("C must have as many columns as A")
+        if self.kind == LmiKind.HINF and (self.gamma is None
+                                          or self.gamma <= 0):
+            raise ValueError("the hinf kind needs gamma > 0")
 
 
 @dataclass(frozen=True)
@@ -115,20 +111,14 @@ class LmiCertificate:
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Recomputed strictness margins for a certificate."""
+    """Recomputed margins of a certificate and the floors they must clear."""
 
     p_margin: float
     scalar_value: float
     lmi_margin: float
-    tolerance: float
+    p_floor: float
+    lmi_floor: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    max_ladder: int = 7
-    max_descents: int = 18
-    margin_rel: float = numkit.TOL.lmi_margin_rel
 
 
 def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
@@ -156,26 +146,39 @@ def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
     ])
 
 
-def verify(problem: LmiProblem, cert: LmiCertificate,
-           tolerance: float = numkit.TOL.verify_margin) -> MarginReport:
+def block_margin(problem: LmiProblem, p, scalar: float) -> float:
+    """Negated largest eigenvalue of the assembled block at (p, scalar)."""
+    return -float(numkit.sym_eig(assemble(problem, p, scalar)).values[-1])
+
+
+def _floor(values) -> float:
+    """Rounding floor dim * eps * ||S||_2 of a symmetric S with eigenvalues
+    values: a symmetric eigensolver returns each eigenvalue within a small
+    multiple of eps ||S||_2 (Golub and Van Loan, Matrix Computations, 8.1),
+    so a margin below it carries no sign."""
+    return float(len(values) * np.finfo(float).eps * np.abs(values).max())
+
+
+def verify(problem: LmiProblem, cert: LmiCertificate) -> MarginReport:
     """Recompute all strictness margins of a certificate from scratch.
 
-    Passes iff p is positive definite, the scalar is positive, and the
-    assembled block matrix is negative definite, each strictly and by at
-    least ``tolerance``. Never raises on a failing certificate; the report
-    carries the margins.
+    Passes iff the scalar is positive, lambda_min(p) exceeds the rounding
+    floor dim(p) eps ||p||_2, and -lambda_max(M) of the assembled block M
+    exceeds dim(M) eps ||M||_2. Never raises on a failing certificate; the
+    report carries the margins and floors.
     """
-    p_margin = float(numkit.sym_eig(cert.p).values[0])
-    lmi_margin = float(-numkit.sym_eig(
-        assemble(problem, cert.p, cert.scalar)).values[-1])
-    margins = (p_margin, float(cert.scalar), lmi_margin)
-    passed = all(v > 0 and v >= tolerance for v in margins)
+    p_values = numkit.sym_eig(cert.p).values
+    m_values = numkit.sym_eig(assemble(problem, cert.p, cert.scalar)).values
+    p_margin, lmi_margin = float(p_values[0]), -float(m_values[-1])
+    p_floor, lmi_floor = _floor(p_values), _floor(m_values)
     return MarginReport(
         p_margin=p_margin,
         scalar_value=float(cert.scalar),
         lmi_margin=lmi_margin,
-        tolerance=tolerance,
-        passed=passed,
+        p_floor=p_floor,
+        lmi_floor=lmi_floor,
+        passed=bool(cert.scalar > 0 and p_margin > p_floor
+                    and lmi_margin > lmi_floor),
     )
 
 
@@ -288,15 +291,14 @@ def _center(stacker: _Stacker, scalar: float):
     return stacker.unvech(v), steps
 
 
-def _margin_and_req(problem: LmiProblem, p, scalar, margin_rel):
-    """Margin and its requirement margin_rel * (1 + ||assembled||_F)."""
+def _margin_and_req(problem: LmiProblem, p, scalar):
+    """Margin and its requirement MARGIN_REL * (1 + ||assembled||_F)."""
     m = assemble(problem, p, scalar)
     margin = -float(np.linalg.eigvalsh(m)[-1])
-    return margin, margin_rel * (1.0 + float(np.linalg.norm(m, "fro")))
+    return margin, MARGIN_REL * (1.0 + float(np.linalg.norm(m, "fro")))
 
 
-def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
-          ) -> LmiCertificate:
+def solve(problem: LmiProblem) -> LmiCertificate:
     """Search for a strictly feasible (p, scalar) pair.
 
     Deterministic: the scalar starts at 10 ||A||_F^2, is laddered up tenfold
@@ -305,7 +307,6 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
     feasible rung the certificate is infeasible at the largest scalar tried,
     with p = ||A||_F I. The margin is recomputed by a fresh eigensolve.
     """
-    opts = options or SolverOptions()
     norm_a = max(1.0, float(np.linalg.norm(problem.model.a, "fro")))
     stacker = _Stacker(problem, 1e-6 * (1.0 + norm_a))
     records, points = [], {}
@@ -317,7 +318,7 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
         margin = req = pmin = np.nan
         if p is not None:
             points[s] = p
-            margin, req = _margin_and_req(problem, p, s, opts.margin_rel)
+            margin, req = _margin_and_req(problem, p, s)
             pmin = float(np.linalg.eigvalsh(p)[0])
         records.append(ProbeRecord(s, margin, req, pmin, steps,
                                    time.perf_counter() - start))
@@ -328,16 +329,16 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
 
     s = 10.0 * norm_a ** 2
     while not probe(s):
-        if len(records) >= opts.max_ladder:
+        if len(records) >= MAX_LADDER:
             p_nom = norm_a * np.eye(stacker.n)
-            margin, _ = _margin_and_req(problem, p_nom, s, opts.margin_rel)
+            margin, _ = _margin_and_req(problem, p_nom, s)
             return LmiCertificate(
                 p_nom, float(s), margin, False,
                 SolveTrace(tuple(records), "ladder_exhausted"))
         s *= 10.0
 
     stop = "descent_budget"
-    for _ in range(opts.max_descents):
+    for _ in range(MAX_DESCENTS):
         s /= 10.0
         if not probe(s):
             stop = "descent_infeasible"
@@ -352,8 +353,7 @@ def solve(problem: LmiProblem, options: Optional[SolverOptions] = None
         # No probe meets the rule: return the widest verified margin.
         s_fin = records[int(np.nanargmax([r.margin for r in records]))].scalar
     p_fin = points[s_fin]
-    final_margin = -float(numkit.sym_eig(
-        assemble(problem, p_fin, s_fin)).values[-1])
+    final_margin = block_margin(problem, p_fin, s_fin)
     return LmiCertificate(p=p_fin, scalar=float(s_fin), margin=final_margin,
                           feasible=final_margin > 0,
                           trace=SolveTrace(tuple(records), stop))

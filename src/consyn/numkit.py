@@ -3,8 +3,7 @@
 Matrices are plain float ndarrays. :func:`as_matrix` is the construction
 boundary: everything that enters the package through a public call is
 validated there (two-dimensional shape, finite entries).
-Tolerances used across modules live in one :class:`Tolerances` table so they
-can be overridden in a single place.
+Each numeric tolerance is a constant of the one module that reads it.
 """
 from __future__ import annotations
 
@@ -14,59 +13,25 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numeric tolerances, overridable per call.
-
-    Attributes
-    ----------
-    sym_asym:
-        Relative asymmetry accepted by :func:`sym_eig` before rejecting the
-        input as non-symmetric.
-    solve_resid:
-        Relative residual bound for :func:`solve_linear`.
-    cond_max:
-        Condition-estimate ceiling above which linear solves are refused.
-    perron_resid:
-        Residual bound for the left null vector of a Laplacian.
-    lmi_margin_rel:
-        Relative strictness margin the feasibility solver aims for:
-        margin >= lmi_margin_rel * (1 + ||assembled||_F).
-    verify_margin:
-        Default verification tolerance for certificates (strict positivity).
-    lipschitz_slack:
-        Additive slack in the sampled Lipschitz check.
-    blowup_norm:
-        State-norm guard that aborts an integration.
-    v_step_rel:
-        Per-step relative tolerance when flagging increases of the decrease
-        diagnostic V.
-    """
-
-    sym_asym: float = 1e-12
-    solve_resid: float = 1e-9
-    cond_max: float = 1e12
-    perron_resid: float = 1e-9
-    lmi_margin_rel: float = 1e-6
-    verify_margin: float = 0.0
-    lipschitz_slack: float = 1e-9
-    blowup_norm: float = 1e9
-    v_step_rel: float = 1e-10
-
-
-TOL = Tolerances()
+# The relative asymmetry sym_eig accepts, and the condition estimate and
+# relative residual above which solve_linear refuses.
+SYM_ASYM = 1e-12
+COND_MAX = 1e12
+SOLVE_RESID = 1e-9
 
 
 def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray[np.float64]:
     """Validate and return ``a`` as a 2-D float array.
 
-    Raises ValueError for non-2-D input or non-finite entries.
+    Raises ValueError for non-2-D or empty input or non-finite entries.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError(f"{name} is empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -84,18 +49,16 @@ class SymEig:
     vectors: NDArray[np.float64]
 
 
-def sym_eig(s: ArrayLike, tol: Tolerances = TOL) -> SymEig:
+def sym_eig(s: ArrayLike) -> SymEig:
     """Eigendecomposition of a symmetric matrix.
 
     The input is symmetrized as (s + s^T)/2 after checking that the relative
-    asymmetry does not exceed ``tol.sym_asym``.
+    asymmetry does not exceed ``SYM_ASYM``.
 
     Parameters
     ----------
     s:
         Square matrix, symmetric up to the accepted asymmetry.
-    tol:
-        Tolerance table.
 
     Returns
     -------
@@ -107,7 +70,7 @@ def sym_eig(s: ArrayLike, tol: Tolerances = TOL) -> SymEig:
         raise ValueError(f"s must be square, got shape {m.shape}")
     scale = max(1.0, float(np.linalg.norm(m, "fro")))
     asym = float(np.linalg.norm(m - m.T, "fro"))
-    if asym > tol.sym_asym * scale:
+    if asym > SYM_ASYM * scale:
         raise ValueError(
             f"s is not symmetric: relative asymmetry {asym / scale:.3e}"
         )
@@ -123,12 +86,11 @@ def sym_eig(s: ArrayLike, tol: Tolerances = TOL) -> SymEig:
     return SymEig(values=values, vectors=vectors)
 
 
-def solve_linear(a: ArrayLike, b: ArrayLike, tol: Tolerances = TOL
-                 ) -> NDArray[np.float64]:
+def solve_linear(a: ArrayLike, b: ArrayLike) -> NDArray[np.float64]:
     """Solve a x = b for a square, well-conditioned a.
 
-    Refuses matrices whose condition estimate exceeds ``tol.cond_max`` and
-    verifies the residual ||a x - b||_F <= tol.solve_resid * ||b||_F.
+    Refuses matrices whose condition estimate exceeds ``COND_MAX`` and
+    verifies the residual ||a x - b||_F <= SOLVE_RESID * ||b||_F.
     """
     am = as_matrix(a, "a")
     bm = np.asarray(b, dtype=float)
@@ -138,16 +100,16 @@ def solve_linear(a: ArrayLike, b: ArrayLike, tol: Tolerances = TOL
     if am.shape[1] != b2.shape[0]:
         raise ValueError(f"shape mismatch: a {am.shape}, b {bm.shape}")
     cond = float(np.linalg.cond(am))
-    if not np.isfinite(cond) or cond > tol.cond_max:
+    if not np.isfinite(cond) or cond > COND_MAX:
         raise np.linalg.LinAlgError(
             f"matrix is singular or ill conditioned (cond estimate {cond:.3e})"
         )
     x = np.linalg.solve(am, b2)
     resid = float(np.linalg.norm(am @ x - b2, "fro"))
     bnorm = float(np.linalg.norm(b2, "fro"))
-    if resid > tol.solve_resid * bnorm:
+    if resid > SOLVE_RESID * bnorm:
         raise np.linalg.LinAlgError(
-            f"solve residual {resid:.3e} exceeds {tol.solve_resid:.1e} * ||b|| "
+            f"solve residual {resid:.3e} exceeds {SOLVE_RESID:.1e} * ||b|| "
             f"(cond estimate {cond:.3e})"
         )
     return x.reshape(bm.shape)

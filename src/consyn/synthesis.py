@@ -95,18 +95,18 @@ def _certify(problem: lmi.LmiProblem,
                 "feasibility search exhausted its budget: no rung of the "
                 f"scalar ladder, up to {cert.scalar:.3e}, had a strictly "
                 "feasible Riccati point", trace=cert.trace)
-    report = lmi.verify(problem, cert, tolerance=0.0)
+    report = lmi.verify(problem, cert)
     if not report.passed:
         message = (
             f"{'injected' if injected else 'solver'} certificate fails "
-            f"verification (p margin {report.p_margin:.3e}, scalar "
-            f"{report.scalar_value:.3e}, inequality margin "
-            f"{report.lmi_margin:.3e})"
+            f"verification (p margin {report.p_margin:.3e}, rounding floor "
+            f"{report.p_floor:.1e}; scalar {report.scalar_value:.3e}; "
+            f"inequality margin {report.lmi_margin:.3e}, rounding floor "
+            f"{report.lmi_floor:.1e})"
         )
         if injected:
             raise PreconditionError(message)
-        raise InfeasibleError(message, best_margin=report.lmi_margin,
-                              trace=cert.trace)
+        raise InfeasibleError(message, trace=cert.trace)
     return cert
 
 
@@ -115,10 +115,11 @@ def inject_certificate(problem: lmi.LmiProblem, p, scalar: float
     """Build a certificate from externally supplied (p, scalar).
 
     The margin is recomputed here; published designs are typically printed
-    rounded, so any strictly positive margin is accepted downstream.
+    rounded, so any margin above the rounding floor of lmi.verify is
+    accepted downstream.
     """
     pm = numkit.as_matrix(p, "p")
-    margin = -float(numkit.sym_eig(lmi.assemble(problem, pm, scalar)).values[-1])
+    margin = lmi.block_margin(problem, pm, scalar)
     return lmi.LmiCertificate(p=pm, scalar=float(scalar), margin=margin,
                               feasible=margin > 0)
 

@@ -168,6 +168,69 @@ def test_graph_command_fuzz_exit_codes(tmp_path, text):
     assert run(["graph", str(gfile), "--out-dir", str(tmp_path)]) in (0, 2)
 
 
+MODEL_KEYS = ("a", "b", "d1", "d2", "c", "alpha", "f", "gamma")
+
+
+def matrix(rows, cols):
+    return st.lists(st.lists(st.floats(-10, 10), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+ANY_MATRIX = st.integers(0, 3).flatmap(
+    lambda r: st.integers(0, 3).flatmap(lambda c: matrix(r, c)))
+NONLINEARITY = st.one_of(JSON_VALUE, st.fixed_dictionaries({}, optional={
+    "kind": st.one_of(st.sampled_from(["zero", "sine", "saturation", "tanh"]),
+                      JSON_VALUE),
+    "terms": st.one_of(JSON_VALUE, st.lists(st.lists(
+        st.integers(-1, 3) | st.floats(-10, 10), max_size=4), max_size=3)),
+}))
+VALID_MODEL = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
+    {"a": matrix(n, n), "b": matrix(n, 1), "d1": matrix(n, 1)},
+    optional={"d2": matrix(n, 1), "c": matrix(1, n),
+              "alpha": st.floats(0, 10), "gamma": st.floats(0.1, 10),
+              "f": NONLINEARITY}))
+# a well-shaped model with some keys dropped and others given wrong types
+MUTATED_MODEL = st.builds(
+    lambda d, drop, swap: {k: v for k, v in (d | swap).items()
+                           if k not in drop},
+    VALID_MODEL, st.sets(st.sampled_from(MODEL_KEYS), max_size=2),
+    st.dictionaries(st.sampled_from(MODEL_KEYS),
+                    st.one_of(JSON_VALUE, ANY_MATRIX), max_size=2))
+
+
+@given(st.one_of(JSON_VALUE, VALID_MODEL, MUTATED_MODEL),
+       st.sampled_from(["leaderless", "hinf"]))
+@example([1], "leaderless")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_model_file_fuzz_exit_codes(tmp_path, model, mode):
+    """Any model file JSON ends in exit 0, 2 or 3, never a traceback."""
+    mfile = write_json(tmp_path / "m.json", model)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    assert run(["synth", mfile, str(gfile), "--mode", mode,
+                "--out-dir", str(tmp_path)]) in (0, 2, 3)
+
+
+@given(st.one_of(
+    JSON_VALUE,
+    st.fixed_dictionaries({"p": matrix(1, 1), "scalar": st.floats(-10, 10)}),
+    st.fixed_dictionaries({}, optional={
+        "p": st.one_of(JSON_VALUE, ANY_MATRIX),
+        "scalar": st.one_of(JSON_VALUE, st.floats(-10, 10))})))
+@example({"p": [[1.0]], "scalar": 1.0})
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_certificate_file_fuzz_exit_codes(tmp_path, cert):
+    """Any certificate file JSON ends in exit 0, 2 or 3, never a traceback."""
+    mfile = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    cfile = write_json(tmp_path / "cert.json", cert)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    assert run(["synth", mfile, str(gfile), "--mode", "leaderless",
+                "--cert", cfile, "--out-dir", str(tmp_path)]) in (0, 2, 3)
+
+
 def test_synth_scalar_witness(tmp_path, capsys):
     model = write_json(tmp_path / "m.json", SCALAR_MODEL)
     cert = write_json(tmp_path / "cert.json", WITNESS)
@@ -330,6 +393,20 @@ def test_model_with_understated_lipschitz_constant_exit_code(tmp_path,
     assert not (tmp_path / "simulate_report.json").exists()
 
 
+# an empty b would reach the Riccati solver as a 1x0 input matrix
+@pytest.mark.parametrize("data", [
+    [1], {"a": [[1]], "b": [[1]], "d1": [[1]], "f": []},
+    dict(SCALAR_MODEL, b=[])], ids=["list", "f-list", "empty-b"])
+def test_malformed_model_file_exit_code(tmp_path, capsys, data):
+    model = write_json(tmp_path / "m.json", data)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    code = run(["synth", model, str(gfile), "--mode", "leaderless",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "malformed model file" in capsys.readouterr().err
+
+
 def test_simulate_blow_up_exit_code(tmp_path, capsys):
     model = write_json(tmp_path / "m.json",
                        dict(SCALAR_MODEL, a=[[2.0]]))
@@ -354,11 +431,6 @@ def test_model_round_trip():
     assert_allclose(back.d2, model.d2, atol=0.0)
     assert back.f == model.f
     assert back.alpha == model.alpha
-
-
-def test_report_json_round_trip():
-    report = {"graph": {"nodes": 2}, "values": [1.0, 2.5]}
-    assert cli.report_from_json(cli.report_to_json(report)) == report
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from consyn import AgentModel, LmiCertificate, assemble, solve, verify
 from consyn import benchmark
-from consyn.lmi import (LmiKind, LmiProblem, SolverOptions,
+from consyn.lmi import (MAX_LADDER, LmiKind, LmiProblem,
                         _barrier_derivatives, _center, _margin_and_req,
                         _Stacker)
 
@@ -85,11 +85,16 @@ def test_verify_rejects_negative_scalar():
     assert not report.passed
 
 
-def test_verify_tolerance_gate():
-    problem = LmiProblem(LmiKind.CONSENSUS, scalar_model())
-    cert = witness_cert([[1.0]], 1.0, problem)
-    assert verify(problem, cert, tolerance=0.0).passed
-    assert not verify(problem, cert, tolerance=10.0).passed
+def test_verify_rejects_margin_under_rounding_floor():
+    # block [[-s, p], [p, -1]]: its top eigenvalue -s + p^2 is -9.99e-18,
+    # positive as a margin but far under 2 eps ||M||_2 = 4.4e-16
+    problem = LmiProblem(LmiKind.CONSENSUS, scalar_model(a=0.0, d1=0.0))
+    cert = witness_cert([[1e-10]], 1e-17, problem)
+    report = verify(problem, cert)
+    assert 0 < report.lmi_margin < report.lmi_floor
+    assert report.lmi_floor == pytest.approx(2 * np.finfo(float).eps)
+    assert report.p_margin > report.p_floor
+    assert not report.passed
 
 
 def test_solve_scalar_feasible():
@@ -98,7 +103,7 @@ def test_solve_scalar_feasible():
     assert cert.feasible
     assert cert.scalar > 0
     assert verify(problem, cert).passed
-    margin, req = _margin_and_req(problem, cert.p, cert.scalar, 1e-6)
+    margin, req = _margin_and_req(problem, cert.p, cert.scalar)
     assert margin >= req
 
 
@@ -111,7 +116,7 @@ def test_solve_uncontrollable_reports_infeasible_within_budget():
     assert cert.margin < 0
     trace = cert.trace
     assert trace.stop == "ladder_exhausted"
-    assert len(trace.probes) == SolverOptions().max_ladder
+    assert len(trace.probes) == MAX_LADDER
     assert cert.scalar == trace.probes[-1].scalar
     assert all(np.isnan(r.margin) and r.newton_steps == 0
                for r in trace.probes)
@@ -131,7 +136,7 @@ def test_solve_benchmark_consensus_certificate(consensus_design):
     assert cert.feasible
     report = verify(problem, cert)
     assert report.passed
-    margin, req = _margin_and_req(problem, cert.p, cert.scalar, 1e-6)
+    margin, req = _margin_and_req(problem, cert.p, cert.scalar)
     assert margin >= req
     assert_chosen_probe_in_trace(cert)
 
@@ -141,7 +146,7 @@ def test_solve_benchmark_hinf_certificate(hinf_design, bench_model):
     problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
     assert cert.feasible
     assert verify(problem, cert).passed
-    margin, req = _margin_and_req(problem, cert.p, cert.scalar, 1e-6)
+    margin, req = _margin_and_req(problem, cert.p, cert.scalar)
     assert margin >= req
     assert_chosen_probe_in_trace(cert)
 

@@ -21,6 +21,13 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[np.inf]])
 
 
+def test_as_matrix_rejects_empty():
+    with pytest.raises(ValueError, match="empty"):
+        as_matrix([])
+    with pytest.raises(ValueError, match="empty"):
+        as_matrix(np.zeros((2, 0)))
+
+
 def test_as_matrix_promotes_vector_to_row():
     m = as_matrix([1.0, 2.0, 3.0])
     assert m.shape == (1, 3)

@@ -213,6 +213,16 @@ def test_injected_certificate_must_verify():
         synthesize(model, two_node_graph(), "leaderless", cert=bad)
 
 
+def test_injected_certificate_under_rounding_floor_is_rejected():
+    # margin +9.99e-18 is positive, so the certificate reads feasible, but
+    # it sits under the 4.4e-16 rounding floor of its 2x2 block
+    model = scalar_model(a=0.0, d1=0.0)
+    cert = consensus_witness(model, p=1e-10, scalar=1e-17)
+    assert cert.feasible
+    with pytest.raises(PreconditionError, match="rounding floor 4.4e-16"):
+        synthesize(model, two_node_graph(), "leaderless", cert=cert)
+
+
 def test_solver_certificate_is_reverified(monkeypatch):
     calls = []
     real_verify = lmi.verify
