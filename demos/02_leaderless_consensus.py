@@ -33,10 +33,10 @@ print("coupling threshold c >= %.6f, using c = %.6f" %
       (design.c_threshold, design.c))
 
 # Seeded uniform initial states in [-1, 1]^4 per agent keep the run
-# reproducible.
+# reproducible. The design carries the model and the graph, so the run
+# needs only the initial states and the time grid.
 x0 = initial_states(seed=12345)
-scenario = Scenario(model=model, graph=g, design=design, x0=x0,
-                    t_end=10.0, dt=1e-3)
+scenario = Scenario(design=design, x0=x0, t_end=10.0, dt=1e-3)
 traj = integrate(scenario)
 
 # Consensus quality: the largest pairwise distance between agent states.

@@ -39,7 +39,7 @@ design = dataclasses.replace(design, c=REFERENCE_C)
 # Square wave, +1 on [0,1) then -1 on [1,2) then off, scaled per agent.
 # Zero initial state isolates the disturbance response.
 scenario = Scenario(
-    model=model, graph=g, design=design,
+    design=design,
     x0=np.zeros((g.n, model.n)),
     disturbance=benchmark_disturbance("bipolar"),
     t_end=10.0, dt=1e-3,

@@ -49,8 +49,7 @@ def run(g: DiGraph, label: str, t_end: float = 10.0):
     x0[0, 0] = 1.0
     for i in range(1, g.n):
         x0[i, 0] = (-1.0) ** i * (1.0 + i)
-    traj = integrate(Scenario(model=model, graph=g, design=design, x0=x0,
-                              t_end=t_end, dt=1e-3))
+    traj = integrate(Scenario(design=design, x0=x0, t_end=t_end, dt=1e-3))
     err = np.abs(traj.states[:, 1:, 0] - traj.states[:, :1, 0])
     print("  max |follower - leader| at t=0:   %.4f" % err[0].max())
     print("  max |follower - leader| at t=%g: %.3e" % (t_end, err[-1].max()))

@@ -253,9 +253,18 @@ def cmd_graph(ns) -> int:
     return 0
 
 
-def _build_design(ns, model: AgentModel, g: DiGraph,
-                  gamma_from_model=None) -> ProtocolDesign:
-    gamma = ns.gamma if ns.gamma is not None else gamma_from_model
+def _load_inputs(ns) -> tuple[AgentModel, float | None, DiGraph]:
+    """Model, gamma (--gamma over the model file's) and graph of a run."""
+    model, gamma_model, embedded = load_model(ns.model_file)
+    g = load_graph(ns.graph_file) if ns.graph_file else embedded
+    if g is None:
+        raise PreconditionError("no graph given (file or embedded adjacency)")
+    gamma = ns.gamma if ns.gamma is not None else gamma_model
+    return model, gamma, g
+
+
+def _build_design(ns, model: AgentModel, gamma, g: DiGraph
+                  ) -> ProtocolDesign:
     cert = None
     if ns.cert:
         cert = load_certificate(ns.cert, problem_for(model, ns.mode, gamma))
@@ -264,11 +273,7 @@ def _build_design(ns, model: AgentModel, g: DiGraph,
 
 
 def cmd_synth(ns) -> int:
-    model, gamma_model, embedded = load_model(ns.model_file)
-    g = load_graph(ns.graph_file) if ns.graph_file else embedded
-    if g is None:
-        raise PreconditionError("no graph given (file or embedded adjacency)")
-    design = _build_design(ns, model, g, gamma_model)
+    design = _build_design(ns, *_load_inputs(ns))
     out_dir = _out_dir(ns)
     report = {
         "graph": _graph_section(design.analysis),
@@ -286,23 +291,16 @@ def cmd_synth(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
-    model, gamma_model, embedded = load_model(ns.model_file)
-    g = load_graph(ns.graph_file) if ns.graph_file else embedded
-    if g is None:
-        raise PreconditionError("no graph given (file or embedded adjacency)")
+    model, gamma, g = _load_inputs(ns)
     if ns.disturbance != "none" and ns.mode == DesignMode.LEADER_FOLLOWER:
         raise PreconditionError(
             "disturbance rejection for tracking runs is out of scope")
-    design = _build_design(ns, model, g, gamma_model)
-    if ns.disturbance != "none":
-        x0 = np.zeros((g.n, model.n))
-        dist = DisturbanceSpec(kind=ns.disturbance)
-    else:
-        rng = np.random.default_rng(ns.seed)
-        x0 = rng.uniform(-1.0, 1.0, size=(g.n, model.n))
-        dist = DisturbanceSpec()
-    scenario = Scenario(model=model, graph=g, design=design, x0=x0,
-                        disturbance=dist, t_end=ns.t_end, dt=ns.dt)
+    design = _build_design(ns, model, gamma, g)
+    dist = DisturbanceSpec(kind=ns.disturbance)
+    x0 = np.zeros((g.n, model.n)) if dist.kind != "none" else \
+        np.random.default_rng(ns.seed).uniform(-1.0, 1.0, (g.n, model.n))
+    scenario = Scenario(design=design, x0=x0, disturbance=dist,
+                        t_end=ns.t_end, dt=ns.dt)
     traj = integrate(scenario)
     out_dir = _out_dir(ns)
     csv_path = out_dir / "trajectory.csv"
@@ -313,9 +311,8 @@ def cmd_simulate(ns) -> int:
         "v_fraction_increasing": lyap.fraction_increasing,
         "v0": lyap.v0,
     }
-    gamma = design.gamma
-    if gamma is not None:
-        cost = hinf_cost(traj, gamma)
+    if design.gamma is not None:
+        cost = hinf_cost(traj, design.gamma)
         summary["j"] = cost.j
         summary["empirical_gain"] = cost.empirical_gain
     report = {
@@ -378,15 +375,13 @@ def cmd_repro(ns) -> int:
         stage = "consensus-sim"
         x0 = benchmark.initial_states(ns.seed)
         traj_c = integrate(Scenario(
-            model=model, graph=g, design=consensus, x0=x0,
-            t_end=ns.t_end, dt=ns.dt))
+            design=consensus, x0=x0, t_end=ns.t_end, dt=ns.dt))
         write_csv(traj_c, out_dir / "consensus_traj.csv", decimation=10)
         lyap = lyapunov_diag(traj_c)
 
         stage = "attenuation-sim"
         traj_h = integrate(Scenario(
-            model=model, graph=g, design=published,
-            x0=np.zeros((6, 4)),
+            design=published, x0=np.zeros((6, 4)),
             disturbance=benchmark.benchmark_disturbance(ns.disturbance),
             t_end=ns.t_end, dt=ns.dt))
         write_csv(traj_h, out_dir / "attenuation_traj.csv", decimation=10)
@@ -421,7 +416,7 @@ def cmd_repro(ns) -> int:
             return 3
         if isinstance(exc, BlowUpError):
             return 4
-        if isinstance(exc, (PreconditionError, ValueError)):
+        if isinstance(exc, ValueError):
             return 2
         raise
 
@@ -510,9 +505,6 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

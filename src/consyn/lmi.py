@@ -67,9 +67,10 @@ class LmiProblem:
     gamma: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind == LmiKind.HINF and (self.gamma is None
-                                          or self.gamma <= 0):
-            raise ValueError("the hinf kind needs gamma > 0")
+        if self.kind == LmiKind.HINF and not (
+                self.gamma is not None and 0 < self.gamma < np.inf):
+            raise ValueError("the hinf kind needs a finite gamma > 0, got "
+                             f"gamma = {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def _center(stacker: _Stacker, scalar: float):
     """
     problem, m = stacker.problem, stacker.problem.model
     cols, r = [m.b], [np.eye(m.b.shape[1]) / scalar]
-    if m.alpha > 0:
+    if m.alpha ** 2 > 0:
         cols.append(m.d1)
         r.append(-np.eye(m.d1.shape[1]) / m.alpha ** 2)
     q = 1.01 * np.eye(stacker.n)

@@ -3,9 +3,9 @@
 The integrator is fixed-step classical Runge-Kutta (RK4) over the single
 closed-loop vector field :func:`closed_loop`, deterministic by construction.
 States are carried as an (N, n) array, one row per agent. The design fixes
-the error reference: the weighted average e_i = x_i - sum_j r_j x_j for
-leaderless and disturbance runs, the leader offset v_i = x_i - x_lead for
-tracking runs.
+the agent model, the graph and the error reference: the weighted average
+e_i = x_i - sum_j r_j x_j for leaderless and disturbance runs, the leader
+offset v_i = x_i - x_lead for tracking runs.
 """
 from __future__ import annotations
 
@@ -17,8 +17,7 @@ from numpy.typing import NDArray
 from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from . import numkit
-from .errors import BlowUpError, PreconditionError
-from .graph import DiGraph, laplacian
+from .errors import BlowUpError
 from .synthesis import ProtocolDesign
 
 NONLINEARITY_KINDS = ("zero", "sine", "saturation", "tanh")
@@ -123,8 +122,9 @@ class AgentModel:
             raise ValueError("d2 must have as many rows as a")
         if c_out.shape[1] != n:
             raise ValueError("c_out must have as many columns as a")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= self.alpha < np.inf:
+            raise ValueError(
+                f"alpha must be finite and >= 0, got alpha = {self.alpha}")
         for (o, i, _) in self.f.terms:
             if not (0 <= o < d1.shape[1]):
                 raise ValueError(f"nonlinearity output index {o} outside d1")
@@ -178,15 +178,16 @@ def square_wave(t, unipolar: bool = False):
     """One-period square wave starting at t = 0 with width 2 and height 1.
 
     Bipolar (default): 1 on [0, 1), -1 on [1, 2), 0 afterwards.
-    Unipolar: 1 on [0, 2), 0 afterwards.
+    Unipolar: 1 on [0, 2), 0 afterwards. A scalar t gives a float without
+    numpy overhead, since the right-hand side evaluates it every stage.
     """
-    ts = np.asarray(t, dtype=float)
-    if unipolar:
-        out = np.where(ts < 2.0, 1.0, 0.0)
-    else:
-        out = np.where(ts < 1.0, 1.0, np.where(ts < 2.0, -1.0, 0.0))
-    out = np.where(ts < 0.0, 0.0, out)
-    return out if out.ndim else float(out)
+    def at(s: float) -> float:
+        if not 0.0 <= s < 2.0:
+            return 0.0
+        return 1.0 if unipolar or s < 1.0 else -1.0
+    if np.ndim(t) == 0:
+        return at(float(t))
+    return np.vectorize(at, otypes=[float])(t)
 
 
 @dataclass(frozen=True)
@@ -207,29 +208,33 @@ class DisturbanceSpec:
             object.__setattr__(
                 self, "scales", numkit.as_matrix(self.scales, "scales"))
 
+    def resolve_scales(self, n_agents: int, m1: int) -> NDArray[np.float64]:
+        """The (N, m1) scales, unit when none were given, checked in shape."""
+        scales = self.scales
+        if scales is None:
+            scales = np.ones((n_agents, m1))
+        if scales.shape != (n_agents, m1):
+            raise ValueError(f"scales shape {scales.shape} does not match "
+                             f"({n_agents}, {m1})")
+        return scales
+
+    def wave(self, t):
+        """The shared wave value at time t (an array for array t)."""
+        if self.kind == "none":
+            return np.zeros_like(np.asarray(t, dtype=float))
+        return square_wave(t, unipolar=self.kind == "unipolar")
+
     def omega(self, t, n_agents: int, m1: int) -> NDArray[np.float64]:
         """Disturbance matrix (N, m1) at time t (or (T, N, m1) for array t)."""
-        scales = self.scales if self.scales is not None \
-            else np.ones((n_agents, m1))
-        if scales.shape != (n_agents, m1):
-            raise ValueError(
-                f"scales shape {scales.shape} does not match ({n_agents}, {m1})"
-            )
-        if self.kind == "none":
-            w = np.zeros_like(np.asarray(t, dtype=float))
-        else:
-            w = np.asarray(square_wave(t, unipolar=self.kind == "unipolar"))
-        if w.ndim == 0:
-            return float(w) * scales
-        return w[:, None, None] * scales[None, :, :]
+        scales = self.resolve_scales(n_agents, m1)
+        return np.asarray(self.wave(t))[..., None, None] * scales
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one closed-loop run needs."""
+    """One run of a design: x0 has a row per node of the design's graph,
+    and the time grid 0 < dt <= t_end < inf."""
 
-    model: AgentModel
-    graph: DiGraph
     design: ProtocolDesign
     x0: NDArray[np.float64]
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
@@ -237,21 +242,14 @@ class Scenario:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least dt")
+        if not 0 < self.dt <= self.t_end < np.inf:
+            raise ValueError(
+                "need 0 < dt <= t_end < inf, got "
+                f"dt = {self.dt}, t_end = {self.t_end}")
         x0 = numkit.as_matrix(self.x0, "x0")
-        if x0.shape != (self.graph.n, self.model.n):
-            raise ValueError(
-                f"x0 shape {x0.shape} does not match "
-                f"({self.graph.n}, {self.model.n})"
-            )
-        if len(self.design.weights) != self.graph.n:
-            raise ValueError(
-                f"design has {len(self.design.weights)} agent weights, "
-                f"graph has {self.graph.n} nodes"
-            )
+        shape = (self.design.analysis.graph.n, self.design.model.n)
+        if x0.shape != shape:
+            raise ValueError(f"x0 shape {x0.shape} does not match {shape}")
         object.__setattr__(self, "x0", x0)
 
 
@@ -274,33 +272,34 @@ class Trajectory:
     omega: NDArray[np.float64]
 
 
-def closed_loop(model: AgentModel, graph: DiGraph, design: ProtocolDesign,
-                disturbance: Optional[DisturbanceSpec] = None
+def closed_loop(design: ProtocolDesign,
+                disturbance: DisturbanceSpec = DisturbanceSpec()
                 ) -> Callable[[float, NDArray[np.float64]], NDArray[np.float64]]:
-    """Closed-loop vector field f(t, x) of the network on (N, n) states.
+    """Closed-loop vector field f(t, x) of a design on (N, n) states.
 
     The protocol feeds back relative states only: u_i = c K sum_j a_ij
     (x_i - x_j), which is row i of c K L x, so
 
-        dx = x A^T + f(x) D1^T + c (L x) (B K)^T (+ w(t) D2^T).
+        dx = x A^T + f(x) D1^T + c (L x) (B K)^T (+ w(t) S D2^T)
 
-    A tracking design's leader has no incoming edges, so its Laplacian row
-    is zero and it evolves open loop.
+    with the model and L read from the design, w the shared wave and S the
+    per-agent scales. F = S D2^T is formed once; w is 1, -1 or 0, so w F
+    equals (w S) D2^T bit for bit. A tracking design's leader has
+    in-degree 0, so its Laplacian row is zero and it evolves open loop.
     """
-    lap = laplacian(graph)
-    if design.leader is not None and np.any(lap[design.leader - 1]):
-        raise PreconditionError(
-            f"leader {design.leader} must have no incoming edges")
-    a_t, d1_t, d2_t = model.a.T, model.d1.T, model.d2.T
+    model, lap = design.model, design.analysis.laplacian
+    a_t, d1_t = model.a.T, model.d1.T
     coupling_t = (model.b @ design.k).T
     c = design.c
-    n_agents, m1 = graph.n, model.d2.shape[1]
-    disturbed = disturbance is not None and disturbance.kind != "none"
+    forcing = disturbance.resolve_scales(
+        design.analysis.graph.n, model.d2.shape[1]) @ model.d2.T
+    wave = disturbance.wave
+    disturbed = disturbance.kind != "none"
 
     def f(t, x):
         dx = x @ a_t + model.nonlinear(x) @ d1_t + c * (lap @ x) @ coupling_t
         if disturbed:
-            dx = dx + disturbance.omega(t, n_agents, m1) @ d2_t
+            dx = dx + wave(t) * forcing
         return dx
     return f
 
@@ -311,13 +310,12 @@ def integrate(scenario: Scenario) -> Trajectory:
     Deterministic for fixed inputs. Aborts with BlowUpError when the state
     norm crosses BLOWUP_NORM, carrying the last valid time.
     """
-    model, design, dist = scenario.model, scenario.design, scenario.disturbance
-    n_agents, n = scenario.graph.n, model.n
-    m1 = model.d2.shape[1]
-    steps = int(round(scenario.t_end / scenario.dt))
-    dt = scenario.dt
+    design, dist, dt = scenario.design, scenario.disturbance, scenario.dt
+    model = design.model
+    n_agents, n = scenario.x0.shape
+    steps = int(round(scenario.t_end / dt))
     times = np.arange(steps + 1) * dt
-    f = closed_loop(model, scenario.graph, design, dist)
+    f = closed_loop(design, dist)
 
     states = np.empty((steps + 1, n_agents, n))
     x = scenario.x0.copy()
@@ -329,7 +327,8 @@ def integrate(scenario: Scenario) -> Trajectory:
         k3 = f(t + dt / 2, x + dt / 2 * k2)
         k4 = f(t + dt, x + dt * k3)
         x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) >= BLOWUP_NORM:
+        # a NaN norm compares false, so NaN states abort too
+        if not np.linalg.norm(x) < BLOWUP_NORM:
             raise BlowUpError(
                 f"state norm crossed {BLOWUP_NORM:.1e} at t = {t + dt:.6g}",
                 last_valid_time=t,
@@ -343,7 +342,7 @@ def integrate(scenario: Scenario) -> Trajectory:
     else:
         e = states - states[:, leader - 1: leader, :]
     z = e @ model.c_out.T
-    omega = dist.omega(times, n_agents, m1)
+    omega = dist.omega(times, n_agents, model.d2.shape[1])
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
     v = np.einsum("i,tik,kl,til->t", design.weights, e, p_inv, e)
     gamma = design.gamma or 0.0

@@ -56,6 +56,8 @@ class ProtocolDesign:
     c_threshold_simplified carries the alternative leader-follower bound
     (smallest eigenvalue of the symmetrized follower block) when the
     follower subgraph is balanced and strongly connected, None otherwise.
+    model is the agent model the design was made for; with analysis.graph
+    and analysis.laplacian it fixes the closed loop the simulator runs.
     """
 
     k: NDArray[np.float64]
@@ -65,6 +67,7 @@ class ProtocolDesign:
     mode: DesignMode
     weights: NDArray[np.float64]
     analysis: GraphAnalysis
+    model: "AgentModel"
     leader: Optional[int] = None
     gamma: Optional[float] = None
     c_threshold_simplified: Optional[float] = None
@@ -137,8 +140,10 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
     in hinf mode.
     """
     mode = DesignMode(mode)
-    if c_multiplier < 1.0:
-        raise ValueError("c_multiplier must be >= 1")
+    if not 1.0 <= c_multiplier < np.inf:
+        raise ValueError(
+            "c_multiplier must be finite and >= 1, got "
+            f"c_multiplier = {c_multiplier}")
     problem = problem_for(model, mode, gamma)
     analysis = analyze(graph)
     flags = analysis.flags
@@ -179,6 +184,7 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
         mode=mode,
         weights=weights,
         analysis=analysis,
+        model=model,
         leader=leader,
         gamma=float(gamma) if mode is DesignMode.HINF else None,
         c_threshold_simplified=(cert.scalar / simplified_divisor

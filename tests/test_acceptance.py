@@ -109,11 +109,10 @@ def test_solver_feasibility(bench_model):
     assert time.perf_counter() - t0 < 30.0
 
 
-def test_consensus_convergence(bench_model, bench_graph, consensus_design):
+def test_consensus_convergence(consensus_design):
     """Solver-found design at the threshold: pairwise distances below 1e-3
     before t_end = 10 from seeded states in [-1, 1]^4, V non-increasing."""
-    scenario = Scenario(model=bench_model, graph=bench_graph,
-                        design=consensus_design,
+    scenario = Scenario(design=consensus_design,
                         x0=benchmark.initial_states(), t_end=10.0, dt=1e-3)
     traj = integrate(scenario)
     series = pairwise_series(traj.states)
@@ -127,10 +126,9 @@ def test_consensus_convergence(bench_model, bench_graph, consensus_design):
     assert report.n_increasing == 0
 
 
-def test_disturbance_attenuation(bench_model, bench_graph, hinf_design):
+def test_disturbance_attenuation(hinf_design):
     """Zero-state bipolar run at gamma = 2: J < 0 and empirical gain < 2."""
-    scenario = Scenario(model=bench_model, graph=bench_graph,
-                        design=hinf_design, x0=np.zeros((6, 4)),
+    scenario = Scenario(design=hinf_design, x0=np.zeros((6, 4)),
                         disturbance=benchmark.benchmark_disturbance(),
                         t_end=10.0, dt=1e-3)
     traj = integrate(scenario)
@@ -200,8 +198,7 @@ def test_leader_follower_tracking():
     cert = inject_certificate(
         LmiProblem(LmiKind.CONSENSUS, model), [[1.0]], 1.0)
     design = synthesize(model, g, "leader-follower", cert=cert)
-    scenario = Scenario(model=model, graph=g, design=design,
-                        x0=np.array([[1.0], [0.0], [-1.0]]),
+    scenario = Scenario(design=design, x0=np.array([[1.0], [0.0], [-1.0]]),
                         t_end=10.0, dt=1e-3)
     traj = integrate(scenario)
     tracking = np.abs(traj.states[-1] - traj.states[-1, 0]).max()
@@ -215,15 +212,14 @@ def test_leader_follower_tracking():
         design_sym.c_threshold, rel=1e-12)
 
 
-def test_integrator_order(bench_model, bench_graph, consensus_design):
+def test_integrator_order(consensus_design):
     """Halving dt cuts the terminal error at least eightfold (nominal 16x
     for the classical fourth-order scheme, slack for roundoff)."""
     x0 = benchmark.initial_states()
 
     def terminal(dt):
-        scenario = Scenario(model=bench_model, graph=bench_graph,
-                            design=consensus_design, x0=x0,
-                            t_end=1.0, dt=dt)
+        scenario = Scenario(design=consensus_design, x0=x0, t_end=1.0,
+                            dt=dt)
         return integrate(scenario).states[-1]
 
     reference = terminal(1.25e-4)

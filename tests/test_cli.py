@@ -407,6 +407,30 @@ def test_malformed_model_file_exit_code(tmp_path, capsys, data):
     assert "malformed model file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags, model_update, named", [
+    ("simulate", ["--t-end", "inf"], {}, "t_end = inf"),
+    ("simulate", ["--dt", "nan"], {}, "dt = nan"),
+    ("simulate", ["--t-end", "nan"], {}, "t_end = nan"),
+    ("synth", ["--mode", "hinf", "--gamma", "nan"], {}, "gamma = nan"),
+    ("synth", ["--mode", "hinf", "--gamma", "inf"], {}, "gamma = inf"),
+    ("synth", ["--c-multiplier", "nan"], {}, "c_multiplier = nan"),
+    ("synth", ["--c-multiplier", "inf"], {}, "c_multiplier = inf"),
+    ("synth", [], {"alpha": float("inf")}, "alpha = inf"),
+], ids=["t-end-inf", "dt-nan", "t-end-nan", "gamma-nan", "gamma-inf",
+        "c-multiplier-nan", "c-multiplier-inf", "alpha-inf"])
+def test_non_finite_number_exit_code(tmp_path, capsys, command, flags,
+                                     model_update, named):
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL | model_update)
+    cert = write_json(tmp_path / "cert.json", WITNESS)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    mode = [] if "--mode" in flags else ["--mode", "leaderless"]
+    code = run([command, model, str(gfile), *mode, *flags, "--cert", cert,
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_simulate_blow_up_exit_code(tmp_path, capsys):
     model = write_json(tmp_path / "m.json",
                        dict(SCALAR_MODEL, a=[[2.0]]))

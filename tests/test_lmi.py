@@ -215,6 +215,15 @@ def test_barrier_derivatives_match_central_difference(bench_model):
     assert_allclose(hess, fd_hess, rtol=0.0, atol=1e-6 * np.abs(hess).max())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_alpha_whose_square_underflows_solves_as_alpha_zero():
+    # 1e-200 ** 2 is 0, so the Riccati seed must not divide by it
+    scalars = [solve(LmiProblem(LmiKind.CONSENSUS,
+                                scalar_model(a=0.0, alpha=alpha))).scalar
+               for alpha in (0.0, 1e-200)]
+    assert scalars[0] == scalars[1]
+
+
 def test_center_is_none_on_uncontrollable_scalar_model():
     problem = LmiProblem(
         LmiKind.CONSENSUS, scalar_model(a=1.0, b=0.0, d1=1.0, alpha=1.0))
