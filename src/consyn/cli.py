@@ -25,9 +25,9 @@ from . import __version__, benchmark, lmi
 from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
                     parse_edge_list)
-from .sim import (AgentModel, DisturbanceSpec, Nonlinearity, Scenario,
-                  check_lipschitz, hinf_cost, integrate, lyapunov_diag,
-                  max_pairwise_distance, write_csv)
+from .sim import (LIPSCHITZ_SLACK, AgentModel, DisturbanceSpec, Nonlinearity,
+                  Scenario, check_lipschitz, check_time_grid, hinf_cost,
+                  integrate, lyapunov_diag, max_pairwise_distance, write_csv)
 from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
                         problem_for, synthesize)
 
@@ -93,7 +93,9 @@ def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
     """Load a JSON model file; returns (model, gamma, embedded graph).
 
     The declared Lipschitz constant alpha is checked by sampling f: a
-    witnessed difference ratio above it is a precondition violation.
+    witnessed difference ratio above it is a precondition violation. An
+    alpha the sampling cannot refute but that lies below f's conservative
+    bound only draws a warning on stderr.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -108,6 +110,12 @@ def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
             f"model file {path}: nonlinearity f has a difference ratio of "
             f"{lip.worst_ratio:.6g}, above its declared Lipschitz constant "
             f"alpha = {model.alpha:.6g}")
+    bound = model.f.lipschitz_bound(model.n, model.d1.shape[1])
+    if model.alpha + LIPSCHITZ_SLACK < bound:
+        print(f"warning: model file {path}: declared Lipschitz constant "
+              f"alpha = {model.alpha:.6g} is below the bound {bound:.6g} of "
+              "f's coefficients; the sampled check did not refute it",
+              file=sys.stderr)
     g = None
     if "adjacency" in data:
         g = _adjacency_graph(data["adjacency"], path)
@@ -291,6 +299,7 @@ def cmd_synth(ns) -> int:
 
 
 def cmd_simulate(ns) -> int:
+    check_time_grid(ns.dt, ns.t_end)
     model, gamma, g = _load_inputs(ns)
     if ns.disturbance != "none" and ns.mode == DesignMode.LEADER_FOLLOWER:
         raise PreconditionError(
@@ -352,6 +361,7 @@ def _compare_row(name, computed, reference, tolerance):
 
 
 def cmd_repro(ns) -> int:
+    check_time_grid(ns.dt, ns.t_end)
     out_dir = _out_dir(ns)
     stage = "graph"
     try:

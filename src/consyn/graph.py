@@ -10,6 +10,10 @@ classifies the graph once, builds L once, and computes r, a(L) and lambda2
 for a strongly connected graph or the follower partition (q, G, H) for a
 leader-rooted one. :func:`spectra` and :func:`leader_follower_data` are the
 same analysis with the precondition of one class enforced.
+
+The adjacency matrix is the only working representation: the connectivity
+and balance flags are read from it, the strongly connected components
+through scipy's csgraph search.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.sparse.csgraph import connected_components
 
 from . import numkit
 from .errors import PreconditionError
@@ -119,93 +124,37 @@ def laplacian(g: DiGraph) -> NDArray[np.float64]:
     return np.diag(a.sum(axis=1)) - a
 
 
-def _out_neighbors(g: DiGraph) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(g.n)]
-    for (p, c) in sorted(g.edges):
-        out[p - 1].append(c - 1)
-    return out
-
-
-def _in_degrees(g: DiGraph) -> list[int]:
-    deg = [0] * g.n
-    for (_, c) in g.edges:
-        deg[c - 1] += 1
-    return deg
-
-
-def _components(n: int, out: list[list[int]]) -> list[int]:
-    """Strongly connected component label of every node, 0-based."""
-    # Iterative Tarjan; recursion depth would be a hazard on long paths.
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    count = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(out[v])):
-                w = out[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = count
-                    if w == v:
-                        break
-                count += 1
-    return comp
-
-
-def classify(g: DiGraph) -> GraphFlags:
-    """Connectivity and balance flags.
-
-    Strong connectivity is decided on the strongly connected components
-    (integer-exact, no spectral test). Balance means in-degree equals
-    out-degree at every node. A spanning tree exists when exactly one
-    component has no edge entering it from another, for its nodes reach
-    all others. When that component is a single node, which then has zero
-    in-degree, it is the leader_follower_root.
-    """
-    out = _out_neighbors(g)
-    indeg = _in_degrees(g)
-    balanced = all(i == len(o) for i, o in zip(indeg, out))
-    comp = _components(g.n, out)
-    entered = {comp[c - 1] for (p, c) in g.edges if comp[p - 1] != comp[c - 1]}
-    sources = [k for k in range(max(comp) + 1) if k not in entered]
+def _flags(a: NDArray[np.float64]) -> GraphFlags:
+    """Connectivity and balance flags of the graph with adjacency a."""
+    # scipy reads a[i, j] as an edge i -> j, the reverse of ours; reversal
+    # leaves the strongly connected components unchanged
+    count, comp = connected_components(a, directed=True, connection="strong")
+    crossing = (a > 0) & (comp[:, None] != comp[None, :])
+    entered = np.bincount(comp[crossing.any(axis=1)], minlength=count)
+    sources = np.flatnonzero(entered == 0)
     root = None
-    if len(sources) == 1 and comp.count(sources[0]) == 1:
-        root = comp.index(sources[0]) + 1
+    if len(sources) == 1 and np.count_nonzero(comp == sources[0]) == 1:
+        root = int(np.flatnonzero(comp == sources[0])[0]) + 1
     return GraphFlags(
-        strongly_connected=max(comp) == 0,
-        balanced=balanced,
+        strongly_connected=count == 1,
+        balanced=np.array_equal(a.sum(axis=1), a.sum(axis=0)),
         has_spanning_tree=len(sources) == 1,
         leader_follower_root=root,
     )
+
+
+def classify(g: DiGraph) -> GraphFlags:
+    """Connectivity and balance flags, read from the adjacency matrix.
+
+    Strong connectivity is decided on the strongly connected components
+    from scipy's csgraph search (integer-exact, no spectral test). Balance
+    means in-degree (row sums) equals out-degree (column sums) at every
+    node. A spanning tree exists when exactly one component has no edge
+    entering it from another, for its nodes reach all others. When that
+    component is a single node, which then has zero in-degree, it is the
+    leader_follower_root.
+    """
+    return _flags(adjacency(g))
 
 
 def _left_perron(l: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -268,16 +217,9 @@ def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int
     h = (bigG @ l1 + l1.T @ bigG) / 2.0
     lambda1_h = float(numkit.sym_eig(h).values[0])
     # a lone follower is trivially balanced and strongly connected
-    simplified = True
+    sub = _flags(adjacency(g)[np.ix_(idx, idx)])
+    simplified = sub.balanced and sub.strongly_connected
     lambda1_sym = None
-    if len(followers) > 1:
-        sub_edges = [(p, c) for (p, c) in g.edges
-                     if p != leader and c != leader]
-        relabel = {v: k + 1 for k, v in enumerate(followers)}
-        sub = DiGraph.from_edges(
-            len(followers), [(relabel[p], relabel[c]) for (p, c) in sub_edges])
-        sub_flags = classify(sub)
-        simplified = sub_flags.balanced and sub_flags.strongly_connected
     if simplified:
         lambda1_sym = float(numkit.sym_eig((l1 + l1.T) / 2.0).values[0])
     return LeaderFollowerData(
@@ -337,9 +279,10 @@ def leader_follower_data(g: DiGraph, leader: int) -> LeaderFollowerData:
     """
     if not (1 <= leader <= g.n):
         raise ValueError(f"leader {leader} outside 1..{g.n}")
-    if _in_degrees(g)[leader - 1] != 0:
+    analysis = analyze(g)
+    if analysis.laplacian[leader - 1, leader - 1] != 0:
         raise PreconditionError("leader must have no incoming edges")
-    lf = analyze(g).leader_follower
+    lf = analysis.leader_follower
     if lf is None or lf.leader != leader:
         raise PreconditionError(
             "graph needs a directed spanning tree rooted at the leader"

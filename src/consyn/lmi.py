@@ -267,9 +267,12 @@ def _center(stacker: _Stacker, scalar: float):
         r.append(-problem.gamma ** 2 * np.eye(m.d2.shape[1]))
         q = q + m.c_out.T @ m.c_out
     try:
-        p0 = np.linalg.inv(solve_continuous_are(m.a, np.hstack(cols), q,
-                                                block_diag(*r)))
-    except (np.linalg.LinAlgError, ValueError):
+        # an underflowing B R^-1 B^T makes scipy cast a NaN; treat it as
+        # no seed rather than let a RuntimeWarning through
+        with np.errstate(invalid="raise"):
+            p0 = np.linalg.inv(solve_continuous_are(m.a, np.hstack(cols), q,
+                                                    block_diag(*r)))
+    except (np.linalg.LinAlgError, ValueError, FloatingPointError):
         return None
     v, steps = stacker.vech((p0 + p0.T) / 2.0), 0
     derivs = _barrier_derivatives(stacker, v, scalar)

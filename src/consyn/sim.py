@@ -147,8 +147,6 @@ class AgentModel:
 class LipschitzReport:
     ok: bool
     worst_ratio: float
-    alpha: float
-    samples: int
 
 
 def check_lipschitz(model: AgentModel) -> LipschitzReport:
@@ -166,12 +164,8 @@ def check_lipschitz(model: AgentModel) -> LipschitzReport:
     df = np.linalg.norm(model.nonlinear(x) - model.nonlinear(y), axis=1)
     ratios = df[keep] / dx[keep]
     worst = float(ratios.max()) if ratios.size else 0.0
-    return LipschitzReport(
-        ok=worst <= model.alpha + LIPSCHITZ_SLACK,
-        worst_ratio=worst,
-        alpha=model.alpha,
-        samples=int(keep.sum()),
-    )
+    return LipschitzReport(ok=worst <= model.alpha + LIPSCHITZ_SLACK,
+                           worst_ratio=worst)
 
 
 def square_wave(t, unipolar: bool = False):
@@ -230,6 +224,13 @@ class DisturbanceSpec:
         return np.asarray(self.wave(t))[..., None, None] * scales
 
 
+def check_time_grid(dt: float, t_end: float) -> None:
+    """Reject a time grid outside 0 < dt <= t_end < inf (NaN included)."""
+    if not 0 < dt <= t_end < np.inf:
+        raise ValueError(
+            f"need 0 < dt <= t_end < inf, got dt = {dt}, t_end = {t_end}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One run of a design: x0 has a row per node of the design's graph,
@@ -242,10 +243,7 @@ class Scenario:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if not 0 < self.dt <= self.t_end < np.inf:
-            raise ValueError(
-                "need 0 < dt <= t_end < inf, got "
-                f"dt = {self.dt}, t_end = {self.t_end}")
+        check_time_grid(self.dt, self.t_end)
         x0 = numkit.as_matrix(self.x0, "x0")
         shape = (self.design.analysis.graph.n, self.design.model.n)
         if x0.shape != shape:

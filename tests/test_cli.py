@@ -156,6 +156,7 @@ ADJACENCY_JSON = st.one_of(ADJACENCY, JSON_VALUE).map(
     lambda a: json.dumps({"adjacency": a}))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.one_of(EDGE_LIST, ADJACENCY_JSON))
 @example("nodes 1\n")
 @example('{"adjacency": [[0]]}')
@@ -198,9 +199,12 @@ MUTATED_MODEL = st.builds(
                     st.one_of(JSON_VALUE, ANY_MATRIX), max_size=2))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.one_of(JSON_VALUE, VALID_MODEL, MUTATED_MODEL),
        st.sampled_from(["leaderless", "hinf"]))
 @example([1], "leaderless")
+# B R^-1 B^T underflows in the Riccati seed
+@example({"a": [[0]], "b": [[4.2e-279]], "d1": [[0]]}, "leaderless")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_model_file_fuzz_exit_codes(tmp_path, model, mode):
@@ -212,6 +216,7 @@ def test_model_file_fuzz_exit_codes(tmp_path, model, mode):
                 "--out-dir", str(tmp_path)]) in (0, 2, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.one_of(
     JSON_VALUE,
     st.fixed_dictionaries({"p": matrix(1, 1), "scalar": st.floats(-10, 10)}),
@@ -375,6 +380,42 @@ def test_simulate_rejects_disturbed_tracking_before_solving(tmp_path,
     code = run(["simulate", model, str(gfile), "--mode", "leader-follower",
                 "--disturbance", "bipolar", "--out-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{model}", "{graph}", "--mode", "leaderless",
+     "--t-end", "inf"],
+    ["repro", "--dt", "0"],
+], ids=["simulate-t-end-inf", "repro-dt-0"])
+def test_time_grid_rejected_before_solving(tmp_path, monkeypatch, capsys,
+                                           argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("certificate search started")
+
+    monkeypatch.setattr(lmi, "solve", no_solve)
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    argv = [a.format(model=model, graph=gfile) for a in argv]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert "need 0 < dt <= t_end < inf" in capsys.readouterr().err
+
+
+def test_alpha_below_coefficient_bound_warns(tmp_path, capsys):
+    # f = sin(x) - sin(x) is zero, so the sampled check passes alpha = 0,
+    # but the bound of the coefficients |1| + |-1| is 2
+    model = write_json(tmp_path / "m.json", dict(
+        SCALAR_MODEL, f={"kind": "sine", "terms": [[1, 1, 1], [1, 1, -1]]}))
+    cli.load_model(model)
+    err = capsys.readouterr().err
+    assert "warning" in err and "alpha = 0" in err and "bound 2" in err
+
+
+def test_benchmark_model_draws_no_lipschitz_warning(tmp_path, capsys):
+    model = write_json(tmp_path / "m.json",
+                       cli.model_to_dict(benchmark.manipulator_model()))
+    cli.load_model(model)
+    assert capsys.readouterr().err == ""
 
 
 def test_model_with_understated_lipschitz_constant_exit_code(tmp_path,

@@ -123,18 +123,34 @@ def test_classify_matches_reachability(seed):
     n, density = int(rng.integers(2, 8)), rng.uniform(0.05, 0.5)
     edges = [(p, c) for p in range(1, n + 1) for c in range(1, n + 1)
              if p != c and rng.random() < density]
-    g = DiGraph.from_edges(n, edges)
-    # reach[v, w]: w is reachable from v, by transitive closure
-    reach = (adjacency(g).T + np.eye(n)) > 0
-    for _ in range(n):
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
-    roots = [v for v in range(n) if reach[v].all()]
-    indeg = adjacency(g).sum(axis=1)
-    flags = classify(g)
-    assert flags.strongly_connected == (len(roots) == n)
-    assert flags.has_spanning_tree == bool(roots)
-    assert flags.leader_follower_root == next(
-        (v + 1 for v in roots if indeg[v] == 0), None)
+
+    def roots_of(a):
+        # reach[v, w]: w is reachable from v, by transitive closure
+        reach = (a.T + np.eye(len(a))) > 0
+        for _ in range(len(a)):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        return [v for v in range(len(a)) if reach[v].all()]
+
+    # the graph as drawn, and with every edge into one node removed so that
+    # leader-rooted graphs are common
+    cut = int(rng.integers(1, n + 1))
+    for g in (DiGraph.from_edges(n, edges),
+              DiGraph.from_edges(n, [e for e in edges if e[1] != cut])):
+        a = adjacency(g)
+        roots, indeg = roots_of(a), a.sum(axis=1)
+        flags = classify(g)
+        assert flags.strongly_connected == (len(roots) == n)
+        assert flags.has_spanning_tree == bool(roots)
+        assert flags.balanced == bool(np.all(indeg == a.sum(axis=0)))
+        assert flags.leader_follower_root == next(
+            (v + 1 for v in roots if indeg[v] == 0), None)
+        if flags.leader_follower_root is None:
+            continue
+        idx = [v for v in range(n) if v != flags.leader_follower_root - 1]
+        sub = a[np.ix_(idx, idx)]
+        sub_balanced = np.all(sub.sum(axis=1) == sub.sum(axis=0))
+        assert analyze(g).leader_follower.simplified_applicable == bool(
+            sub_balanced and len(roots_of(sub)) == n - 1)
 
 
 def test_left_perron_balanced_is_uniform():
