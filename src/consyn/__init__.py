@@ -14,11 +14,11 @@ from .graph import (DiGraph, GraphAnalysis, GraphFlags, LeaderFollowerData,
                     leader_follower_data, parse_edge_list, spectra)
 from .lmi import (LmiCertificate, LmiKind, LmiProblem, MarginReport,
                   ProbeRecord, SolveTrace, assemble, solve, verify)
-from .numkit import SymEig, as_matrix, solve_linear, sym_eig
-from .sim import (AgentModel, DisturbanceSpec, HinfCost, LipschitzReport,
-                  LyapunovReport, Nonlinearity, Scenario, Trajectory,
-                  check_lipschitz, closed_loop, hinf_cost, integrate,
-                  lyapunov_diag, max_pairwise_distance, square_wave, write_csv)
+from .numkit import as_matrix, solve_linear, sym_eigvals
+from .sim import (AgentModel, DisturbanceSpec, HinfCost, LyapunovReport,
+                  Nonlinearity, Scenario, Trajectory, closed_loop, hinf_cost,
+                  integrate, lyapunov_diag, max_pairwise_distance, square_wave,
+                  write_csv)
 from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
                         problem_for, synthesize)
 
@@ -30,11 +30,11 @@ __all__ = [
     "leader_follower_data", "parse_edge_list", "spectra",
     "LmiCertificate", "LmiKind", "LmiProblem", "MarginReport",
     "ProbeRecord", "SolveTrace", "assemble", "solve", "verify",
-    "SymEig", "as_matrix", "solve_linear", "sym_eig",
-    "AgentModel", "DisturbanceSpec", "HinfCost", "LipschitzReport",
-    "LyapunovReport", "Nonlinearity", "Scenario", "Trajectory",
-    "check_lipschitz", "closed_loop", "hinf_cost", "integrate",
-    "lyapunov_diag", "max_pairwise_distance", "square_wave", "write_csv",
+    "as_matrix", "solve_linear", "sym_eigvals",
+    "AgentModel", "DisturbanceSpec", "HinfCost", "LyapunovReport",
+    "Nonlinearity", "Scenario", "Trajectory", "closed_loop", "hinf_cost",
+    "integrate", "lyapunov_diag", "max_pairwise_distance", "square_wave",
+    "write_csv",
     "DesignMode", "ProtocolDesign", "inject_certificate", "problem_for",
     "synthesize",
 ]

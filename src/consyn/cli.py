@@ -25,9 +25,9 @@ from . import __version__, benchmark, lmi
 from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
                     parse_edge_list)
-from .sim import (LIPSCHITZ_SLACK, AgentModel, DisturbanceSpec, Nonlinearity,
-                  Scenario, check_lipschitz, check_time_grid, hinf_cost,
-                  integrate, lyapunov_diag, max_pairwise_distance, write_csv)
+from .sim import (AgentModel, DisturbanceSpec, Nonlinearity, Scenario,
+                  check_time_grid, hinf_cost, integrate, lyapunov_diag,
+                  max_pairwise_distance, write_csv)
 from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
                         problem_for, synthesize)
 
@@ -90,13 +90,7 @@ def _adjacency_graph(value, path) -> DiGraph:
 
 
 def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
-    """Load a JSON model file; returns (model, gamma, embedded graph).
-
-    The declared Lipschitz constant alpha is checked by sampling f: a
-    witnessed difference ratio above it is a precondition violation. An
-    alpha the sampling cannot refute but that lies below f's conservative
-    bound only draws a warning on stderr.
-    """
+    """Load a JSON model file; returns (model, gamma, embedded graph)."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -104,18 +98,6 @@ def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"model file {path} is not valid JSON: {exc}") from exc
     model, gamma = model_from_dict(data)
-    lip = check_lipschitz(model)
-    if not lip.ok:
-        raise PreconditionError(
-            f"model file {path}: nonlinearity f has a difference ratio of "
-            f"{lip.worst_ratio:.6g}, above its declared Lipschitz constant "
-            f"alpha = {model.alpha:.6g}")
-    bound = model.f.lipschitz_bound(model.n, model.d1.shape[1])
-    if model.alpha + LIPSCHITZ_SLACK < bound:
-        print(f"warning: model file {path}: declared Lipschitz constant "
-              f"alpha = {model.alpha:.6g} is below the bound {bound:.6g} of "
-              "f's coefficients; the sampled check did not refute it",
-              file=sys.stderr)
     g = None
     if "adjacency" in data:
         g = _adjacency_graph(data["adjacency"], path)

@@ -6,10 +6,11 @@ flows from parent to child, so the adjacency matrix has a[child-1, parent-1]
 Edge weights are all 1; weighted graphs are out of scope.
 
 :func:`analyze` is the one place that derives graph quantities: it
-classifies the graph once, builds L once, and computes r, a(L) and lambda2
-for a strongly connected graph or the follower partition (q, G, H) for a
-leader-rooted one. :func:`spectra` and :func:`leader_follower_data` are the
-same analysis with the precondition of one class enforced.
+builds the adjacency matrix once, classifies the graph and builds L from
+it, and computes r, a(L) and lambda2 for a strongly connected graph or the
+follower partition (q, G, H) for a leader-rooted one. :func:`spectra` and
+:func:`leader_follower_data` are the same analysis with the precondition
+of one class enforced.
 
 The adjacency matrix is the only working representation: the connectivity
 and balance flags are read from it, the strongly connected components
@@ -22,6 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from . import numkit
@@ -118,17 +120,22 @@ def adjacency(g: DiGraph) -> NDArray[np.float64]:
     return a
 
 
+def _laplacian(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    return np.diag(a.sum(axis=1)) - a
+
+
 def laplacian(g: DiGraph) -> NDArray[np.float64]:
     """In-degree Laplacian: diagonal of row sums of adjacency minus adjacency."""
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    return _laplacian(adjacency(g))
 
 
 def _flags(a: NDArray[np.float64]) -> GraphFlags:
     """Connectivity and balance flags of the graph with adjacency a."""
     # scipy reads a[i, j] as an edge i -> j, the reverse of ours; reversal
-    # leaves the strongly connected components unchanged
-    count, comp = connected_components(a, directed=True, connection="strong")
+    # leaves the strongly connected components unchanged. A sparse input
+    # skips scipy's validation of dense graphs, most of the call's cost.
+    count, comp = connected_components(csr_array(a), directed=True,
+                                       connection="strong")
     crossing = (a > 0) & (comp[:, None] != comp[None, :])
     entered = np.bincount(comp[crossing.any(axis=1)], minlength=count)
     sources = np.flatnonzero(entered == 0)
@@ -198,15 +205,14 @@ def _generalized_connectivity(l: NDArray[np.float64], r: NDArray[np.float64]
     w = np.sqrt(r)
     w = w / np.linalg.norm(w)
     proj = np.eye(l.shape[0]) - np.outer(w, w)
-    pm = proj @ m @ proj
-    values = numkit.sym_eig(pm).values
-    return float(values[1]) / 2.0
+    return float(numkit.sym_eigvals(proj @ m @ proj)[1]) / 2.0
 
 
-def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int
-                    ) -> LeaderFollowerData:
-    """Partition L around a leader known to root a spanning tree."""
-    followers = tuple(v for v in range(1, g.n + 1) if v != leader)
+def _follower_block(a: NDArray[np.float64], l: NDArray[np.float64],
+                    leader: int) -> LeaderFollowerData:
+    """Partition L, the Laplacian of adjacency a, around a leader known to
+    root a spanning tree."""
+    followers = tuple(v for v in range(1, l.shape[0] + 1) if v != leader)
     idx = [v - 1 for v in followers]
     l1 = l[np.ix_(idx, idx)]
     l2 = l[np.ix_(idx, [leader - 1])]
@@ -215,13 +221,13 @@ def _follower_block(g: DiGraph, l: NDArray[np.float64], leader: int
         raise PreconditionError("follower weights q must be positive")
     bigG = np.diag(1.0 / q)
     h = (bigG @ l1 + l1.T @ bigG) / 2.0
-    lambda1_h = float(numkit.sym_eig(h).values[0])
+    lambda1_h = float(numkit.sym_eigvals(h)[0])
     # a lone follower is trivially balanced and strongly connected
-    sub = _flags(adjacency(g)[np.ix_(idx, idx)])
+    sub = _flags(a[np.ix_(idx, idx)])
     simplified = sub.balanced and sub.strongly_connected
     lambda1_sym = None
     if simplified:
-        lambda1_sym = float(numkit.sym_eig((l1 + l1.T) / 2.0).values[0])
+        lambda1_sym = float(numkit.sym_eigvals((l1 + l1.T) / 2.0)[0])
     return LeaderFollowerData(
         leader=leader,
         followers=followers,
@@ -244,19 +250,20 @@ def analyze(g: DiGraph) -> GraphAnalysis:
     graph rooted at a zero in-degree leader gets the follower partition.
     Any other graph gets flags and the Laplacian only.
     """
-    flags = classify(g)
-    l = laplacian(g)
+    a = adjacency(g)
+    flags = _flags(a)
+    l = _laplacian(a)
     if flags.strongly_connected:
         r = _left_perron(l)
         lambda2 = None
         if flags.balanced:
-            lambda2 = float(numkit.sym_eig((l + l.T) / 2.0).values[1])
+            lambda2 = float(numkit.sym_eigvals((l + l.T) / 2.0)[1])
         return GraphAnalysis(graph=g, laplacian=l, flags=flags, r=r,
                              a_of_l=_generalized_connectivity(l, r),
                              lambda2_sym=lambda2)
     lf = None
     if flags.leader_follower_root is not None:
-        lf = _follower_block(g, l, flags.leader_follower_root)
+        lf = _follower_block(a, l, flags.leader_follower_root)
     return GraphAnalysis(graph=g, laplacian=l, flags=flags, leader_follower=lf)
 
 

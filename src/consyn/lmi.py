@@ -149,7 +149,7 @@ def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
 
 def block_margin(problem: LmiProblem, p, scalar: float) -> float:
     """Negated largest eigenvalue of the assembled block at (p, scalar)."""
-    return -float(numkit.sym_eig(assemble(problem, p, scalar)).values[-1])
+    return -float(numkit.sym_eigvals(assemble(problem, p, scalar))[-1])
 
 
 def _floor(values) -> float:
@@ -168,8 +168,8 @@ def verify(problem: LmiProblem, cert: LmiCertificate) -> MarginReport:
     exceeds dim(M) eps ||M||_2. Never raises on a failing certificate; the
     report carries the margins and floors.
     """
-    p_values = numkit.sym_eig(cert.p).values
-    m_values = numkit.sym_eig(assemble(problem, cert.p, cert.scalar)).values
+    p_values = numkit.sym_eigvals(cert.p)
+    m_values = numkit.sym_eigvals(assemble(problem, cert.p, cert.scalar))
     p_margin, lmi_margin = float(p_values[0]), -float(m_values[-1])
     p_floor, lmi_floor = _floor(p_values), _floor(m_values)
     return MarginReport(

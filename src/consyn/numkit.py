@@ -7,13 +7,11 @@ Each numeric tolerance is a constant of the one module that reads it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 
-# The relative asymmetry sym_eig accepts, and the condition estimate and
+# The relative asymmetry sym_eigvals accepts, and the condition estimate and
 # relative residual above which solve_linear refuses.
 SYM_ASYM = 1e-12
 COND_MAX = 1e12
@@ -37,33 +35,13 @@ def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray[np.float64]:
     return m
 
 
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    values are sorted ascending; vectors columns are the matching
-    orthonormal eigenvectors.
-    """
-
-    values: NDArray[np.float64]
-    vectors: NDArray[np.float64]
-
-
-def sym_eig(s: ArrayLike) -> SymEig:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eigvals(s: ArrayLike) -> NDArray[np.float64]:
+    """Ascending eigenvalues of a symmetric matrix.
 
     The input is symmetrized as (s + s^T)/2 after checking that the relative
-    asymmetry does not exceed ``SYM_ASYM``.
-
-    Parameters
-    ----------
-    s:
-        Square matrix, symmetric up to the accepted asymmetry.
-
-    Returns
-    -------
-    SymEig
-        Ascending eigenvalues and orthonormal eigenvectors.
+    asymmetry does not exceed ``SYM_ASYM``. The values are read from
+    ``eigh`` rather than ``eigvalsh``: the two differ in the last bits, and
+    reports pin the ``eigh`` ones.
     """
     m = as_matrix(s, "s")
     if m.shape[0] != m.shape[1]:
@@ -76,14 +54,13 @@ def sym_eig(s: ArrayLike) -> SymEig:
         )
     sym = (m + m.T) / 2.0
     try:
-        values, vectors = np.linalg.eigh(sym)
+        return np.linalg.eigh(sym)[0]
     except np.linalg.LinAlgError as exc:
         cond = float(np.linalg.cond(sym))
         raise np.linalg.LinAlgError(
             f"symmetric eigensolve did not converge "
             f"(norm {scale:.3e}, cond estimate {cond:.3e})"
         ) from exc
-    return SymEig(values=values, vectors=vectors)
 
 
 def solve_linear(a: ArrayLike, b: ArrayLike) -> NDArray[np.float64]:

@@ -401,14 +401,13 @@ def test_time_grid_rejected_before_solving(tmp_path, monkeypatch, capsys,
     assert "need 0 < dt <= t_end < inf" in capsys.readouterr().err
 
 
-def test_alpha_below_coefficient_bound_warns(tmp_path, capsys):
-    # f = sin(x) - sin(x) is zero, so the sampled check passes alpha = 0,
-    # but the bound of the coefficients |1| + |-1| is 2
+def test_cancelling_terms_load_silently_with_alpha_zero(tmp_path, capsys):
+    # f = sin(x) - sin(x) is identically zero, so alpha = 0 is exact even
+    # though the absolute coefficients |1| + |-1| sum to 2
     model = write_json(tmp_path / "m.json", dict(
         SCALAR_MODEL, f={"kind": "sine", "terms": [[1, 1, 1], [1, 1, -1]]}))
     cli.load_model(model)
-    err = capsys.readouterr().err
-    assert "warning" in err and "alpha = 0" in err and "bound 2" in err
+    assert capsys.readouterr().err == ""
 
 
 def test_benchmark_model_draws_no_lipschitz_warning(tmp_path, capsys):
@@ -420,8 +419,8 @@ def test_benchmark_model_draws_no_lipschitz_warning(tmp_path, capsys):
 
 def test_model_with_understated_lipschitz_constant_exit_code(tmp_path,
                                                             capsys):
-    # f = 50 sin(x) declared with alpha = 0: the sampled difference ratio
-    # reaches 50, so the certificate's hypothesis fails at load time
+    # f = 50 sin(x) declared with alpha = 0: its Lipschitz constant is 50,
+    # so the certificate's hypothesis fails at load time
     model = write_json(tmp_path / "m.json", dict(
         SCALAR_MODEL, a=[[0.0]], f={"kind": "sine", "terms": [[1, 1, 50]]}))
     gfile = tmp_path / "g.txt"
@@ -432,6 +431,38 @@ def test_model_with_understated_lipschitz_constant_exit_code(tmp_path,
     err = capsys.readouterr().err
     assert "Lipschitz" in err and "alpha = 0" in err
     assert not (tmp_path / "simulate_report.json").exists()
+
+
+def test_alpha_below_off_axis_lipschitz_constant_exit_code(tmp_path, capsys):
+    # C = [[1, 1], [0.5, 0]]: its top right singular vector lies off the
+    # axes, and alpha = 0.999 ||C||_2 exceeds the slope along either axis
+    terms = [[1, 1, 1.0], [1, 2, 1.0], [2, 1, 0.5]]
+    lip = float(np.linalg.norm([[1.0, 1.0], [0.5, 0.0]], 2))
+    alpha = 0.999 * lip
+    model = write_json(tmp_path / "m.json", {
+        "a": [[-1.0, 0.0], [0.0, -1.0]], "b": [[1.0], [1.0]],
+        "d1": [[1.0, 0.0], [0.0, 1.0]], "alpha": alpha,
+        "f": {"kind": "sine", "terms": terms}})
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    code = run(["simulate", model, str(gfile), "--mode", "leaderless",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"Lipschitz constant {lip}" in err and f"alpha = {alpha}" in err
+    assert not (tmp_path / "simulate_report.json").exists()
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    """scipy.integrate costs about 0.3 s of import time and the package
+    needs none of it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import consyn.cli, sys; print('scipy.integrate' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 # an empty b would reach the Riccati solver as a 1x0 input matrix

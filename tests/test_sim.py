@@ -15,7 +15,6 @@ from consyn import (
     PreconditionError,
     Scenario,
     Trajectory,
-    check_lipschitz,
     closed_loop,
     hinf_cost,
     inject_certificate,
@@ -29,6 +28,7 @@ from consyn import (
 )
 from consyn import benchmark
 from consyn.lmi import LmiKind, LmiProblem
+from consyn.sim import LIPSCHITZ_SLACK
 
 from conftest import path_graph, scalar_model, two_node_graph
 
@@ -79,31 +79,76 @@ def test_nonlinearity_rejects_unknown_kind():
 
 def test_nonlinearity_lipschitz_bound():
     f = Nonlinearity.sine([(3, 0, -0.333)])
-    assert f.lipschitz_bound(4, 4) == pytest.approx(0.333, abs=1e-15)
-    assert Nonlinearity.zero().lipschitz_bound(4, 4) == 0.0
+    assert f.lipschitz_constant(4, 4) == pytest.approx(0.333, abs=1e-15)
+    assert Nonlinearity.zero().lipschitz_constant(4, 4) == 0.0
+    # sin x - sin x is identically zero; signed sums see it, abs sums do not
+    cancel = Nonlinearity.sine([(0, 0, 1.0), (0, 0, -1.0)])
+    assert cancel.lipschitz_constant(1, 1) == 0.0
+    # signed sums over each (out, in) pair, then the spectral norm
+    f = Nonlinearity("tanh", [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 0.5),
+                              (1, 0, -1.0)])
+    c = np.array([[1.0, 1.0], [-0.5, 0.0]])
+    assert f.lipschitz_constant(2, 2) == pytest.approx(np.linalg.norm(c, 2),
+                                                       rel=1e-15)
+
+
+CATALOG_NONLINEARITY = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda dims: st.tuples(
+        st.just(dims[0]), st.just(dims[1]),
+        st.sampled_from(["sine", "tanh", "saturation"]),
+        st.lists(st.tuples(st.integers(0, dims[1] - 1),
+                           st.integers(0, dims[0] - 1), st.floats(-3, 3)),
+                 min_size=1, max_size=5)))
+
+
+@given(CATALOG_NONLINEARITY, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_lipschitz_constant_is_exact(spec, seed):
+    """No difference ratio exceeds the constant, and one reaches it.
+
+    Both sides allow LIPSCHITZ_SLACK, the rounding allowance of the model
+    check, for coefficients that cancel to a C of rounding size.
+    """
+    n, out_dim, kind, terms = spec
+    f = Nonlinearity(kind, terms)
+    lip = f.lipschitz_constant(n, out_dim)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-3.0, 3.0, size=(2000, n))
+    y = rng.uniform(-3.0, 3.0, size=(2000, n))
+    dx = np.linalg.norm(x - y, axis=1)
+    df = np.linalg.norm(f.apply(x, out_dim) - f.apply(y, out_dim), axis=1)
+    keep = dx > 0
+    assert np.all(df[keep] / dx[keep] <= lip * (1 + 1e-9) + LIPSCHITZ_SLACK)
+    # every catalog g has slope 1 at 0, so the central difference along
+    # C's top right singular vector reaches ||C||_2 as h -> 0
+    c = np.zeros((out_dim, n))
+    for (o, i, coef) in f.terms:
+        c[o, i] += coef
+    v = np.linalg.svd(c)[2][0]
+    h = 1e-4
+    reach = np.linalg.norm(f.apply(h * v, out_dim)
+                           - f.apply(-h * v, out_dim)) / (2 * h)
+    assert reach >= (1 - 1e-6) * lip - LIPSCHITZ_SLACK
 
 
 def test_agent_model_rejects_bad_term_indices():
-    with pytest.raises(ValueError):
-        AgentModel(a=np.eye(2), b=np.ones((2, 1)), d1=np.eye(2),
-                   f=Nonlinearity.sine([(2, 0, 1.0)]))
-    with pytest.raises(ValueError):
-        AgentModel(a=np.eye(2), b=np.ones((2, 1)), d1=np.eye(2),
-                   f=Nonlinearity.sine([(0, 5, 1.0)]))
+    # checked before the Lipschitz constant, which would index C with them
+    for term in ((2, 0, 1.0), (0, 5, 1.0), (-1, 0, 1.0), (0, -1, 1.0)):
+        with pytest.raises(ValueError, match="index"):
+            AgentModel(a=np.eye(2), b=np.ones((2, 1)), d1=np.eye(2),
+                       alpha=1.0, f=Nonlinearity.sine([term]))
 
 
 def test_check_lipschitz_benchmark(bench_model):
-    report = check_lipschitz(bench_model)
-    assert report.ok
-    assert report.worst_ratio <= bench_model.alpha + 1e-9
-    assert report.worst_ratio > 0.2
+    lip = bench_model.f.lipschitz_constant(bench_model.n,
+                                           bench_model.d1.shape[1])
+    assert lip == pytest.approx(bench_model.alpha, rel=1e-15)
 
 
 def test_check_lipschitz_flags_understated_constant():
-    model = AgentModel(a=np.zeros((1, 1)), b=np.ones((1, 1)),
-                       d1=np.ones((1, 1)), alpha=0.1,
-                       f=Nonlinearity.sine([(0, 0, 1.0)]))
-    assert not check_lipschitz(model).ok
+    with pytest.raises(ValueError, match="Lipschitz constant 1.0.*alpha = 0.1"):
+        AgentModel(a=np.zeros((1, 1)), b=np.ones((1, 1)), d1=np.ones((1, 1)),
+                   alpha=0.1, f=Nonlinearity.sine([(0, 0, 1.0)]))
 
 
 def test_square_wave_bipolar_boundaries():
