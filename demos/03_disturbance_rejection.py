@@ -1,8 +1,8 @@
-# Disturbance attenuation on the six-manipulator benchmark. Injects the
-# published attenuation certificate instead of re-running the feasibility
-# search, simulates a square-wave disturbance from zero initial state, and
-# checks the attenuation inequality empirically: with gain level gamma the
-# cost J = int(||z||^2 - gamma^2 ||w||^2) must come out negative.
+# Disturbance attenuation on the six-manipulator benchmark. Designs from
+# the published attenuation certificate instead of re-running the
+# feasibility search, simulates a square-wave disturbance from zero initial
+# state, and checks the attenuation inequality empirically: with gain level
+# gamma the cost J = int(||z||^2 - gamma^2 ||w||^2) must come out negative.
 #
 #   python demos/03_disturbance_rejection.py
 
@@ -10,8 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from consyn import (Scenario, hinf_cost, inject_certificate, integrate,
-                    problem_for, synthesize, write_csv)
+from consyn import Scenario, hinf_cost, integrate, synthesize, write_csv
 from consyn.benchmark import (GAMMA, REFERENCE_C, REFERENCE_EPSILON,
                               REFERENCE_P, benchmark_disturbance,
                               benchmark_graph, manipulator_model)
@@ -22,14 +21,13 @@ model = manipulator_model()
 g = benchmark_graph()
 
 # The published (P, epsilon) pair is a valid certificate for the
-# attenuation inequality at gamma = 2; injecting it skips the solver.
-problem = problem_for(model, "hinf", GAMMA)
-cert = inject_certificate(problem, REFERENCE_P, REFERENCE_EPSILON)
-print("injected certificate margin: %.3e" % cert.margin)
-
-# The threshold divides epsilon by lambda2 of the symmetrized Laplacian;
-# synthesize checks that the graph is balanced and strongly connected.
-design = synthesize(model, g, "hinf", GAMMA, cert=cert)
+# attenuation inequality at gamma = 2; passing it skips the solver.
+# synthesize verifies it against that inequality, checks that the graph is
+# balanced and strongly connected, and divides epsilon by lambda2 of the
+# symmetrized Laplacian.
+design = synthesize(model, g, "hinf", GAMMA,
+                    cert=(REFERENCE_P, REFERENCE_EPSILON))
+print("injected certificate margin: %.3e" % design.cert.margin)
 print("gain K =", design.k)
 print("coupling threshold c >= %.6f" % design.c_threshold)
 

@@ -8,8 +8,8 @@
 
 import numpy as np
 
-from consyn import (AgentModel, DiGraph, Nonlinearity, Scenario,
-                    inject_certificate, integrate, problem_for, synthesize)
+from consyn import (AgentModel, DiGraph, Nonlinearity, Scenario, integrate,
+                    synthesize)
 
 # Stable scalar integrator, no nonlinearity. With p = 1 and s = 1 the
 # design inequality holds with margin 2 - sqrt(2), so the unit pair is a
@@ -21,9 +21,7 @@ model = AgentModel(
     alpha=0.0,
     f=Nonlinearity.zero(),
 )
-problem = problem_for(model, "leader-follower")
-cert = inject_certificate(problem, np.array([[1.0]]), 1.0)
-print("unit certificate margin: %.6f" % cert.margin)
+cert = (np.array([[1.0]]), 1.0)
 
 
 def run(g: DiGraph, label: str, t_end: float = 10.0):
@@ -33,6 +31,7 @@ def run(g: DiGraph, label: str, t_end: float = 10.0):
     lf = design.analysis.leader_follower
     print()
     print(label)
+    print("  unit certificate margin: %.6f" % design.cert.margin)
     print("  leader: node %d, followers: %s" % (lf.leader, list(lf.followers)))
     print("  q =", np.round(lf.q, 6).tolist())
     print("  lambda1(H) = %.8f" % lf.lambda1_h)

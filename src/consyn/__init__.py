@@ -19,8 +19,7 @@ from .sim import (AgentModel, DisturbanceSpec, HinfCost, LyapunovReport,
                   Nonlinearity, Scenario, Trajectory, closed_loop, hinf_cost,
                   integrate, lyapunov_diag, max_pairwise_distance, square_wave,
                   write_csv)
-from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
-                        problem_for, synthesize)
+from .synthesis import DesignMode, ProtocolDesign, problem_for, synthesize
 
 __all__ = [
     "__version__",
@@ -35,6 +34,5 @@ __all__ = [
     "Nonlinearity", "Scenario", "Trajectory", "closed_loop", "hinf_cost",
     "integrate", "lyapunov_diag", "max_pairwise_distance", "square_wave",
     "write_csv",
-    "DesignMode", "ProtocolDesign", "inject_certificate", "problem_for",
-    "synthesize",
+    "DesignMode", "ProtocolDesign", "problem_for", "synthesize",
 ]

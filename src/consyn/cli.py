@@ -21,15 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, benchmark, lmi
+from . import __version__, benchmark
 from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
                     parse_edge_list)
 from .sim import (AgentModel, DisturbanceSpec, Nonlinearity, Scenario,
                   check_time_grid, hinf_cost, integrate, lyapunov_diag,
                   max_pairwise_distance, write_csv)
-from .synthesis import (DesignMode, ProtocolDesign, inject_certificate,
-                        problem_for, synthesize)
+from .synthesis import DesignMode, ProtocolDesign, synthesize
 
 OUT_DIR_ENV = "CONSYN_OUT_DIR"
 
@@ -57,6 +56,9 @@ def model_to_dict(model: AgentModel, gamma=None) -> dict:
 
 
 def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
+    """Model and gamma of a model file's JSON. A well-formed model whose
+    alpha understates f's Lipschitz constant raises AgentModel's
+    PreconditionError; any other bad entry is a malformed model file."""
     try:
         if not isinstance(d, dict):
             raise TypeError("the model must be a JSON object")
@@ -77,6 +79,8 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
         )
         gamma = d.get("gamma")
         gamma = float(gamma) if gamma is not None else None
+    except PreconditionError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed model file: {exc}") from exc
     return model, gamma
@@ -97,7 +101,10 @@ def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
         raise PreconditionError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PreconditionError(f"model file {path} is not valid JSON: {exc}") from exc
-    model, gamma = model_from_dict(data)
+    try:
+        model, gamma = model_from_dict(data)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from exc
     g = None
     if "adjacency" in data:
         g = _adjacency_graph(data["adjacency"], path)
@@ -127,7 +134,8 @@ def load_graph(path) -> DiGraph:
         raise PreconditionError(f"{path}: {exc}") from exc
 
 
-def load_certificate(path, problem: lmi.LmiProblem) -> lmi.LmiCertificate:
+def load_certificate(path) -> tuple[np.ndarray, float]:
+    """Load a certificate file; returns its (p, scalar) pair."""
     try:
         data = json.loads(Path(path).read_text())
         p = np.asarray(data["p"], dtype=float)
@@ -136,7 +144,7 @@ def load_certificate(path, problem: lmi.LmiProblem) -> lmi.LmiCertificate:
         raise PreconditionError(f"cannot read certificate {path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise PreconditionError(f"malformed certificate file: {exc}") from exc
-    return inject_certificate(problem, p, scalar)
+    return p, scalar
 
 
 def _config_hash(parts: list) -> str:
@@ -255,9 +263,7 @@ def _load_inputs(ns) -> tuple[AgentModel, float | None, DiGraph]:
 
 def _build_design(ns, model: AgentModel, gamma, g: DiGraph
                   ) -> ProtocolDesign:
-    cert = None
-    if ns.cert:
-        cert = load_certificate(ns.cert, problem_for(model, ns.mode, gamma))
+    cert = load_certificate(ns.cert) if ns.cert else None
     return synthesize(model, g, ns.mode, gamma, cert=cert,
                       c_multiplier=ns.c_multiplier)
 
@@ -354,11 +360,9 @@ def cmd_repro(ns) -> int:
         solved = synthesize(model, g, DesignMode.HINF, benchmark.GAMMA)
 
         stage = "attenuation-inject"
-        ref_cert = inject_certificate(
-            problem_for(model, DesignMode.HINF, benchmark.GAMMA),
-            benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON)
-        injected = synthesize(model, g, DesignMode.HINF, benchmark.GAMMA,
-                              cert=ref_cert)
+        injected = synthesize(
+            model, g, DesignMode.HINF, benchmark.GAMMA,
+            cert=(benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON))
         published = dataclasses.replace(injected, c=benchmark.REFERENCE_C)
 
         stage = "consensus-solve"

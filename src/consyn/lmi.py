@@ -147,11 +147,6 @@ def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
     ])
 
 
-def block_margin(problem: LmiProblem, p, scalar: float) -> float:
-    """Negated largest eigenvalue of the assembled block at (p, scalar)."""
-    return -float(numkit.sym_eigvals(assemble(problem, p, scalar))[-1])
-
-
 def _floor(values) -> float:
     """Rounding floor dim * eps * ||S||_2 of a symmetric S with eigenvalues
     values: a symmetric eigensolver returns each eigenvalue within a small
@@ -309,7 +304,13 @@ def solve(problem: LmiProblem) -> LmiCertificate:
     until the centre exists (-s B B^T grows the feasible set with s), then
     descended tenfold while it exists and refined once by sqrt(10). With no
     feasible rung the certificate is infeasible at the largest scalar tried,
-    with p = ||A||_F I. The margin is recomputed by a fresh eigensolve.
+    with p = ||A||_F I. The margin is the one recorded at the chosen probe;
+    synthesize replaces it with the margin lmi.verify measures.
+
+    When no probe meets the margin rule, the probe with the widest margin
+    is returned, feasible when that margin is positive. The branch is
+    rare but live: a model can have a single feasible rung whose margin
+    stays under its requirement.
     """
     norm_a = max(1.0, float(np.linalg.norm(problem.model.a, "fro")))
     stacker = _Stacker(problem, 1e-6 * (1.0 + norm_a))
@@ -348,16 +349,14 @@ def solve(problem: LmiProblem) -> LmiCertificate:
             stop = "descent_infeasible"
             break
 
-    ok = [r.scalar for r in records if meets_rule(r)]
+    ok = [r for r in records if meets_rule(r)]
     if ok:
-        s_fin = min(ok)
-        if probe(s_fin / np.sqrt(10.0)) and meets_rule(records[-1]):
-            s_fin = records[-1].scalar
+        chosen = min(ok, key=lambda r: r.scalar)
+        if probe(chosen.scalar / np.sqrt(10.0)) and meets_rule(records[-1]):
+            chosen = records[-1]
     else:
-        # No probe meets the rule: return the widest verified margin.
-        s_fin = records[int(np.nanargmax([r.margin for r in records]))].scalar
-    p_fin = points[s_fin]
-    final_margin = block_margin(problem, p_fin, s_fin)
-    return LmiCertificate(p=p_fin, scalar=float(s_fin), margin=final_margin,
-                          feasible=final_margin > 0,
+        # No probe meets the rule: return the widest margin recorded.
+        chosen = records[int(np.nanargmax([r.margin for r in records]))]
+    return LmiCertificate(p=points[chosen.scalar], scalar=float(chosen.scalar),
+                          margin=chosen.margin, feasible=chosen.margin > 0,
                           trace=SolveTrace(tuple(records), stop))

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import numkit
-from .errors import BlowUpError
+from .errors import BlowUpError, PreconditionError
 from .synthesis import ProtocolDesign
 
 NONLINEARITY_KINDS = ("zero", "sine", "saturation", "tanh")
@@ -96,7 +96,7 @@ class AgentModel:
     c_out is the performance-output matrix C. d2 and c_out default to zero
     channels of width 1 so consensus-only models need not specify them.
     alpha is the declared Lipschitz constant of f; one below f's exact
-    constant is rejected.
+    constant is rejected with a PreconditionError.
     """
 
     a: NDArray[np.float64]
@@ -134,7 +134,7 @@ class AgentModel:
                 raise ValueError(f"nonlinearity input index {i} outside state")
         lip = self.f.lipschitz_constant(n, d1.shape[1])
         if self.alpha + LIPSCHITZ_SLACK < lip:
-            raise ValueError(
+            raise PreconditionError(
                 f"nonlinearity f has Lipschitz constant {lip}, above the "
                 f"declared alpha = {self.alpha}")
         for name, val in (("a", a), ("b", b), ("d1", d1), ("d2", d2),

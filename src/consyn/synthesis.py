@@ -87,11 +87,15 @@ def problem_for(model: "AgentModel", mode, gamma: Optional[float] = None
     return lmi.LmiProblem(lmi.LmiKind.CONSENSUS, model)
 
 
-def _certify(problem: lmi.LmiProblem,
-             cert: Optional[lmi.LmiCertificate]) -> lmi.LmiCertificate:
-    """Search for a certificate unless one is given; verify either way."""
+def _certify(problem: lmi.LmiProblem, cert) -> lmi.LmiCertificate:
+    """Search for a certificate unless a (p, scalar) pair is given; verify
+    either way and keep the margin verification measured."""
     injected = cert is not None
-    if not injected:
+    if injected:
+        p, scalar = cert
+        cert = lmi.LmiCertificate(numkit.as_matrix(p, "p"), float(scalar),
+                                  margin=np.nan, feasible=False)
+    else:
         cert = lmi.solve(problem)
         if not cert.feasible:
             raise InfeasibleError(
@@ -110,34 +114,22 @@ def _certify(problem: lmi.LmiProblem,
         if injected:
             raise PreconditionError(message)
         raise InfeasibleError(message, trace=cert.trace)
-    return cert
-
-
-def inject_certificate(problem: lmi.LmiProblem, p, scalar: float
-                       ) -> lmi.LmiCertificate:
-    """Build a certificate from externally supplied (p, scalar).
-
-    The margin is recomputed here; published designs are typically printed
-    rounded, so any margin above the rounding floor of lmi.verify is
-    accepted downstream.
-    """
-    pm = numkit.as_matrix(p, "p")
-    margin = lmi.block_margin(problem, pm, scalar)
-    return lmi.LmiCertificate(p=pm, scalar=float(scalar), margin=margin,
-                              feasible=margin > 0)
+    return lmi.LmiCertificate(cert.p, cert.scalar, margin=report.lmi_margin,
+                              feasible=True, trace=cert.trace)
 
 
 def synthesize(model: "AgentModel", graph: DiGraph, mode,
                gamma: Optional[float] = None,
-               cert: Optional[lmi.LmiCertificate] = None,
+               cert: Optional[tuple] = None,
                c_multiplier: float = 1.0) -> ProtocolDesign:
     """Design the protocol of one mode on one graph.
 
-    Checks the graph class the mode needs, solves the mode's inequality (or
-    verifies an injected certificate; solver certificates are re-verified
-    too), and divides the certificate scalar by the mode's spectral
-    quantity. mode is a DesignMode or its string value; gamma is required
-    in hinf mode.
+    Checks the graph class the mode needs, solves the mode's inequality or
+    takes cert, a published (p, scalar) pair, and divides the certificate
+    scalar by the mode's spectral quantity. Either certificate is verified
+    against the mode's inequality, and the design's cert.margin is the
+    margin lmi.verify measured there. mode is a DesignMode or its string
+    value; gamma is required in hinf mode.
     """
     mode = DesignMode(mode)
     if not 1.0 <= c_multiplier < np.inf:

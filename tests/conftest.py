@@ -6,12 +6,10 @@ import pytest
 from consyn import (
     AgentModel,
     DiGraph,
-    inject_certificate,
     spectra,
     synthesize,
 )
 from consyn import benchmark
-from consyn.lmi import LmiKind, LmiProblem
 
 
 def two_node_graph() -> DiGraph:
@@ -101,8 +99,6 @@ def hinf_design(bench_model, bench_graph):
 
 @pytest.fixture(scope="session")
 def injected_hinf_design(bench_model, bench_graph):
-    problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
-    cert = inject_certificate(problem, benchmark.REFERENCE_P,
-                              benchmark.REFERENCE_EPSILON)
     return synthesize(bench_model, bench_graph, "hinf", gamma=benchmark.GAMMA,
-                      cert=cert)
+                      cert=(benchmark.REFERENCE_P,
+                            benchmark.REFERENCE_EPSILON))

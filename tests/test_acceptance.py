@@ -24,7 +24,6 @@ from consyn import (
     assemble,
     classify,
     hinf_cost,
-    inject_certificate,
     integrate,
     laplacian,
     leader_follower_data,
@@ -70,11 +69,10 @@ def test_benchmark_graph_spectra():
 def test_injected_certificate_gain(bench_model, bench_graph):
     """Published certificate reproduces the published gain to 5e-3."""
     t0 = time.perf_counter()
-    problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
-    cert = inject_certificate(problem, benchmark.REFERENCE_P,
-                              benchmark.REFERENCE_EPSILON)
     design = synthesize(bench_model, bench_graph, "hinf",
-                        gamma=benchmark.GAMMA, cert=cert)
+                        gamma=benchmark.GAMMA,
+                        cert=(benchmark.REFERENCE_P,
+                              benchmark.REFERENCE_EPSILON))
     elapsed = time.perf_counter() - t0
     assert np.max(np.abs(design.k - benchmark.REFERENCE_GAIN)) < 5e-3
     assert elapsed < 1.0
@@ -195,8 +193,7 @@ def test_leader_follower_tracking():
                                          abs=1e-9)
 
     model = scalar_model()
-    cert = inject_certificate(
-        LmiProblem(LmiKind.CONSENSUS, model), [[1.0]], 1.0)
+    cert = ([[1.0]], 1.0)
     design = synthesize(model, g, "leader-follower", cert=cert)
     scenario = Scenario(design=design, x0=np.array([[1.0], [0.0], [-1.0]]),
                         t_end=10.0, dt=1e-3)

@@ -25,3 +25,12 @@ def test_tolerance_tables_are_gone():
                           (lmi, ("SolverOptions",))):
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_second_certificate_path_is_gone():
+    """A certificate becomes a design only through synthesize, and only
+    lmi.verify measures the margin a design reports."""
+    for module, names in ((consyn, ("inject_certificate",)),
+                          (lmi, ("block_margin",))):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from consyn import adjacency
 from consyn import benchmark
-from consyn import cli, lmi
+from consyn import BlowUpError, InfeasibleError, PreconditionError, cli, lmi
 from consyn.graph import format_edge_list
 
 from conftest import scalar_model
@@ -430,6 +430,8 @@ def test_model_with_understated_lipschitz_constant_exit_code(tmp_path,
     assert code == 2
     err = capsys.readouterr().err
     assert "Lipschitz" in err and "alpha = 0" in err
+    # the file is well formed; the message names it
+    assert model in err and "malformed" not in err
     assert not (tmp_path / "simulate_report.json").exists()
 
 
@@ -450,6 +452,7 @@ def test_alpha_below_off_axis_lipschitz_constant_exit_code(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"Lipschitz constant {lip}" in err and f"alpha = {alpha}" in err
+    assert model in err and "malformed" not in err
     assert not (tmp_path / "simulate_report.json").exists()
 
 
@@ -541,6 +544,25 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("binding, error, code, stage", [
+    ("integrate", BlowUpError("state norm too large", 0.5), 4,
+     "consensus-sim"),
+    ("synthesize", InfeasibleError("no certificate"), 3,
+     "attenuation-solve"),
+    ("synthesize", PreconditionError("wrong graph"), 2, "attenuation-solve"),
+], ids=["blow-up", "infeasible", "precondition"])
+def test_repro_stage_exit_codes(tmp_path, monkeypatch, capsys, binding,
+                                error, code, stage):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, binding, fail)
+    assert run(["repro", "--t-end", "0.01", "--out-dir", str(tmp_path)]) \
+        == code
+    assert f"stage {stage} failed" in capsys.readouterr().err
+    assert not (tmp_path / "repro_report.json").exists()
 
 
 def test_repro_end_to_end(tmp_path, capsys):

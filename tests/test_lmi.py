@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from consyn import AgentModel, LmiCertificate, assemble, solve, verify
+from consyn import (AgentModel, LmiCertificate, Nonlinearity, assemble, solve,
+                    verify)
 from consyn import benchmark
 from consyn.lmi import (MAX_LADDER, LmiKind, LmiProblem,
                         _barrier_derivatives, _center, _margin_and_req,
@@ -149,6 +150,22 @@ def test_solve_benchmark_hinf_certificate(hinf_design, bench_model):
     margin, req = _margin_and_req(problem, cert.p, cert.scalar)
     assert margin >= req
     assert_chosen_probe_in_trace(cert)
+
+
+def test_solve_returns_widest_margin_when_no_probe_meets_the_rule():
+    # the only rung with a centre, s = 15420, has margin 0.00766 against a
+    # required 0.0448; solve still returns it, feasible, and it verifies
+    model = AgentModel(a=[[2.6, 0.9], [2.8, -0.1]], b=[[0.1], [-1.7]],
+                       d1=np.eye(2), alpha=0.7,
+                       f=Nonlinearity.sine([(1, 0, 0.7)]))
+    problem = LmiProblem(LmiKind.CONSENSUS, model)
+    cert = solve(problem)
+    centred = [r for r in cert.trace.probes if not np.isnan(r.margin)]
+    assert [r.scalar for r in centred] == [15420.0]
+    assert 0 < centred[0].margin < centred[0].required
+    assert cert.scalar == 15420.0 and cert.feasible
+    assert cert.margin == centred[0].margin
+    assert verify(problem, cert).passed
 
 
 def assert_same_solve(problem):

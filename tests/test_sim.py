@@ -17,7 +17,6 @@ from consyn import (
     Trajectory,
     closed_loop,
     hinf_cost,
-    inject_certificate,
     integrate,
     laplacian,
     lyapunov_diag,
@@ -27,16 +26,13 @@ from consyn import (
     write_csv,
 )
 from consyn import benchmark
-from consyn.lmi import LmiKind, LmiProblem
 from consyn.sim import LIPSCHITZ_SLACK
 
 from conftest import path_graph, scalar_model, two_node_graph
 
 
 def witness_design(model, g, p=1.0, scalar=1.0, c=None):
-    cert = inject_certificate(
-        LmiProblem(LmiKind.CONSENSUS, model), [[p]], scalar)
-    design = synthesize(model, g, "leaderless", cert=cert)
+    design = synthesize(model, g, "leaderless", cert=([[p]], scalar))
     if c is not None:
         design = dataclasses.replace(design, c=c)
     return design
@@ -146,7 +142,8 @@ def test_check_lipschitz_benchmark(bench_model):
 
 
 def test_check_lipschitz_flags_understated_constant():
-    with pytest.raises(ValueError, match="Lipschitz constant 1.0.*alpha = 0.1"):
+    with pytest.raises(PreconditionError,
+                       match="Lipschitz constant 1.0.*alpha = 0.1"):
         AgentModel(a=np.zeros((1, 1)), b=np.ones((1, 1)), d1=np.ones((1, 1)),
                    alpha=0.1, f=Nonlinearity.sine([(0, 0, 1.0)]))
 
@@ -267,9 +264,7 @@ def test_rhs_leader_follower_requires_source_leader(bench_model, bench_graph):
 def test_rhs_leader_follower_tracking_manifold():
     model = scalar_model()
     g = path_graph()
-    cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
-                              [[1.0]], 1.0)
-    design = synthesize(model, g, "leader-follower", cert=cert)
+    design = synthesize(model, g, "leader-follower", cert=([[1.0]], 1.0))
     x = np.full((3, 1), 0.7)
     dx = closed_loop(design)(0.0, x)
     assert_allclose(dx, np.full((3, 1), -0.7), atol=1e-15)
@@ -278,9 +273,7 @@ def test_rhs_leader_follower_tracking_manifold():
 def test_rhs_leader_follower_constant_leader():
     model = AgentModel(a=[[0.0]], b=[[1.0]], d1=[[1.0]])
     g = path_graph()
-    cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
-                              [[1.0]], 2.0)
-    design = synthesize(model, g, "leader-follower", cert=cert)
+    design = synthesize(model, g, "leader-follower", cert=([[1.0]], 2.0))
     dx = closed_loop(design)(0.0, np.array([[1.0], [0.4], [0.2]]))
     assert dx[0, 0] == 0.0
 
@@ -288,8 +281,7 @@ def test_rhs_leader_follower_constant_leader():
 def test_translation_leaves_protocol_unchanged(bench_graph):
     model = AgentModel(a=np.diag([-1.0, -2.0]), b=np.ones((2, 1)),
                        d1=np.zeros((2, 2)))
-    cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
-                              np.eye(2), 1.0)
+    cert = (np.eye(2), 1.0)
     design = synthesize(model, bench_graph, "leaderless", cert=cert)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 2))
@@ -463,9 +455,7 @@ def test_lyapunov_flags_weakened_coupling():
 def test_lyapunov_leader_follower_weights():
     model = scalar_model()
     g = path_graph()
-    cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
-                              [[1.0]], 1.0)
-    design = synthesize(model, g, "leader-follower", cert=cert)
+    design = synthesize(model, g, "leader-follower", cert=([[1.0]], 1.0))
     scenario = Scenario(design=design, x0=np.array([[1.0], [0.0], [-1.0]]),
                         t_end=2.0, dt=1e-3)
     traj = integrate(scenario)
@@ -482,9 +472,7 @@ def test_lyapunov_tracking_weights_follow_g():
     # increase, while weighting by q itself does on this start
     model = AgentModel(a=[[0.5]], b=[[1.0]], d1=[[0.0]])
     g = DiGraph.from_edges(5, [(1, 2), (2, 3), (2, 4), (2, 5)])
-    cert = inject_certificate(LmiProblem(LmiKind.CONSENSUS, model),
-                              [[1.0]], 3.0)
-    design = synthesize(model, g, "leader-follower", cert=cert)
+    design = synthesize(model, g, "leader-follower", cert=([[1.0]], 3.0))
     assert design.c == pytest.approx(12.0, rel=1e-12)
     assert_allclose(design.weights, [0.0, 1.0, 0.5, 0.5, 0.5], atol=1e-12)
     scenario = Scenario(

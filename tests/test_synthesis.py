@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from consyn import (
@@ -9,30 +10,37 @@ from consyn import (
     DesignMode,
     DiGraph,
     InfeasibleError,
+    LmiCertificate,
     PreconditionError,
     assemble,
-    inject_certificate,
+    problem_for,
     synthesize,
     verify,
 )
 from consyn import benchmark, lmi
 from consyn.lmi import LmiKind, LmiProblem
 
-from conftest import path_graph, scalar_model, star_graph, three_cycle, \
-    two_node_graph
+from conftest import path_graph, random_balanced_sc_digraph, scalar_model, \
+    star_graph, three_cycle, two_node_graph
 
 FAITHFUL_HINF_THRESHOLD = 36.448067376820456
 
 
-def consensus_witness(model, p=1.0, scalar=1.0):
-    problem = LmiProblem(LmiKind.CONSENSUS, model)
-    return inject_certificate(problem, [[p]], scalar)
+def consensus_witness(p=1.0, scalar=1.0):
+    return [[p]], scalar
+
+
+def verify_pair(model, p, scalar):
+    """lmi.verify's report on a (p, scalar) pair for the consensus kind."""
+    cert = LmiCertificate(p=np.atleast_2d(np.asarray(p, dtype=float)),
+                          scalar=scalar, margin=np.nan, feasible=False)
+    return verify(LmiProblem(LmiKind.CONSENSUS, model), cert)
 
 
 def test_leaderless_two_node_witness():
     model = scalar_model()
     design = synthesize(model, two_node_graph(), "leaderless",
-                        cert=consensus_witness(model))
+                        cert=consensus_witness())
     assert design.mode == DesignMode.LEADERLESS
     assert_allclose(design.k, [[-0.5]], atol=1e-12)
     assert design.c_threshold == pytest.approx(0.5, abs=1e-12)
@@ -42,7 +50,7 @@ def test_leaderless_two_node_witness():
 def test_leaderless_three_cycle_witness():
     model = scalar_model()
     design = synthesize(model, three_cycle(), "leaderless",
-                        cert=consensus_witness(model))
+                        cert=consensus_witness())
     assert design.c_threshold == pytest.approx(1.0 / 1.5, abs=1e-12)
 
 
@@ -68,7 +76,7 @@ def test_gain_identity_on_solver_designs(consensus_design, hinf_design,
 
 def test_multiplier_inflates_c_only():
     model = scalar_model()
-    cert = consensus_witness(model)
+    cert = consensus_witness()
     base = synthesize(model, two_node_graph(), "leaderless", cert=cert)
     wide = synthesize(model, two_node_graph(), "leaderless", cert=cert,
                       c_multiplier=2.0)
@@ -83,9 +91,9 @@ def test_threshold_scales_with_certificate_scalar():
     model = scalar_model()
     g = two_node_graph()
     single = synthesize(model, g, "leaderless",
-                        cert=consensus_witness(model, 1, 1))
+                        cert=consensus_witness(1, 1))
     double = synthesize(model, g, "leaderless",
-                        cert=consensus_witness(model, 1, 2))
+                        cert=consensus_witness(1, 2))
     assert double.c_threshold == pytest.approx(2.0 * single.c_threshold,
                                                rel=1e-15)
 
@@ -109,12 +117,9 @@ def test_degenerate_hinf_spectrum_splits():
 def test_degenerate_hinf_threshold_matches_leaderless(bench_graph):
     model = AgentModel(a=[[-1.0]], b=[[1.0]], d1=[[1.0]],
                        d2=np.zeros((1, 1)), c_out=np.zeros((1, 1)))
-    cert_cons = inject_certificate(
-        LmiProblem(LmiKind.CONSENSUS, model), [[1.0]], 1.0)
-    cert_hinf = inject_certificate(
-        LmiProblem(LmiKind.HINF, model, gamma=2.0), [[1.0]], 1.0)
-    lead = synthesize(model, bench_graph, "leaderless", cert=cert_cons)
-    atten = synthesize(model, bench_graph, "hinf", gamma=2.0, cert=cert_hinf)
+    cert = ([[1.0]], 1.0)
+    lead = synthesize(model, bench_graph, "leaderless", cert=cert)
+    atten = synthesize(model, bench_graph, "hinf", gamma=2.0, cert=cert)
     # balanced graph: a(L) equals lambda2 of the symmetrized Laplacian
     assert atten.c_threshold == pytest.approx(lead.c_threshold, rel=1e-8)
 
@@ -131,7 +136,7 @@ def test_hinf_feasible_at_looser_gamma(bench_model, bench_graph,
 def test_leader_follower_path_threshold():
     model = scalar_model()
     design = synthesize(model, path_graph(), "leader-follower",
-                        cert=consensus_witness(model))
+                        cert=consensus_witness())
     lam1 = (3.0 - math.sqrt(2.0)) / 4.0
     assert design.mode == DesignMode.LEADER_FOLLOWER
     assert design.leader == 1
@@ -147,7 +152,7 @@ def test_leader_follower_star_threshold_is_kappa():
     model = scalar_model()
     kappa = 1.0
     design = synthesize(model, star_graph(), "leader-follower",
-                        cert=consensus_witness(model, 1, kappa))
+                        cert=consensus_witness(1, kappa))
     assert design.c_threshold == pytest.approx(kappa, abs=1e-12)
 
 
@@ -155,7 +160,7 @@ def test_leader_follower_simplified_threshold_agrees():
     g = DiGraph.from_edges(3, [(1, 2), (1, 3), (2, 3), (3, 2)])
     model = scalar_model()
     design = synthesize(model, g, "leader-follower",
-                        cert=consensus_witness(model))
+                        cert=consensus_witness())
     assert design.c_threshold_simplified is not None
     # q = 1 makes G the identity, where both bounds coincide
     assert design.c_threshold_simplified == pytest.approx(
@@ -206,19 +211,19 @@ def test_infeasible_model_raises():
 
 def test_injected_certificate_must_verify():
     model = scalar_model(a=1.0, b=0.0, d1=1.0, alpha=1.0)
-    problem = LmiProblem(LmiKind.CONSENSUS, model)
-    bad = inject_certificate(problem, [[1.0]], 1.0)
-    assert bad.margin < 0
+    bad = consensus_witness()
+    assert verify_pair(model, *bad).lmi_margin < 0
     with pytest.raises(PreconditionError):
         synthesize(model, two_node_graph(), "leaderless", cert=bad)
 
 
 def test_injected_certificate_under_rounding_floor_is_rejected():
-    # margin +9.99e-18 is positive, so the certificate reads feasible, but
-    # it sits under the 4.4e-16 rounding floor of its 2x2 block
+    # margin +9.99e-18 is positive, but it sits under the 4.4e-16 rounding
+    # floor of its 2x2 block
     model = scalar_model(a=0.0, d1=0.0)
-    cert = consensus_witness(model, p=1e-10, scalar=1e-17)
-    assert cert.feasible
+    cert = consensus_witness(p=1e-10, scalar=1e-17)
+    report = verify_pair(model, *cert)
+    assert 0 < report.lmi_margin < report.lmi_floor
     with pytest.raises(PreconditionError, match="rounding floor 4.4e-16"):
         synthesize(model, two_node_graph(), "leaderless", cert=cert)
 
@@ -235,7 +240,8 @@ def test_solver_certificate_is_reverified(monkeypatch):
     model = scalar_model()
     design = synthesize(model, two_node_graph(), "leaderless")
     assert len(calls) == 1
-    assert calls[0] is design.cert
+    # the design holds a new certificate carrying the verified margin
+    assert calls[0].p is design.cert.p
 
 
 def test_hinf_needs_gamma():
@@ -260,3 +266,31 @@ def test_design_carries_the_graph_analysis(bench_spectra, bench_graph,
     assert consensus_design.c_threshold == pytest.approx(
         consensus_design.cert.scalar / consensus_design.analysis.a_of_l,
         rel=1e-15)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["leaderless", "hinf"]))
+@settings(max_examples=20, deadline=None)
+def test_design_margin_is_the_verified_margin(seed, mode):
+    """A design reports the margin lmi.verify measures on its mode's
+    inequality, and its (p, scalar) pair designs the same protocol again."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    r = rng.standard_normal((n, n))
+    shift = np.linalg.eigvals(r).real.max() + rng.uniform(0.5, 2.0)
+    model = AgentModel(a=r - shift * np.eye(n),
+                       b=rng.standard_normal((n, 1)),
+                       d1=0.3 * rng.standard_normal((n, n)),
+                       d2=0.3 * rng.standard_normal((n, 1)),
+                       c_out=0.3 * rng.standard_normal((1, n)),
+                       alpha=float(rng.uniform(0.0, 0.3)))
+    g = random_balanced_sc_digraph(rng)
+    gamma = float(rng.uniform(2.0, 5.0))
+    design = synthesize(model, g, mode, gamma)
+    report = verify(problem_for(model, mode, gamma), design.cert)
+    assert design.cert.margin == report.lmi_margin
+    again = synthesize(model, g, mode, gamma,
+                       cert=(design.cert.p, design.cert.scalar))
+    assert np.array_equal(again.k, design.k)
+    assert again.c_threshold == design.c_threshold
+    assert again.cert.margin == design.cert.margin
+    assert again.cert.trace is None
