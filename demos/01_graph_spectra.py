@@ -1,15 +1,15 @@
 # Spectral tour of directed communication graphs: Laplacians, the left
 # null vector r, the generalized algebraic connectivity a(L), and the
 # leader-follower quantities q, G, H. analyze(g) derives all of them in one
-# pass; spectra(g) is the same analysis for a graph that must be strongly
-# connected.
+# pass, with the weights of the error energy V; spectra(g) is the same
+# analysis for a graph that must be strongly connected.
 #
 # Run from the repo root after `pip install -e .`:
 #   python demos/01_graph_spectra.py
 
 import numpy as np
 
-from consyn import DiGraph, analyze, laplacian, spectra
+from consyn import DiGraph, analyze, spectra
 from consyn.benchmark import benchmark_graph
 
 np.set_printoptions(precision=6, suppress=True)
@@ -19,7 +19,7 @@ np.set_printoptions(precision=6, suppress=True)
 g2 = DiGraph.from_edges(2, [(1, 2), (2, 1)])
 print("two-node bidirectional")
 sp2 = spectra(g2)
-print("L =\n", laplacian(g2))
+print("L =\n", sp2.laplacian)
 print("r =", sp2.r)
 print("a(L) =", sp2.a_of_l)             # exactly 2
 print()
@@ -61,14 +61,15 @@ print()
 ### Leader-follower partition on a directed path 1 -> 2 -> 3. Node 1 has
 ### no incoming edges, so it qualifies as a leader and the follower block
 ### L1 is invertible. q = L1^{-1} 1, G = diag(1/q), H = (G L1 + L1^T G)/2.
+### A tracking run weights V by G's diagonal on the followers, 0 at the leader.
 gp = DiGraph.from_edges(3, [(1, 2), (2, 3)])
 ap = analyze(gp)
 print("directed path 1 -> 2 -> 3")
 print("leader_follower_root:", ap.flags.leader_follower_root)
 lf = ap.leader_follower
 print("q =", lf.q)                      # [1, 2]
-print("G =\n", lf.bigG)
+print("weights of V =", ap.weights)      # [0, 1, 0.5]
 print("H =\n", lf.h)
 print("lambda1(H) = %.10f" % lf.lambda1_h)  # (3 - sqrt(2))/4
 print("min q =", lf.min_q)
-print("simplified threshold applicable:", lf.simplified_applicable)
+print("simplified threshold applicable:", lf.lambda1_sym is not None)

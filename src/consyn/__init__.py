@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, GraphFlags, LeaderFollowerData,
-                    adjacency, analyze, classify, laplacian,
-                    leader_follower_data, parse_edge_list, spectra)
+                    adjacency, analyze, leader_follower_data,
+                    parse_edge_list, spectra)
 from .lmi import (LmiCertificate, LmiKind, LmiProblem, MarginReport,
                   ProbeRecord, SolveTrace, assemble, solve, verify)
 from .numkit import as_matrix, solve_linear, sym_eigvals
@@ -25,8 +25,8 @@ __all__ = [
     "__version__",
     "BlowUpError", "InfeasibleError", "PreconditionError",
     "DiGraph", "GraphAnalysis", "GraphFlags", "LeaderFollowerData",
-    "adjacency", "analyze", "classify", "laplacian",
-    "leader_follower_data", "parse_edge_list", "spectra",
+    "adjacency", "analyze", "leader_follower_data", "parse_edge_list",
+    "spectra",
     "LmiCertificate", "LmiKind", "LmiProblem", "MarginReport",
     "ProbeRecord", "SolveTrace", "assemble", "solve", "verify",
     "as_matrix", "solve_linear", "sym_eigvals",

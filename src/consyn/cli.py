@@ -93,14 +93,25 @@ def _adjacency_graph(value, path) -> DiGraph:
         raise PreconditionError(f"{path}: malformed adjacency: {exc}") from exc
 
 
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_json(path, what: str):
+    """The JSON value in a file; read and parse errors name the file."""
+    text = _read_text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
     """Load a JSON model file; returns (model, gamma, embedded graph)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise PreconditionError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PreconditionError(f"model file {path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "model file")
     try:
         model, gamma = model_from_dict(data)
     except PreconditionError as exc:
@@ -113,17 +124,9 @@ def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
 
 def load_graph(path) -> DiGraph:
     """Load a graph from an edge-list file or a JSON adjacency file."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise PreconditionError(f"cannot read graph file {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(
-                f"graph file {path} is not valid JSON: {exc}") from exc
+    text = _read_text(path, "graph file")
+    if text.lstrip().startswith("{"):
+        data = _read_json(path, "graph file")
         if "adjacency" not in data:
             raise PreconditionError(
                 f"graph file {path} lacks an 'adjacency' entry")
@@ -136,14 +139,13 @@ def load_graph(path) -> DiGraph:
 
 def load_certificate(path) -> tuple[np.ndarray, float]:
     """Load a certificate file; returns its (p, scalar) pair."""
+    data = _read_json(path, "certificate")
     try:
-        data = json.loads(Path(path).read_text())
         p = np.asarray(data["p"], dtype=float)
         scalar = float(data["scalar"])
-    except OSError as exc:
-        raise PreconditionError(f"cannot read certificate {path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise PreconditionError(f"malformed certificate file: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(
+            f"{path}: malformed certificate file: {exc}") from exc
     return p, scalar
 
 
@@ -199,7 +201,7 @@ def _graph_section(analysis: GraphAnalysis) -> dict:
             "q": _listify(lf.q),
             "lambda1_h": lf.lambda1_h,
             "min_q": lf.min_q,
-            "simplified_applicable": lf.simplified_applicable,
+            "simplified_applicable": lf.lambda1_sym is not None,
         }
     return section
 

@@ -8,7 +8,8 @@ Edge weights are all 1; weighted graphs are out of scope.
 :func:`analyze` is the one place that derives graph quantities: it
 builds the adjacency matrix once, classifies the graph and builds L from
 it, and computes r, a(L) and lambda2 for a strongly connected graph or the
-follower partition (q, G, H) for a leader-rooted one. :func:`spectra` and
+follower partition (q, H) for a leader-rooted one; in both cases also the
+weights of the error energy V. :func:`spectra` and
 :func:`leader_follower_data` are the same analysis with the precondition
 of one class enforced.
 
@@ -69,24 +70,20 @@ class GraphFlags:
 class LeaderFollowerData:
     """Partitioned quantities for a leader rooted at a source node.
 
-    l1 is the follower block of the Laplacian, l2 the follower-to-leader
-    coupling column, q = l1^{-1} 1 (entrywise positive under the spanning
-    tree hypothesis), bigG = diag(1/q), h = (G l1 + l1^T G)/2.
-    simplified_applicable marks follower subgraphs that are balanced and
-    strongly connected, where the alternative threshold based on
-    lambda1_sym, the smallest eigenvalue of (l1 + l1^T)/2, is valid.
+    l1 is the follower block of the Laplacian, q = l1^{-1} 1 (entrywise
+    positive under the spanning tree hypothesis), h = (G l1 + l1^T G)/2
+    with G = diag(1/q). lambda1_sym, the smallest eigenvalue of
+    (l1 + l1^T)/2, is None unless the follower subgraph is balanced and
+    strongly connected, where the alternative threshold based on it holds.
     """
 
     leader: int
     followers: tuple[int, ...]
     l1: NDArray[np.float64]
-    l2: NDArray[np.float64]
     q: NDArray[np.float64]
-    bigG: NDArray[np.float64]
     h: NDArray[np.float64]
     lambda1_h: float
     min_q: float
-    simplified_applicable: bool
     lambda1_sym: Optional[float]
 
 
@@ -101,6 +98,9 @@ class GraphAnalysis:
     graph is balanced. When a zero in-degree root reaches all nodes,
     leader_follower holds the follower-block partition around it; its H
     need not be positive definite. The two cases exclude each other.
+    weights, the weights of the error energy V that the class's threshold
+    makes decrease, are r itself in the first case, 1/q on the followers
+    and 0 at the leader in the second, None otherwise.
     """
 
     graph: DiGraph
@@ -110,6 +110,7 @@ class GraphAnalysis:
     a_of_l: Optional[float] = None
     lambda2_sym: Optional[float] = None
     leader_follower: Optional[LeaderFollowerData] = None
+    weights: Optional[NDArray[np.float64]] = None
 
 
 def adjacency(g: DiGraph) -> NDArray[np.float64]:
@@ -120,17 +121,13 @@ def adjacency(g: DiGraph) -> NDArray[np.float64]:
     return a
 
 
-def _laplacian(a: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.diag(a.sum(axis=1)) - a
-
-
-def laplacian(g: DiGraph) -> NDArray[np.float64]:
-    """In-degree Laplacian: diagonal of row sums of adjacency minus adjacency."""
-    return _laplacian(adjacency(g))
-
-
 def _flags(a: NDArray[np.float64]) -> GraphFlags:
-    """Connectivity and balance flags of the graph with adjacency a."""
+    """Connectivity and balance flags of the graph with adjacency a.
+
+    Balanced means in-degree equals out-degree at every node. A spanning
+    tree exists when exactly one strongly connected component has no edge
+    entering it; when that component is one node, it is the root.
+    """
     # scipy reads a[i, j] as an edge i -> j, the reverse of ours; reversal
     # leaves the strongly connected components unchanged. A sparse input
     # skips scipy's validation of dense graphs, most of the call's cost.
@@ -148,20 +145,6 @@ def _flags(a: NDArray[np.float64]) -> GraphFlags:
         has_spanning_tree=len(sources) == 1,
         leader_follower_root=root,
     )
-
-
-def classify(g: DiGraph) -> GraphFlags:
-    """Connectivity and balance flags, read from the adjacency matrix.
-
-    Strong connectivity is decided on the strongly connected components
-    from scipy's csgraph search (integer-exact, no spectral test). Balance
-    means in-degree (row sums) equals out-degree (column sums) at every
-    node. A spanning tree exists when exactly one component has no edge
-    entering it from another, for its nodes reach all others. When that
-    component is a single node, which then has zero in-degree, it is the
-    leader_follower_root.
-    """
-    return _flags(adjacency(g))
 
 
 def _left_perron(l: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -215,30 +198,24 @@ def _follower_block(a: NDArray[np.float64], l: NDArray[np.float64],
     followers = tuple(v for v in range(1, l.shape[0] + 1) if v != leader)
     idx = [v - 1 for v in followers]
     l1 = l[np.ix_(idx, idx)]
-    l2 = l[np.ix_(idx, [leader - 1])]
     q = numkit.solve_linear(l1, np.ones(len(idx)))
     if np.any(q <= 0):
         raise PreconditionError("follower weights q must be positive")
-    bigG = np.diag(1.0 / q)
-    h = (bigG @ l1 + l1.T @ bigG) / 2.0
-    lambda1_h = float(numkit.sym_eigvals(h)[0])
+    big_g = np.diag(1.0 / q)
+    h = (big_g @ l1 + l1.T @ big_g) / 2.0
     # a lone follower is trivially balanced and strongly connected
     sub = _flags(a[np.ix_(idx, idx)])
-    simplified = sub.balanced and sub.strongly_connected
     lambda1_sym = None
-    if simplified:
+    if sub.balanced and sub.strongly_connected:
         lambda1_sym = float(numkit.sym_eigvals((l1 + l1.T) / 2.0)[0])
     return LeaderFollowerData(
         leader=leader,
         followers=followers,
         l1=l1,
-        l2=l2,
         q=q,
-        bigG=bigG,
         h=h,
-        lambda1_h=lambda1_h,
+        lambda1_h=float(numkit.sym_eigvals(h)[0]),
         min_q=float(q.min()),
-        simplified_applicable=simplified,
         lambda1_sym=lambda1_sym,
     )
 
@@ -247,12 +224,12 @@ def analyze(g: DiGraph) -> GraphAnalysis:
     """Classify the graph once and derive what its class supports.
 
     A strongly connected graph gets r, a(L) and, when balanced, lambda2; a
-    graph rooted at a zero in-degree leader gets the follower partition.
-    Any other graph gets flags and the Laplacian only.
+    graph rooted at a zero in-degree leader gets the follower partition;
+    either gets the weights of V. Any other graph gets flags and L only.
     """
     a = adjacency(g)
     flags = _flags(a)
-    l = _laplacian(a)
+    l = np.diag(a.sum(axis=1)) - a
     if flags.strongly_connected:
         r = _left_perron(l)
         lambda2 = None
@@ -260,11 +237,13 @@ def analyze(g: DiGraph) -> GraphAnalysis:
             lambda2 = float(numkit.sym_eigvals((l + l.T) / 2.0)[1])
         return GraphAnalysis(graph=g, laplacian=l, flags=flags, r=r,
                              a_of_l=_generalized_connectivity(l, r),
-                             lambda2_sym=lambda2)
-    lf = None
+                             lambda2_sym=lambda2, weights=r)
+    lf = weights = None
     if flags.leader_follower_root is not None:
         lf = _follower_block(a, l, flags.leader_follower_root)
-    return GraphAnalysis(graph=g, laplacian=l, flags=flags, leader_follower=lf)
+        weights = np.insert(1.0 / lf.q, lf.leader - 1, 0.0)
+    return GraphAnalysis(graph=g, laplacian=l, flags=flags,
+                         leader_follower=lf, weights=weights)
 
 
 def spectra(g: DiGraph) -> GraphAnalysis:

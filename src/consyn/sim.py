@@ -21,11 +21,13 @@ from .synthesis import ProtocolDesign
 
 NONLINEARITY_KINDS = ("zero", "sine", "saturation", "tanh")
 # Slack on alpha in the Lipschitz check, the state norm at which
-# integrate aborts, and the per-step rise of V, relative to V(0), that
-# lyapunov_diag does not flag.
+# integrate aborts, the per-step rise of V, relative to V(0), that
+# lyapunov_diag does not flag, and the gap, relative to t_end, allowed
+# between t_end and the last step of the time grid.
 LIPSCHITZ_SLACK = 1e-9
 BLOWUP_NORM = 1e9
 V_STEP_REL = 1e-10
+GRID_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -207,16 +209,21 @@ class DisturbanceSpec:
 
 
 def check_time_grid(dt: float, t_end: float) -> None:
-    """Reject a time grid outside 0 < dt <= t_end < inf (NaN included)."""
+    """Reject a time grid outside 0 < dt <= t_end < inf (NaN included), or
+    one whose round(t_end / dt) steps of dt, the steps integrate takes, do
+    not end at t_end (numpy's round keeps an overflowing quotient inf)."""
     if not 0 < dt <= t_end < np.inf:
         raise ValueError(
             f"need 0 < dt <= t_end < inf, got dt = {dt}, t_end = {t_end}")
+    if abs(np.round(t_end / dt) * dt - t_end) > GRID_REL * t_end:
+        raise ValueError(
+            f"t_end = {t_end} is not a whole number of steps dt = {dt}")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One run of a design: x0 has a row per node of the design's graph,
-    and the time grid 0 < dt <= t_end < inf."""
+    and the time grid 0 < dt <= t_end < inf ends at t_end."""
 
     design: ProtocolDesign
     x0: NDArray[np.float64]
@@ -245,8 +252,9 @@ class Trajectory:
 
     states has shape (T, N, n); e holds consensus (or tracking) errors; z
     the performance outputs; v_lyap the error energy
-    V = sum_i w_i e_i^T P^{-1} e_i with the design's weights w; j_running
-    the running attenuation cost integral; omega the applied disturbance.
+    V = sum_i w_i e_i^T P^{-1} e_i with w = design.analysis.weights;
+    j_running the running attenuation cost integral; omega the applied
+    disturbance.
     """
 
     times: NDArray[np.float64]
@@ -321,16 +329,16 @@ def integrate(scenario: Scenario) -> Trajectory:
             )
         states[k + 1] = x
 
-    leader = design.leader
-    if leader is None:
-        mean = np.einsum("j,tjk->tk", design.weights, states)
+    weights, lf = design.analysis.weights, design.analysis.leader_follower
+    if lf is None:
+        mean = np.einsum("j,tjk->tk", weights, states)
         e = states - mean[:, None, :]
     else:
-        e = states - states[:, leader - 1: leader, :]
+        e = states - states[:, lf.leader - 1: lf.leader, :]
     z = e @ model.c_out.T
     omega = dist.omega(times, n_agents, model.d2.shape[1])
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
-    v = np.einsum("i,tik,kl,til->t", design.weights, e, p_inv, e)
+    v = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
     gamma = design.gamma or 0.0
     integrand = (z ** 2).sum(axis=(1, 2)) - gamma ** 2 * (omega ** 2).sum(axis=(1, 2))
     j_running = np.concatenate(
@@ -377,8 +385,8 @@ def lyapunov_diag(traj: Trajectory) -> LyapunovReport:
     """Decrease diagnostic for the weighted quadratic error energy.
 
     Reads V(t) = sum_i w_i e_i(t)^T P^{-1} e_i(t) from the trajectory, with
-    w the design's weights (r, or 1/q for tracking). Reports the fraction of
-    steps where V increases beyond the per-step tolerance
+    w = design.analysis.weights (r, or 1/q for tracking). Reports the
+    fraction of steps where V increases beyond the per-step tolerance
     V_STEP_REL * V(0). Guaranteed decrease is a sufficient condition tied
     to the coupling threshold, so an increase under a weakened design is
     flagged, not raised.

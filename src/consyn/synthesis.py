@@ -15,8 +15,9 @@ and the spectral quantity that divides s into the coupling threshold:
 
 :func:`synthesize` is the single entry point. It reads every spectral
 quantity from one :func:`graph.analyze` of the graph and carries that
-analysis on the design. The coupling strength defaults to the threshold
-exactly; a multiplier >= 1 adds headroom.
+analysis, which also holds the weights of the error energy V, on the
+design. The coupling strength defaults to the threshold exactly; a
+multiplier >= 1 adds headroom.
 """
 from __future__ import annotations
 
@@ -46,13 +47,9 @@ class ProtocolDesign:
     """Complete synthesized protocol.
 
     k is the feedback gain, c the coupling strength, c_threshold the
-    algorithmic lower bound on c. weights are the per-agent weights of the
-    error energy V: the left null vector r of the Laplacian, or for tracking
-    the diagonal of G = diag(1/q) on the followers with 0 at the leader, the
-    weighting under which the threshold guarantees V decreases. analysis
-    is the graph analysis the threshold was read from. leader is the
-    leader's node number for tracking designs, None otherwise; it selects
-    the error reference (leader offset instead of the r-weighted average).
+    algorithmic lower bound on c. analysis is the graph analysis the
+    threshold was read from; its weights weight the error energy V, and
+    its leader_follower is set exactly for tracking designs.
     c_threshold_simplified carries the alternative leader-follower bound
     (smallest eigenvalue of the symmetrized follower block) when the
     follower subgraph is balanced and strongly connected, None otherwise.
@@ -65,10 +62,8 @@ class ProtocolDesign:
     cert: lmi.LmiCertificate
     c_threshold: float
     mode: DesignMode
-    weights: NDArray[np.float64]
     analysis: GraphAnalysis
     model: "AgentModel"
-    leader: Optional[int] = None
     gamma: Optional[float] = None
     c_threshold_simplified: Optional[float] = None
 
@@ -139,23 +134,18 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
     problem = problem_for(model, mode, gamma)
     analysis = analyze(graph)
     flags = analysis.flags
-    leader = None
     simplified_divisor = None
     if mode is DesignMode.LEADER_FOLLOWER:
         lf = analysis.leader_follower
         if lf is None:
             raise PreconditionError(
                 "leader-follower mode needs a zero in-degree root reaching "
-                "all nodes"
-            )
+                "all nodes")
         if lf.lambda1_h <= 0:
             raise PreconditionError(
                 "follower form H must be positive definite")
-        leader = lf.leader
-        weights = np.zeros(graph.n)
-        weights[np.asarray(lf.followers) - 1] = np.diag(lf.bigG)
         divisor = lf.lambda1_h * lf.min_q
-        if lf.simplified_applicable and lf.lambda1_sym and lf.lambda1_sym > 0:
+        if lf.lambda1_sym and lf.lambda1_sym > 0:
             simplified_divisor = lf.lambda1_sym
     else:
         hinf = mode is DesignMode.HINF
@@ -164,7 +154,6 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
                 else "a strongly connected"
             raise PreconditionError(
                 f"{mode.value} synthesis requires {need} graph")
-        weights = analysis.r
         divisor = analysis.lambda2_sym if hinf else analysis.a_of_l
     cert = _certify(problem, cert)
     threshold = cert.scalar / divisor
@@ -174,10 +163,8 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
         cert=cert,
         c_threshold=threshold,
         mode=mode,
-        weights=weights,
         analysis=analysis,
         model=model,
-        leader=leader,
         gamma=float(gamma) if mode is DesignMode.HINF else None,
         c_threshold_simplified=(cert.scalar / simplified_divisor
                                 if simplified_divisor else None),

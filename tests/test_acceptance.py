@@ -21,11 +21,10 @@ from numpy.testing import assert_allclose
 
 from consyn import (
     Scenario,
+    analyze,
     assemble,
-    classify,
     hinf_cost,
     integrate,
-    laplacian,
     leader_follower_data,
     lyapunov_diag,
     max_pairwise_distance,
@@ -144,10 +143,10 @@ def test_lemma_suite_on_random_digraphs():
         balanced_case = trial % 2 == 0
         g = (random_balanced_sc_digraph(rng) if balanced_case
              else random_sc_digraph(rng))
-        flags = classify(g)
+        flags = analyze(g).flags
         assert flags.strongly_connected
         assert flags.has_spanning_tree
-        ls = laplacian(g)
+        ls = analyze(g).laplacian
         sp = spectra(g)
         big_r = np.diag(sp.r)
         q = big_r @ ls + ls.T @ big_r
@@ -167,7 +166,7 @@ def test_connectivity_matches_sampled_rayleigh_minimum():
     rng = np.random.default_rng(7)
     for _ in range(20):
         g = random_sc_digraph(rng, n=int(rng.integers(2, 6)))
-        ls = laplacian(g)
+        ls = analyze(g).laplacian
         sp = spectra(g)
         r, a_of_l = sp.r, sp.a_of_l
         q = np.diag(r) @ ls + ls.T @ np.diag(r)

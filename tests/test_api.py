@@ -2,7 +2,7 @@ import dataclasses
 import inspect
 
 import consyn
-from consyn import lmi, numkit
+from consyn import graph, lmi, numkit
 
 
 def test_public_callables_take_no_numeric_policy():
@@ -34,3 +34,17 @@ def test_second_certificate_path_is_gone():
                           (lmi, ("block_margin",))):
         for name in names:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_error_weights_have_one_source():
+    """analyze alone derives the weights of V: the graph wrappers, the
+    design's copies of the weights and the unread follower fields are
+    gone."""
+    for module in (consyn, graph):
+        for name in ("classify", "laplacian"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    for cls, names in ((consyn.ProtocolDesign, ("weights", "leader")),
+                       (consyn.LeaderFollowerData,
+                        ("l2", "bigG", "simplified_applicable"))):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert fields.isdisjoint(names), f"{cls.__name__}: {names}"

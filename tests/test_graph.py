@@ -11,8 +11,6 @@ from consyn import (
     PreconditionError,
     adjacency,
     analyze,
-    classify,
-    laplacian,
     leader_follower_data,
     parse_edge_list,
     spectra,
@@ -62,18 +60,18 @@ def test_digraph_rejects_out_of_range_nodes():
 
 
 def test_laplacian_two_node_bidirectional():
-    assert_allclose(laplacian(two_node_graph()),
+    assert_allclose(analyze(two_node_graph()).laplacian,
                     [[1.0, -1.0], [-1.0, 1.0]], atol=0.0)
 
 
 def test_laplacian_directed_three_cycle():
-    assert_allclose(laplacian(three_cycle()),
+    assert_allclose(analyze(three_cycle()).laplacian,
                     [[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]],
                     atol=0.0)
 
 
 def test_laplacian_benchmark_matrix(bench_graph):
-    assert_allclose(laplacian(bench_graph), BENCH_LAPLACIAN, atol=0.0)
+    assert_allclose(analyze(bench_graph).laplacian, BENCH_LAPLACIAN, atol=0.0)
 
 
 @given(st.integers(0, 10_000))
@@ -81,7 +79,7 @@ def test_laplacian_benchmark_matrix(bench_graph):
 def test_laplacian_row_sums_and_sign(seed):
     rng = np.random.default_rng(seed)
     g = random_sc_digraph(rng)
-    ls = laplacian(g)
+    ls = analyze(g).laplacian
     assert_allclose(ls @ np.ones(g.n), 0.0, atol=0.0)
     off = ls - np.diag(np.diag(ls))
     assert np.all(off <= 0.0)
@@ -94,7 +92,7 @@ def test_adjacency_orientation():
 
 
 def test_classify_benchmark(bench_graph):
-    flags = classify(bench_graph)
+    flags = analyze(bench_graph).flags
     assert flags.strongly_connected
     assert flags.balanced
     assert flags.has_spanning_tree
@@ -102,14 +100,14 @@ def test_classify_benchmark(bench_graph):
 
 
 def test_classify_star():
-    flags = classify(star_graph())
+    flags = analyze(star_graph()).flags
     assert not flags.strongly_connected
     assert flags.has_spanning_tree
     assert flags.leader_follower_root == 1
 
 
 def test_classify_isolated_node():
-    flags = classify(DiGraph.from_edges(3, [(1, 2)]))
+    flags = analyze(DiGraph.from_edges(3, [(1, 2)])).flags
     assert not flags.strongly_connected
     assert not flags.balanced
     assert not flags.has_spanning_tree
@@ -138,7 +136,7 @@ def test_classify_matches_reachability(seed):
               DiGraph.from_edges(n, [e for e in edges if e[1] != cut])):
         a = adjacency(g)
         roots, indeg = roots_of(a), a.sum(axis=1)
-        flags = classify(g)
+        flags = analyze(g).flags
         assert flags.strongly_connected == (len(roots) == n)
         assert flags.has_spanning_tree == bool(roots)
         assert flags.balanced == bool(np.all(indeg == a.sum(axis=0)))
@@ -149,7 +147,7 @@ def test_classify_matches_reachability(seed):
         idx = [v for v in range(n) if v != flags.leader_follower_root - 1]
         sub = a[np.ix_(idx, idx)]
         sub_balanced = np.all(sub.sum(axis=1) == sub.sum(axis=0))
-        assert analyze(g).leader_follower.simplified_applicable == bool(
+        assert (analyze(g).leader_follower.lambda1_sym is not None) == bool(
             sub_balanced and len(roots_of(sub)) == n - 1)
 
 
@@ -164,7 +162,7 @@ def test_left_perron_benchmark_uniform(bench_graph):
 
 def test_left_perron_unbalanced_against_null_space():
     g = DiGraph.from_edges(3, [(1, 2), (2, 1), (2, 3), (3, 1)])
-    ls = laplacian(g)
+    ls = analyze(g).laplacian
     r = spectra(g).r
     assert_allclose(r, [0.25, 0.5, 0.25], atol=1e-12)
     basis = scipy.linalg.null_space(ls.T)
@@ -178,7 +176,7 @@ def test_left_perron_unbalanced_against_null_space():
 def test_left_perron_properties(seed):
     rng = np.random.default_rng(seed)
     g = random_sc_digraph(rng)
-    ls = laplacian(g)
+    ls = analyze(g).laplacian
     r = spectra(g).r
     assert np.all(r > 0)
     assert_allclose(r.sum(), 1.0, atol=1e-12)
@@ -204,7 +202,7 @@ def test_generalized_connectivity_benchmark(bench_graph):
 def test_lemma_floor_and_positivity(seed):
     rng = np.random.default_rng(seed)
     g = random_sc_digraph(rng)
-    ls = laplacian(g)
+    ls = analyze(g).laplacian
     sp = spectra(g)
     q = np.diag(sp.r) @ ls + ls.T @ np.diag(sp.r)
     assert np.linalg.eigvalsh(q).min() >= -1e-9
@@ -216,7 +214,7 @@ def test_lemma_floor_and_positivity(seed):
 def test_balanced_connectivity_matches_fiedler(seed):
     rng = np.random.default_rng(seed)
     g = random_balanced_sc_digraph(rng)
-    ls = laplacian(g)
+    ls = analyze(g).laplacian
     lam2 = np.sort(np.linalg.eigvalsh((ls + ls.T) / 2))[1]
     assert abs(spectra(g).a_of_l - lam2) <= 1e-8
 
@@ -233,8 +231,8 @@ def test_rank_deficiency_matches_spanning_tree_flag():
         (DiGraph.from_edges(3, [(1, 2)]), False),
     ]
     for g, has_tree in cases:
-        assert classify(g).has_spanning_tree == has_tree
-        rank = np.linalg.matrix_rank(laplacian(g), tol=1e-9)
+        assert analyze(g).flags.has_spanning_tree == has_tree
+        rank = np.linalg.matrix_rank(analyze(g).laplacian, tol=1e-9)
         assert (rank == g.n - 1) == has_tree
 
 
@@ -263,9 +261,38 @@ def test_analyze_graph_with_neither_class():
     g = DiGraph.from_edges(3, [(1, 2)])
     a = analyze(g)
     assert not a.flags.has_spanning_tree
-    assert_allclose(a.laplacian, laplacian(g), atol=0.0)
+    assert_allclose(a.laplacian,
+                    [[0.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+                    atol=0.0)
     assert a.r is None and a.a_of_l is None and a.lambda2_sym is None
     assert a.leader_follower is None
+    assert a.weights is None
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_analyze_sets_the_weights_of_v(seed, rooted):
+    rng = np.random.default_rng(seed)
+    g = random_sc_digraph(rng)
+    if not rooted:
+        a = analyze(g)
+        assert a.weights is a.r
+        return
+    # a new node with edges into the strongly connected g roots a spanning
+    # tree at zero in-degree; relabel so the leader lands anywhere
+    n = g.n + 1
+    label = rng.permutation(n) + 1
+    targets = [v for v in range(1, n) if rng.random() < 0.5] or [1]
+    edges = list(g.edges) + [(n, v) for v in targets]
+    g = DiGraph.from_edges(n, [(label[p - 1], label[c - 1])
+                               for p, c in edges])
+    leader = int(label[n - 1])
+    a = analyze(g)
+    lf = a.leader_follower
+    assert a.r is None and lf.leader == leader
+    assert a.weights[leader - 1] == 0.0
+    assert np.array_equal(a.weights[np.asarray(lf.followers) - 1],
+                          1.0 / lf.q)
 
 
 def test_analyze_reports_indefinite_h_that_tracking_rejects():
@@ -285,7 +312,6 @@ def test_analyze_reports_indefinite_h_that_tracking_rejects():
 def test_leader_follower_lone_follower_is_simplified():
     lf = analyze(DiGraph.from_edges(2, [(1, 2)])).leader_follower
     assert lf.followers == (2,)
-    assert lf.simplified_applicable
     assert lf.lambda1_sym == pytest.approx(1.0, abs=1e-12)
 
 
@@ -294,9 +320,9 @@ def test_leader_follower_path_closed_form():
     assert lf.leader == 1
     assert lf.followers == (2, 3)
     assert_allclose(lf.l1, [[1.0, 0.0], [-1.0, 1.0]], atol=0.0)
-    assert_allclose(lf.l2, [[-1.0], [0.0]], atol=0.0)
     assert_allclose(lf.q, [1.0, 2.0], atol=1e-12)
-    assert_allclose(lf.bigG, [[1.0, 0.0], [0.0, 0.5]], atol=1e-12)
+    assert_allclose(analyze(path_graph()).weights, [0.0, 1.0, 0.5],
+                    atol=1e-12)
     assert_allclose(lf.h, [[1.0, -0.25], [-0.25, 0.5]], atol=1e-12)
     assert_allclose(lf.lambda1_h, (3.0 - math.sqrt(2.0)) / 4.0, atol=1e-9)
     assert lf.min_q == pytest.approx(1.0, abs=1e-12)
@@ -309,13 +335,12 @@ def test_leader_follower_star_identity():
     assert_allclose(lf.h, np.eye(2), atol=1e-12)
     assert_allclose(lf.lambda1_h, 1.0, atol=1e-12)
     # single-edge followers are not strongly connected among themselves
-    assert not lf.simplified_applicable
+    assert lf.lambda1_sym is None
 
 
 def test_leader_follower_simplified_branch():
     g = DiGraph.from_edges(3, [(1, 2), (1, 3), (2, 3), (3, 2)])
     lf = leader_follower_data(g, 1)
-    assert lf.simplified_applicable
     assert_allclose(lf.l1, [[2.0, -1.0], [-1.0, 2.0]], atol=0.0)
     assert_allclose(lf.q, [1.0, 1.0], atol=1e-12)
     sym_vals = np.linalg.eigvalsh((lf.l1 + lf.l1.T) / 2)

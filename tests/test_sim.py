@@ -15,10 +15,10 @@ from consyn import (
     PreconditionError,
     Scenario,
     Trajectory,
+    analyze,
     closed_loop,
     hinf_cost,
     integrate,
-    laplacian,
     lyapunov_diag,
     max_pairwise_distance,
     square_wave,
@@ -229,7 +229,7 @@ def test_rhs_matches_kronecker_form(bench_model, bench_graph,
     x = rng.standard_normal(24)
     dx = closed_loop(consensus_design)(0.0, x.reshape(6, 4)).reshape(-1)
     eye = np.eye(6)
-    lap = laplacian(bench_graph)
+    lap = analyze(bench_graph).laplacian
     big_a = np.kron(eye, bench_model.a)
     big_d1 = np.kron(eye, bench_model.d1)
     coupling = np.kron(lap, bench_model.b @ consensus_design.k)
@@ -332,6 +332,13 @@ def test_scenario_validation(consensus_design):
         Scenario(design=consensus_design, x0=x0, t_end=np.inf)
     with pytest.raises(ValueError, match="dt = nan"):
         Scenario(design=consensus_design, x0=x0, dt=np.nan)
+    # 3 steps of 0.3 end at 0.9, 2 steps of 0.6 at 1.2
+    for dt in (0.3, 0.6):
+        with pytest.raises(ValueError, match=f"t_end = 1.0 .* dt = {dt}"):
+            Scenario(design=consensus_design, x0=x0, t_end=1.0, dt=dt)
+    # 3 * 0.1 misses 0.3 by one rounding step, far inside GRID_REL
+    scenario = Scenario(design=consensus_design, x0=x0, t_end=0.3, dt=0.1)
+    assert integrate(scenario).times[-1] == pytest.approx(0.3, rel=1e-15)
 
 
 def test_trajectory_error_invariants(consensus_design, bench_spectra):
@@ -356,7 +363,7 @@ def test_error_dynamics_consistency(bench_model, bench_graph,
     proj = np.eye(6) - np.outer(np.ones(6), r)
     e = proj @ x
     dx = closed_loop(consensus_design)(0.0, x)
-    lap = laplacian(bench_graph)
+    lap = analyze(bench_graph).laplacian
     coupling = bench_model.b @ consensus_design.k
     fx = bench_model.nonlinear(x)
     de = (e @ bench_model.a.T
@@ -474,7 +481,8 @@ def test_lyapunov_tracking_weights_follow_g():
     g = DiGraph.from_edges(5, [(1, 2), (2, 3), (2, 4), (2, 5)])
     design = synthesize(model, g, "leader-follower", cert=([[1.0]], 3.0))
     assert design.c == pytest.approx(12.0, rel=1e-12)
-    assert_allclose(design.weights, [0.0, 1.0, 0.5, 0.5, 0.5], atol=1e-12)
+    assert_allclose(design.analysis.weights, [0.0, 1.0, 0.5, 0.5, 0.5],
+                    atol=1e-12)
     scenario = Scenario(
         design=design, x0=np.array([[0.0], [2.0], [1.0], [1.0], [1.0]]),
         t_end=5.0, dt=1e-3)

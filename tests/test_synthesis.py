@@ -139,9 +139,9 @@ def test_leader_follower_path_threshold():
                         cert=consensus_witness())
     lam1 = (3.0 - math.sqrt(2.0)) / 4.0
     assert design.mode == DesignMode.LEADER_FOLLOWER
-    assert design.leader == 1
+    assert design.analysis.leader_follower.leader == 1
     # G = diag(1/q) with q = (1, 2) on the followers, 0 at the leader
-    assert_allclose(design.weights, [0.0, 1.0, 0.5], atol=1e-12)
+    assert_allclose(design.analysis.weights, [0.0, 1.0, 0.5], atol=1e-12)
     assert_allclose(design.c_threshold, 1.0 / lam1, atol=1e-9)
     assert design.c_threshold == pytest.approx(2.523, abs=1e-3)
     # followers of a path do not form a strongly connected subgraph
@@ -251,8 +251,8 @@ def test_hinf_needs_gamma():
 
 def test_leaderless_weights_are_left_null_vector(bench_spectra,
                                                  consensus_design):
-    assert consensus_design.leader is None
-    assert np.array_equal(consensus_design.weights, bench_spectra.r)
+    assert consensus_design.analysis.leader_follower is None
+    assert np.array_equal(consensus_design.analysis.weights, bench_spectra.r)
 
 
 def test_design_carries_the_graph_analysis(bench_spectra, bench_graph,
