@@ -68,9 +68,11 @@ class LmiProblem:
 
     def __post_init__(self):
         if self.kind == LmiKind.HINF and not (
-                self.gamma is not None and 0 < self.gamma < np.inf):
-            raise ValueError("the hinf kind needs a finite gamma > 0, got "
-                             f"gamma = {self.gamma}")
+                self.gamma is not None
+                and 0 < self.gamma <= numkit.MODEL_MAX):
+            raise ValueError(
+                f"the hinf kind needs 0 < gamma <= {numkit.MODEL_MAX:.0e}, "
+                f"got gamma = {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -123,28 +125,38 @@ class MarginReport:
 
 
 def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
-    """Assemble the block matrix of the inequality at (p, scalar)."""
+    """Assemble the block matrix of the inequality at (p, scalar).
+
+    Raises ValueError when a block overflows the float range.
+    """
     m = problem.model
     a, b, d1 = m.a, m.b, m.d1
     n = a.shape[0]
     pm = numkit.as_matrix(p, "p")
     if pm.shape != (n, n):
         raise ValueError(f"p must be {n}x{n}, got {pm.shape}")
-    b11 = (a @ pm + pm @ a.T - scalar * (b @ b.T)
-           + m.alpha ** 2 * (d1 @ d1.T))
-    eye = np.eye(n)
-    if problem.kind == LmiKind.CONSENSUS:
-        return np.block([[b11, pm], [pm, -eye]])
-    d2, c = m.d2, m.c_out
-    m2 = c.shape[0]
-    m1 = d2.shape[1]
-    gamma = float(problem.gamma)
-    return np.block([
-        [b11, pm, pm @ c.T, d2],
-        [pm, -eye, np.zeros((n, m2)), np.zeros((n, m1))],
-        [c @ pm, np.zeros((m2, n)), -np.eye(m2), np.zeros((m2, m1))],
-        [d2.T, np.zeros((m1, n)), np.zeros((m1, m2)), -gamma ** 2 * np.eye(m1)],
-    ])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            b11 = (a @ pm + pm @ a.T - scalar * (b @ b.T)
+                   + m.alpha ** 2 * (d1 @ d1.T))
+            eye = np.eye(n)
+            if problem.kind == LmiKind.CONSENSUS:
+                return np.block([[b11, pm], [pm, -eye]])
+            d2, c = m.d2, m.c_out
+            m2 = c.shape[0]
+            m1 = d2.shape[1]
+            gamma = float(problem.gamma)
+            return np.block([
+                [b11, pm, pm @ c.T, d2],
+                [pm, -eye, np.zeros((n, m2)), np.zeros((n, m1))],
+                [c @ pm, np.zeros((m2, n)), -np.eye(m2), np.zeros((m2, m1))],
+                [d2.T, np.zeros((m1, n)), np.zeros((m1, m2)),
+                 -gamma ** 2 * np.eye(m1)],
+            ])
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"the inequality overflows at scalar {scalar:.3e} and a p of "
+            f"largest entry {np.abs(pm).max():.3e}") from exc
 
 
 def _floor(values) -> float:
@@ -253,7 +265,8 @@ def _center(stacker: _Stacker, scalar: float):
     """
     problem, m = stacker.problem, stacker.problem.model
     cols, r = [m.b], [np.eye(m.b.shape[1]) / scalar]
-    if m.alpha ** 2 > 0:
+    # an alpha^2 whose inverse overflows weighs nothing: solve as alpha = 0
+    if m.alpha ** 2 > 1.0 / np.finfo(float).max:
         cols.append(m.d1)
         r.append(-np.eye(m.d1.shape[1]) / m.alpha ** 2)
     q = 1.01 * np.eye(stacker.n)

@@ -10,12 +10,19 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from .errors import PreconditionError
 
 # The relative asymmetry sym_eigvals accepts, and the condition estimate and
 # relative residual above which solve_linear refuses.
 SYM_ASYM = 1e-12
 COND_MAX = 1e12
 SOLVE_RESID = 1e-9
+# The largest magnitude a number of an agent model may have. The
+# certificate search multiplies model numbers with each other, with the
+# scalar it seeds at 10 ||A||_F^2 and ladders up to 1e6 times that, and
+# squares the results in norms and barrier Hessians, so entries up to 1e12
+# keep every product far inside the float range (about 1.8e308).
+MODEL_MAX = 1e12
 
 
 def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray[np.float64]:
@@ -35,6 +42,21 @@ def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray[np.float64]:
     return m
 
 
+def check_model_numbers(m: ArrayLike, name: str) -> None:
+    """Raise PreconditionError naming the first entry of m (1-based; m
+    itself when it is a number) whose magnitude exceeds MODEL_MAX."""
+    m = np.asarray(m, dtype=float)
+    size = np.abs(m)
+    if size.max() > MODEL_MAX:
+        over = np.argwhere(size > MODEL_MAX)
+        at = tuple(over[0])
+        where = (f"entry ({', '.join(str(k + 1) for k in at)}) of {name}"
+                 if at else name)
+        raise PreconditionError(
+            f"{where} is {m[at]:.6g}, beyond {MODEL_MAX:.0e}, the largest "
+            "magnitude a model number may have")
+
+
 def sym_eigvals(s: ArrayLike) -> NDArray[np.float64]:
     """Ascending eigenvalues of a symmetric matrix.
 
@@ -46,20 +68,24 @@ def sym_eigvals(s: ArrayLike) -> NDArray[np.float64]:
     m = as_matrix(s, "s")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"s must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.linalg.norm(m, "fro")))
-    asym = float(np.linalg.norm(m - m.T, "fro"))
-    if asym > SYM_ASYM * scale:
-        raise ValueError(
-            f"s is not symmetric: relative asymmetry {asym / scale:.3e}"
-        )
-    sym = (m + m.T) / 2.0
+    # The asymmetry ||m - m^T||_F relative to max(1, ||m||_F), from m
+    # scaled to largest magnitude 1, so that no square overflows. Halves
+    # before the sum, since m + m^T can overflow; halving a normal number
+    # is exact, so the bits of (m + m^T)/2 are kept wherever it is normal.
+    top = float(np.abs(m).max()) or 1.0
+    unit = m / top
+    size = float(np.linalg.norm(unit, "fro"))
+    rel = float(np.linalg.norm(unit - unit.T, "fro")) / max(1.0 / top, size)
+    if rel > SYM_ASYM:
+        raise ValueError(f"s is not symmetric: relative asymmetry {rel:.3e}")
+    sym = m / 2.0 + m.T / 2.0
     try:
         return np.linalg.eigh(sym)[0]
     except np.linalg.LinAlgError as exc:
         cond = float(np.linalg.cond(sym))
         raise np.linalg.LinAlgError(
             f"symmetric eigensolve did not converge "
-            f"(norm {scale:.3e}, cond estimate {cond:.3e})"
+            f"(norm {top * size:.3e}, cond estimate {cond:.3e})"
         ) from exc
 
 

@@ -9,6 +9,9 @@ offset v_i = x_i - x_lead for tracking runs.
 """
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -28,6 +31,9 @@ LIPSCHITZ_SLACK = 1e-9
 BLOWUP_NORM = 1e9
 V_STEP_REL = 1e-10
 GRID_REL = 1e-9
+# Samples write_csv formats per block: a block's floats and text stay a
+# few MB however long the run.
+CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -129,11 +135,16 @@ class AgentModel:
         if not 0 <= self.alpha < np.inf:
             raise ValueError(
                 f"alpha must be finite and >= 0, got alpha = {self.alpha}")
-        for (o, i, _) in self.f.terms:
+        for name, val in (("a", a), ("b", b), ("d1", d1), ("d2", d2),
+                          ("c_out", c_out), ("alpha", self.alpha)):
+            numkit.check_model_numbers(val, name)
+        for k, (o, i, coef) in enumerate(self.f.terms):
             if not (0 <= o < d1.shape[1]):
                 raise ValueError(f"nonlinearity output index {o} outside d1")
             if not (0 <= i < n):
                 raise ValueError(f"nonlinearity input index {i} outside state")
+            numkit.check_model_numbers(
+                coef, f"the coefficient of nonlinearity term {k + 1}")
         lip = self.f.lipschitz_constant(n, d1.shape[1])
         if self.alpha + LIPSCHITZ_SLACK < lip:
             raise PreconditionError(
@@ -410,30 +421,143 @@ def max_pairwise_distance(states: NDArray[np.float64]) -> float:
     return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where the OS cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
+                row_fmt: str) -> None:
+    """Format the kept samples rows.start..rows.stop - 1 to the binary file
+    out, CSV_BLOCK_ROWS at a time, straight from the trajectory's arrays."""
+    for lo in range(rows.start, rows.stop, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, rows.stop)
+        sl = slice(lo * decimation, (hi - 1) * decimation + 1, decimation)
+        count = hi - lo
+        block = np.concatenate(
+            [traj.times[sl, None], traj.states[sl].reshape(count, -1),
+             traj.e[sl].reshape(count, -1), traj.z[sl].reshape(count, -1),
+             traj.v_lyap[sl, None], traj.j_running[sl, None]], axis=1)
+        out.write(((row_fmt * count) % tuple(block.ravel().tolist()))
+                  .encode("ascii"))
+
+
+def _write_part(fd: int, traj: Trajectory, rows: range, decimation: int,
+                row_fmt: str) -> None:
+    """Body of a forked worker: write its rows to fd, then end the process
+    with code 0, or 1 on any exception. It never returns to the caller."""
+    code = 1
+    try:
+        with open(fd, "wb") as part:
+            _write_rows(traj, part, rows, decimation, row_fmt)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_children(traj: Trajectory, fds: list[int], ranges: list[range],
+                  decimation: int, row_fmt: str) -> list[int]:
+    """Fork a child writing each range to the matching fd, and return
+    their exit statuses once all have exited.
+
+    While they run, this process does no work of its own: every page it
+    wrote while the children still shared its memory would be copied
+    first, which slowed all it did in that time (a 1.5 ms timer handler
+    took up to 36 ms). It waits in a single read, which ends when the last
+    child has exited and so closed its end of a pipe (the handler of a
+    signal that restarts the read waits with it), and only then reaps them.
+    """
+    children = []
+    done_r, done_w = os.pipe()
+    try:
+        for fd, rows in zip(fds, ranges):
+            pid = os.fork()
+            if pid == 0:
+                _write_part(fd, traj, rows, decimation, row_fmt)
+            children.append(pid)
+    finally:
+        os.close(done_w)
+        try:
+            os.read(done_r, 1)
+        finally:
+            os.close(done_r)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                     for pid in children]
+    return codes
+
+
+def _write_ranges(traj: Trajectory, out, ranges: list[range],
+                  decimation: int, row_fmt: str, folder: str) -> None:
+    """Write the rows of every range to out, in order.
+
+    A single range is written here. Otherwise a forked child writes each
+    range, the first straight into out and the others into temporary files
+    in folder, which are appended once every child has exited. Every child
+    is reaped and every temporary file deleted, also on failure.
+    """
+    if len(ranges) == 1:
+        _write_rows(traj, out, ranges[0], decimation, row_fmt)
+        return
+    fds, parts = [out.fileno()], []
+    try:
+        for _ in ranges[1:]:
+            fd, part = tempfile.mkstemp(suffix=".part", dir=folder)
+            fds.append(fd)
+            parts.append(part)
+        codes = _run_children(traj, fds, ranges, decimation, row_fmt)
+        for rows, code in zip(ranges, codes):
+            if code != 0:
+                raise OSError(f"the process formatting rows {rows.start + 1}"
+                              f"-{rows.stop} ended with status {code}")
+        # the first child moved the file offset that out shares with it
+        out.seek(0, os.SEEK_END)
+        for part in parts:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, out)
+    finally:
+        for fd in fds[1:]:
+            os.close(fd)
+        for part in parts:
+            os.unlink(part)
+
+
 def write_csv(traj: Trajectory, path, decimation: int = 1) -> None:
     """Write the trajectory as CSV.
 
     Header: t, x{agent}_{component}..., e{agent}_{component}...,
     z{agent}_{component}..., V, J_running. Agent and component indices are
-    1-based. decimation keeps every decimation-th sample.
+    1-based. decimation keeps every decimation-th sample. Values are
+    formatted "%.12g": the bytes are those np.savetxt writes for the table.
+
+    The kept rows are split into one contiguous range per CPU the process
+    may use. With one CPU this process writes them all. Otherwise a forked
+    child formats each range, the first after the header in the output and
+    the others into temporary files next to it, appended in order once all
+    have exited. A failure to write raises OSError naming path, and no
+    child or temporary file outlives the call.
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
-    t = traj.times[::decimation]
-    nt = t.shape[0]
+    nt = len(range(0, traj.times.shape[0], decimation))
     n_agents, n = traj.states.shape[1], traj.states.shape[2]
     m2 = traj.z.shape[2]
-    cols = [t]
     header = ["t"]
-    for name, arr, width in (("x", traj.states, n), ("e", traj.e, n),
-                             ("z", traj.z, m2)):
-        flat = arr[::decimation].reshape(nt, n_agents * width)
-        cols.append(flat)
+    for name, width in (("x", n), ("e", n), ("z", m2)):
         header += [f"{name}{i + 1}_{k + 1}"
                    for i in range(n_agents) for k in range(width)]
-    cols.append(traj.v_lyap[::decimation, None])
-    cols.append(traj.j_running[::decimation, None])
     header += ["V", "J_running"]
-    data = np.column_stack([c if c.ndim == 2 else c[:, None] for c in cols])
-    np.savetxt(path, data, fmt="%.12g", delimiter=",",
-               header=",".join(header), comments="")
+    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+    k = max(1, min(_cpu_count(), nt))
+    ranges = [range(nt * i // k, nt * (i + 1) // k) for i in range(k)]
+    with open(path, "wb") as out:
+        try:
+            out.write((",".join(header) + "\n").encode("ascii"))
+            # in the file before a forked child writes after it, and out of
+            # the buffer the children inherit
+            out.flush()
+            _write_ranges(traj, out, ranges, decimation, row_fmt,
+                          os.path.dirname(os.path.abspath(path)))
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc

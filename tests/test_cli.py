@@ -171,8 +171,13 @@ def test_graph_command_fuzz_exit_codes(tmp_path, text):
 MODEL_KEYS = ("a", "b", "d1", "d2", "c", "alpha", "f", "gamma")
 
 
+# Small numbers, which reach the solver, or any finite float, which also
+# reaches the overflow range of the numbers a model or certificate may hold.
+FINITE = st.floats(-10, 10) | st.floats(-1e308, 1e308)
+
+
 def matrix(rows, cols):
-    return st.lists(st.lists(st.floats(-10, 10), min_size=cols, max_size=cols),
+    return st.lists(st.lists(FINITE, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
 
 
@@ -182,12 +187,12 @@ NONLINEARITY = st.one_of(JSON_VALUE, st.fixed_dictionaries({}, optional={
     "kind": st.one_of(st.sampled_from(["zero", "sine", "saturation", "tanh"]),
                       JSON_VALUE),
     "terms": st.one_of(JSON_VALUE, st.lists(st.lists(
-        st.integers(-1, 3) | st.floats(-10, 10), max_size=4), max_size=3)),
+        st.integers(-1, 3) | FINITE, max_size=4), max_size=3)),
 }))
 VALID_MODEL = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
     {"a": matrix(n, n), "b": matrix(n, 1), "d1": matrix(n, 1)},
     optional={"d2": matrix(n, 1), "c": matrix(1, n),
-              "alpha": st.floats(0, 10), "gamma": st.floats(0.1, 10),
+              "alpha": FINITE.map(abs), "gamma": FINITE,
               "f": NONLINEARITY}))
 # a well-shaped model with some keys dropped and others given wrong types
 MUTATED_MODEL = st.builds(
@@ -216,10 +221,10 @@ def test_model_file_fuzz_exit_codes(tmp_path, model, mode):
 
 @given(st.one_of(
     JSON_VALUE,
-    st.fixed_dictionaries({"p": matrix(1, 1), "scalar": st.floats(-10, 10)}),
+    st.fixed_dictionaries({"p": matrix(1, 1), "scalar": FINITE}),
     st.fixed_dictionaries({}, optional={
         "p": st.one_of(JSON_VALUE, ANY_MATRIX),
-        "scalar": st.one_of(JSON_VALUE, st.floats(-10, 10))})))
+        "scalar": st.one_of(JSON_VALUE, FINITE)})))
 @example({"p": [[1.0]], "scalar": 1.0})
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -520,6 +525,51 @@ def test_malformed_certificate_file_names_the_path(tmp_path, capsys):
                 "--cert", cert, "--out-dir", str(tmp_path)])
     assert code == 2
     assert f"{cert}: malformed certificate file" in capsys.readouterr().err
+
+
+def run_subprocess(argv):
+    """The CLI in a fresh interpreter with default warning filters, so a
+    leaked numpy warning shows on its stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "consyn.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("p", [1e300, 1.7e308])
+def test_certificate_near_float_range_exit_code(tmp_path, p):
+    """A certificate whose p squares past the float range fails cleanly."""
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    cert = write_json(tmp_path / "cert.json", {"p": [[p]], "scalar": 1.0})
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    proc = run_subprocess(["synth", model, str(gfile), "--mode",
+                           "leaderless", "--cert", cert,
+                           "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("update, named", [
+    ({"a": [[1e200]]}, "entry (1, 1) of a is 1e+200"),
+    ({"d1": [[1.0, -3e12]]}, "entry (1, 2) of d1 is -3e+12"),
+    ({"alpha": 2e12}, "alpha is 2e+12"),
+    ({"f": {"kind": "tanh", "terms": [[1, 1, 0.5], [1, 1, 1e100]]},
+      "alpha": 1.0}, "the coefficient of nonlinearity term 2 is 1e+100"),
+], ids=["a", "d1", "alpha", "f"])
+def test_model_number_beyond_range_exit_code(tmp_path, update, named):
+    """A model number too large for the certificate search is rejected as
+    the file is loaded, naming the file and the entry, with no warning."""
+    model = write_json(tmp_path / "m.json",
+                       {"a": [[1.0]], "b": [[1.0]], "d1": [[1.0]]} | update)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    proc = run_subprocess(["synth", model, str(gfile), "--mode",
+                           "leaderless", "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {model}: {named}, beyond 1e+12")
+    assert "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("command, flags, model_update, named", [

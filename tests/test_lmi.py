@@ -62,6 +62,15 @@ def test_problem_requires_gamma_for_hinf(bench_model):
         LmiProblem(LmiKind.HINF, bench_model)
     with pytest.raises(ValueError):
         LmiProblem(LmiKind.HINF, bench_model, gamma=-1.0)
+    # gamma^2 would overflow the float range
+    with pytest.raises(ValueError, match="gamma <= 1e\\+12"):
+        LmiProblem(LmiKind.HINF, bench_model, gamma=1e300)
+
+
+def test_assemble_overflow_is_a_value_error():
+    problem = LmiProblem(LmiKind.CONSENSUS, scalar_model())
+    with pytest.raises(ValueError, match="overflows"):
+        assemble(problem, [[1.7e308]], 1.0)
 
 
 def test_verify_accepts_hand_witness():
@@ -233,11 +242,12 @@ def test_barrier_derivatives_match_central_difference(bench_model):
 
 
 def test_alpha_whose_square_underflows_solves_as_alpha_zero():
-    # 1e-200 ** 2 is 0, so the Riccati seed must not divide by it
+    # 1e-200 ** 2 is 0 and 1e-160 ** 2 a subnormal whose inverse
+    # overflows, so the Riccati seed must not divide by either
     scalars = [solve(LmiProblem(LmiKind.CONSENSUS,
                                 scalar_model(a=0.0, alpha=alpha))).scalar
-               for alpha in (0.0, 1e-200)]
-    assert scalars[0] == scalars[1]
+               for alpha in (0.0, 1e-200, 1e-160)]
+    assert scalars[0] == scalars[1] == scalars[2]
 
 
 def test_center_is_none_on_uncontrollable_scalar_model():

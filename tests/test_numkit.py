@@ -56,6 +56,17 @@ def test_sym_eig_benchmark_symmetrized_laplacian(bench_graph):
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eigvals([[0.0, 1.0], [0.0, 0.0]])
+    # m - m^T would overflow: the check must still see the asymmetry
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigvals([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+
+def test_sym_eig_near_the_float_range():
+    """Entries whose squares, and whose sum with their transpose, overflow
+    give exact eigenvalues and no warning."""
+    assert sym_eigvals([[1e300]])[0] == 1e300
+    assert_allclose(sym_eigvals([[1.7e308, 0.0], [0.0, -1.7e308]]),
+                    [-1.7e308, 1.7e308], rtol=1e-15)
 
 
 def test_sym_eig_rejects_nonsquare():

@@ -1,5 +1,8 @@
 import csv
 import dataclasses
+import os
+import re
+import signal
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from consyn import (
     synthesize,
     write_csv,
 )
-from consyn import benchmark
+from consyn import benchmark, sim
 from consyn.sim import LIPSCHITZ_SLACK
 
 from conftest import path_graph, scalar_model, two_node_graph
@@ -526,3 +529,117 @@ def test_write_csv_decimation(tmp_path):
     assert n_rows == 1 + int(np.ceil(traj.times.size / 10))
     with pytest.raises(ValueError):
         write_csv(traj, path, decimation=0)
+
+
+# 0.0, -0.0, subnormals, the extremes of the exponent range, integers, and
+# values whose 12th significant digit rounds up (a carry into a new decade
+# included) or down
+CSV_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308 / 3,
+              1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308,
+              3.0, -7.0, 123456789012.0, 1e15, -4503599627370497.0,
+              0.1234567890125, 1.99999999999950, 9.9999999999995,
+              -9.9999999999995e-5, 0.1, 2.0 / 3.0]
+
+
+def special_trajectory(steps: int) -> Trajectory:
+    """A 2-agent, 2-state, 1-output trajectory of steps samples whose
+    entries cycle through CSV_VALUES in a shuffled order."""
+    rng = np.random.default_rng(steps)
+
+    def fill(*shape):
+        idx = rng.integers(0, len(CSV_VALUES), size=shape)
+        return np.array(CSV_VALUES)[idx]
+    return Trajectory(times=fill(steps), states=fill(steps, 2, 2),
+                      e=fill(steps, 2, 2), z=fill(steps, 2, 1),
+                      v_lyap=fill(steps), j_running=fill(steps),
+                      omega=np.zeros((steps, 2, 1)))
+
+
+def savetxt_reference(traj, path, decimation):
+    """The trajectory CSV as one np.savetxt call over the whole table."""
+    t = traj.times[::decimation]
+    cols = [t[:, None]]
+    for arr in (traj.states, traj.e, traj.z):
+        cols.append(arr[::decimation].reshape(t.size, -1))
+    cols += [traj.v_lyap[::decimation, None],
+             traj.j_running[::decimation, None]]
+    header = ("t,x1_1,x1_2,x2_1,x2_2,e1_1,e1_2,e2_1,e2_2,z1_1,z2_1,"
+              "V,J_running")
+    np.savetxt(path, np.column_stack(cols), fmt="%.12g", delimiter=",",
+               header=header, comments="")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("decimation", [1, 10])
+@pytest.mark.parametrize("steps", [1, 2, 7, 2 * sim.CSV_BLOCK_ROWS * 10 + 3])
+def test_write_csv_matches_savetxt_bytes(tmp_path, monkeypatch, cpus,
+                                         decimation, steps):
+    """Byte for byte the np.savetxt table, on one, two and three CPUs, for
+    row counts below, at and across the CPU count and the block size."""
+    monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+    traj = special_trajectory(steps)
+    out_dir, ref_dir = tmp_path / "out", tmp_path / "ref"
+    out_dir.mkdir()
+    ref_dir.mkdir()
+    write_csv(traj, out_dir / "traj.csv", decimation=decimation)
+    savetxt_reference(traj, ref_dir / "traj.csv", decimation)
+    assert (out_dir / "traj.csv").read_bytes() == \
+        (ref_dir / "traj.csv").read_bytes()
+    assert os.listdir(out_dir) == ["traj.csv"]
+    assert_no_child_left()
+
+
+def fail_in(where: str, how: str, monkeypatch):
+    """Make writing fail in the forked workers ("child": sim._write_rows
+    there), in the calling process's own rows ("parent": sim._write_rows on
+    one CPU) or in its appending of the workers' files ("append"), by
+    raising OSError or RuntimeError, or by the worker killing itself."""
+    parent, write_rows = os.getpid(), sim._write_rows
+    error = {"oserror": OSError, "error": RuntimeError, "kill": None}[how]
+
+    def flaky_rows(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            if how == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise error("no room")
+        write_rows(*args)
+
+    def flaky_copy(*args):
+        raise error("no room")
+    if where == "append":
+        monkeypatch.setattr(sim.shutil, "copyfileobj", flaky_copy)
+    else:
+        monkeypatch.setattr(sim, "_write_rows", flaky_rows)
+    monkeypatch.setattr(sim, "_cpu_count",
+                        lambda: 1 if where == "parent" else 3)
+
+
+@pytest.mark.parametrize("where, how", [
+    ("child", "oserror"), ("child", "error"), ("child", "kill"),
+    ("parent", "oserror"), ("append", "oserror"),
+])
+def test_write_csv_failure_names_the_path(tmp_path, monkeypatch, where, how):
+    """A worker, or the calling process, that cannot write its rows raises
+    OSError naming the CSV, and leaves no child and no temporary file."""
+    fail_in(where, how, monkeypatch)
+    path = tmp_path / "traj.csv"
+    with pytest.raises(OSError, match=re.escape(str(path))):
+        write_csv(special_trajectory(50), path)
+    assert os.listdir(tmp_path) == ["traj.csv"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("where", ["parent", "append"])
+def test_write_csv_other_error_cleans_up(tmp_path, monkeypatch, where):
+    """An error that is not an OSError in the calling process propagates
+    as itself, after the workers are reaped and their files deleted."""
+    fail_in(where, "error", monkeypatch)
+    with pytest.raises(RuntimeError, match="no room"):
+        write_csv(special_trajectory(50), tmp_path / "traj.csv")
+    assert os.listdir(tmp_path) == ["traj.csv"]
+    assert_no_child_left()
