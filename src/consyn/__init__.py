@@ -15,10 +15,9 @@ from .graph import (DiGraph, GraphAnalysis, GraphFlags, LeaderFollowerData,
 from .lmi import (LmiCertificate, LmiKind, LmiProblem, MarginReport,
                   ProbeRecord, SolveTrace, assemble, solve, verify)
 from .numkit import as_matrix, solve_linear, sym_eigvals
-from .sim import (AgentModel, DisturbanceSpec, HinfCost, LyapunovReport,
-                  Nonlinearity, Scenario, Trajectory, closed_loop, hinf_cost,
-                  integrate, lyapunov_diag, max_pairwise_distance, square_wave,
-                  write_csv)
+from .sim import (AgentModel, Assessment, DisturbanceSpec, Nonlinearity,
+                  Scenario, Trajectory, assess, closed_loop, integrate,
+                  max_pairwise_distance, square_wave, write_csv)
 from .synthesis import DesignMode, ProtocolDesign, problem_for, synthesize
 
 __all__ = [
@@ -30,9 +29,8 @@ __all__ = [
     "LmiCertificate", "LmiKind", "LmiProblem", "MarginReport",
     "ProbeRecord", "SolveTrace", "assemble", "solve", "verify",
     "as_matrix", "solve_linear", "sym_eigvals",
-    "AgentModel", "DisturbanceSpec", "HinfCost", "LyapunovReport",
-    "Nonlinearity", "Scenario", "Trajectory", "closed_loop", "hinf_cost",
-    "integrate", "lyapunov_diag", "max_pairwise_distance", "square_wave",
-    "write_csv",
+    "AgentModel", "Assessment", "DisturbanceSpec", "Nonlinearity",
+    "Scenario", "Trajectory", "assess", "closed_loop", "integrate",
+    "max_pairwise_distance", "square_wave", "write_csv",
     "DesignMode", "ProtocolDesign", "problem_for", "synthesize",
 ]

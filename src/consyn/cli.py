@@ -5,9 +5,10 @@ Subcommands: graph (spectral analysis), synth (protocol design), simulate
 bundle). Reports are JSON, trajectories CSV, graphs plain-text edge lists.
 
 Exit codes: 0 success, 2 precondition violation (including unreadable or
-malformed inputs), 3 feasibility search exhausted its budget, 4 simulation
-blow-up. The default output directory comes from CONSYN_OUT_DIR, falling
-back to the current directory.
+malformed inputs, and an output that cannot be written, named in the
+message), 3 feasibility search exhausted its budget, 4 simulation blow-up.
+main alone maps an exception to its exit code. The default output
+directory comes from CONSYN_OUT_DIR, falling back to the current directory.
 """
 from __future__ import annotations
 
@@ -26,11 +27,13 @@ from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
                     parse_edge_list)
 from .sim import (AgentModel, DisturbanceSpec, Nonlinearity, Scenario,
-                  check_time_grid, hinf_cost, integrate, lyapunov_diag,
-                  max_pairwise_distance, write_csv)
+                  assess, check_time_grid, integrate, write_csv)
 from .synthesis import DesignMode, ProtocolDesign, synthesize
 
 OUT_DIR_ENV = "CONSYN_OUT_DIR"
+# The final pairwise distance below which repro calls the consensus run
+# converged.
+CONVERGED_BELOW = 1e-3
 
 
 def _listify(a):
@@ -304,16 +307,15 @@ def cmd_simulate(ns) -> int:
     out_dir = _out_dir(ns)
     csv_path = out_dir / "trajectory.csv"
     write_csv(traj, csv_path)
-    lyap = lyapunov_diag(traj)
+    run = assess(traj, design.gamma)
     summary = {
-        "final_consensus_error": max_pairwise_distance(traj.states[-1]),
-        "v_fraction_increasing": lyap.fraction_increasing,
-        "v0": lyap.v0,
+        "final_consensus_error": run.final_error,
+        "v_fraction_increasing": run.v_fraction_increasing,
+        "v0": run.v0,
     }
     if design.gamma is not None:
-        cost = hinf_cost(traj, design.gamma)
-        summary["j"] = cost.j
-        summary["empirical_gain"] = cost.empirical_gain
+        summary["j"] = run.j
+        summary["empirical_gain"] = run.empirical_gain
     report = {
         "graph": _graph_section(design.analysis),
         "design": _design_section(design),
@@ -332,7 +334,7 @@ def cmd_simulate(ns) -> int:
         gain = summary["empirical_gain"]
         print(f"empirical gain: {gain:.6f}" if gain is not None
               else "empirical gain: undefined (zero disturbance)")
-    print(f"V increases: {lyap.n_increasing}")
+    print(f"V increases: {run.v_increases}")
     print(f"trajectory: {csv_path}")
     print(f"report: {path}")
     return 0
@@ -375,7 +377,7 @@ def cmd_repro(ns) -> int:
         traj_c = integrate(Scenario(
             design=consensus, x0=x0, t_end=ns.t_end, dt=ns.dt))
         write_csv(traj_c, out_dir / "consensus_traj.csv", decimation=10)
-        lyap = lyapunov_diag(traj_c)
+        run_c = assess(traj_c)
 
         stage = "attenuation-sim"
         traj_h = integrate(Scenario(
@@ -383,7 +385,7 @@ def cmd_repro(ns) -> int:
             disturbance=benchmark.benchmark_disturbance(ns.disturbance),
             t_end=ns.t_end, dt=ns.dt))
         write_csv(traj_h, out_dir / "attenuation_traj.csv", decimation=10)
-        cost = hinf_cost(traj_h, benchmark.GAMMA)
+        run_h = assess(traj_h, published.gamma)
 
         stage = "compare"
         rows = [
@@ -399,23 +401,16 @@ def cmd_repro(ns) -> int:
         checks = {
             "solver_margin": solved.cert.margin,
             "solver_feasible": solved.cert.feasible,
-            "consensus_final_error": max_pairwise_distance(traj_c.states[-1]),
-            "consensus_converged": bool(
-                max_pairwise_distance(traj_c.states[-1]) < 1e-3),
-            "v_increases": lyap.n_increasing,
-            "j": cost.j,
-            "j_negative": bool(cost.j < 0),
-            "empirical_gain": cost.empirical_gain,
-            "gain_below_gamma": bool(cost.empirical_gain < benchmark.GAMMA),
+            "consensus_final_error": run_c.final_error,
+            "consensus_converged": bool(run_c.final_error < CONVERGED_BELOW),
+            "v_increases": run_c.v_increases,
+            "j": run_h.j,
+            "j_negative": bool(run_h.j < 0),
+            "empirical_gain": run_h.empirical_gain,
+            "gain_below_gamma": bool(run_h.empirical_gain < published.gamma),
         }
-    except Exception as exc:
-        print(f"stage {stage} failed: {exc}", file=sys.stderr)
-        if isinstance(exc, InfeasibleError):
-            return 3
-        if isinstance(exc, BlowUpError):
-            return 4
-        if isinstance(exc, ValueError):
-            return 2
+    except Exception:
+        print(f"stage {stage} failed", file=sys.stderr)
         raise
 
     report = {
@@ -510,7 +505,7 @@ def main(argv=None) -> int:
         print(f"error: {exc} (last valid time {exc.last_valid_time})",
               file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Closed-loop network simulation, disturbances, costs, and diagnostics.
+"""Closed-loop network simulation, disturbances, and run assessment.
 
 The integrator is fixed-step classical Runge-Kutta (RK4) over the single
 closed-loop vector field :func:`closed_loop`, deterministic by construction.
@@ -25,7 +25,7 @@ from .synthesis import ProtocolDesign
 NONLINEARITY_KINDS = ("zero", "sine", "saturation", "tanh")
 # Slack on alpha in the Lipschitz check, the state norm at which
 # integrate aborts, the per-step rise of V, relative to V(0), that
-# lyapunov_diag does not flag, and the gap, relative to t_end, allowed
+# assess does not count, and the gap, relative to t_end, allowed
 # between t_end and the last step of the time grid.
 LIPSCHITZ_SLACK = 1e-9
 BLOWUP_NORM = 1e9
@@ -358,67 +358,57 @@ def integrate(scenario: Scenario) -> Trajectory:
                       j_running=j_running, omega=omega)
 
 
-@dataclass(frozen=True)
-class HinfCost:
-    j: float
-    z_energy: float
-    w_energy: float
-    empirical_gain: Optional[float]
-
-
-def hinf_cost(traj: Trajectory, gamma: float) -> HinfCost:
-    """Attenuation cost J and empirical gain over the recorded horizon.
-
-    J integrates ||z||^2 - gamma^2 ||w||^2 by the trapezoid rule on the
-    sample grid; meaningful under zero initial conditions. The empirical
-    gain sqrt(int ||z||^2 / int ||w||^2) is None for zero disturbance.
-    """
-    z2 = (traj.z ** 2).sum(axis=(1, 2))
-    w2 = (traj.omega ** 2).sum(axis=(1, 2))
-    z_energy = float(_trapezoid_steps(z2, traj.times).sum())
-    w_energy = float(_trapezoid_steps(w2, traj.times).sum())
-    j = z_energy - gamma ** 2 * w_energy
-    gain = float(np.sqrt(z_energy / w_energy)) if w_energy > 0 else None
-    return HinfCost(j=j, z_energy=z_energy, w_energy=w_energy,
-                    empirical_gain=gain)
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    v0: float
-    fraction_increasing: float
-    n_increasing: int
-    max_increase: float
-    step_tolerance: float
-
-
-def lyapunov_diag(traj: Trajectory) -> LyapunovReport:
-    """Decrease diagnostic for the weighted quadratic error energy.
-
-    Reads V(t) = sum_i w_i e_i(t)^T P^{-1} e_i(t) from the trajectory, with
-    w = design.analysis.weights (r, or 1/q for tracking). Reports the
-    fraction of steps where V increases beyond the per-step tolerance
-    V_STEP_REL * V(0). Guaranteed decrease is a sufficient condition tied
-    to the coupling threshold, so an increase under a weakened design is
-    flagged, not raised.
-    """
-    v = traj.v_lyap
-    dv = np.diff(v)
-    step_tol = V_STEP_REL * float(v[0])
-    increasing = dv > step_tol
-    return LyapunovReport(
-        v0=float(v[0]),
-        fraction_increasing=float(increasing.mean()) if dv.size else 0.0,
-        n_increasing=int(increasing.sum()),
-        max_increase=float(dv.max()) if dv.size else 0.0,
-        step_tolerance=step_tol,
-    )
-
-
 def max_pairwise_distance(states: NDArray[np.float64]) -> float:
     """Largest inter-agent state distance at one sample (N, n)."""
     diffs = states[:, None, :] - states[None, :, :]
     return float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+
+
+@dataclass(frozen=True)
+class Assessment:
+    """The numbers a report states about one run.
+
+    final_error is the largest pairwise state distance at t_end; v0 is
+    V(0); v_increases counts the steps where V rose by more than
+    V_STEP_REL * V(0), and v_fraction_increasing is their share of the
+    steps. j and empirical_gain are set only for a gamma: J integrates
+    ||z||^2 - gamma^2 ||w||^2 by the trapezoid rule on the sample grid
+    (meaningful under zero initial conditions), and the empirical gain
+    sqrt(int ||z||^2 / int ||w||^2) stays None for zero disturbance.
+    """
+
+    final_error: float
+    v0: float
+    v_increases: int
+    v_fraction_increasing: float
+    j: Optional[float]
+    empirical_gain: Optional[float]
+
+
+def assess(traj: Trajectory, gamma: Optional[float] = None) -> Assessment:
+    """The Assessment of a run; gamma, when given, sets j and the gain.
+
+    V is read from traj.v_lyap. Guaranteed decrease is a sufficient
+    condition tied to the coupling threshold, so an increase under a
+    weakened design is counted, not raised.
+    """
+    v = traj.v_lyap
+    dv = np.diff(v)
+    increasing = dv > V_STEP_REL * float(v[0])
+    j = gain = None
+    if gamma is not None:
+        z2 = (traj.z ** 2).sum(axis=(1, 2))
+        w2 = (traj.omega ** 2).sum(axis=(1, 2))
+        z_energy = float(_trapezoid_steps(z2, traj.times).sum())
+        w_energy = float(_trapezoid_steps(w2, traj.times).sum())
+        j = z_energy - gamma ** 2 * w_energy
+        gain = float(np.sqrt(z_energy / w_energy)) if w_energy > 0 else None
+    return Assessment(
+        final_error=max_pairwise_distance(traj.states[-1]),
+        v0=float(v[0]),
+        v_increases=int(increasing.sum()),
+        v_fraction_increasing=float(increasing.mean()) if dv.size else 0.0,
+        j=j, empirical_gain=gain)
 
 
 def _cpu_count() -> int:

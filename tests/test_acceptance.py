@@ -23,10 +23,9 @@ from consyn import (
     Scenario,
     analyze,
     assemble,
-    hinf_cost,
+    assess,
     integrate,
     leader_follower_data,
-    lyapunov_diag,
     max_pairwise_distance,
     solve,
     spectra,
@@ -118,9 +117,9 @@ def test_consensus_convergence(consensus_design):
     assert traj.times[below[0]] < 10.0
     assert series[-1] < 1e-3
 
-    report = lyapunov_diag(traj)
-    assert report.step_tolerance == pytest.approx(1e-10 * report.v0)
-    assert report.n_increasing == 0
+    run = assess(traj)
+    assert run.final_error == pytest.approx(series[-1], rel=1e-12)
+    assert run.v_increases == 0
 
 
 def test_disturbance_attenuation(hinf_design):
@@ -129,10 +128,10 @@ def test_disturbance_attenuation(hinf_design):
                         disturbance=benchmark.benchmark_disturbance(),
                         t_end=10.0, dt=1e-3)
     traj = integrate(scenario)
-    cost = hinf_cost(traj, benchmark.GAMMA)
-    assert cost.j < 0
-    assert cost.empirical_gain is not None
-    assert cost.empirical_gain < benchmark.GAMMA
+    run = assess(traj, benchmark.GAMMA)
+    assert run.j < 0
+    assert run.empirical_gain is not None
+    assert run.empirical_gain < benchmark.GAMMA
 
 
 def test_lemma_suite_on_random_digraphs():

@@ -2,7 +2,7 @@ import dataclasses
 import inspect
 
 import consyn
-from consyn import graph, lmi, numkit
+from consyn import graph, lmi, numkit, sim
 
 
 def test_public_callables_take_no_numeric_policy():
@@ -48,3 +48,12 @@ def test_error_weights_have_one_source():
                         ("l2", "bigG", "simplified_applicable"))):
         fields = {f.name for f in dataclasses.fields(cls)}
         assert fields.isdisjoint(names), f"{cls.__name__}: {names}"
+
+
+def test_run_assessment_has_one_source():
+    """assess alone turns a run into a report's numbers: the separate
+    decrease diagnostic and attenuation cost are gone."""
+    for module in (consyn, sim):
+        for name in ("lyapunov_diag", "LyapunovReport", "hinf_cost",
+                     "HinfCost"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -655,6 +655,84 @@ def test_repro_stage_exit_codes(tmp_path, monkeypatch, capsys, binding,
     assert not (tmp_path / "repro_report.json").exists()
 
 
+def _unwritable(tmp_path, command):
+    """argv of a run whose output is in the way, and the path it names."""
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    out = tmp_path / "out"
+    if command == "graph":
+        out.write_text("")
+        return ["graph", str(gfile), "--out-dir", str(out)], out
+    if command == "repro":
+        blocked = out / "consensus_traj.csv"
+        blocked.mkdir(parents=True)
+        return ["repro", "--t-end", "0.01", "--out-dir", str(out)], blocked
+    blocked = out / "simulate_report.json"
+    blocked.mkdir(parents=True)
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    cert = write_json(tmp_path / "cert.json", WITNESS)
+    return ["simulate", model, str(gfile), "--mode", "leaderless", "--cert",
+            cert, "--t-end", "0.01", "--out-dir", str(out)], blocked
+
+
+@pytest.mark.parametrize("command", ["graph", "repro", "simulate"])
+def test_unwritable_output_exit_code(tmp_path, capsys, command):
+    argv, path = _unwritable(tmp_path, command)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+    if command == "repro":
+        assert "stage consensus-sim failed" in err
+
+
+def test_reports_state_the_run_assessment(tmp_path, monkeypatch):
+    assessed = []
+
+    def spy(*args, **kwargs):
+        assessed.append(real(*args, **kwargs))
+        return assessed[-1]
+
+    real = cli.assess
+    monkeypatch.setattr(cli, "assess", spy)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    cert = write_json(tmp_path / "cert.json", WITNESS)
+    hinf_model = dict(SCALAR_MODEL, d2=[[1.0]], c=[[1.0]], gamma=2.0)
+    runs = [
+        ("leaderless", SCALAR_MODEL, []),
+        ("hinf", hinf_model, ["--disturbance", "bipolar"]),
+    ]
+    for mode, model_dict, flags in runs:
+        model = write_json(tmp_path / f"{mode}.json", model_dict)
+        out = tmp_path / mode
+        before = len(assessed)
+        assert run(["simulate", model, str(gfile), "--mode", mode, "--cert",
+                    cert, "--t-end", "1", "--out-dir", str(out)] + flags) \
+            == 0
+        assert len(assessed) == before + 1
+        sim = json.loads(
+            (out / "simulate_report.json").read_text())["simulation"]
+        a = assessed[-1]
+        assert sim["final_consensus_error"] == a.final_error
+        assert sim["v0"] == a.v0
+        assert sim["v_fraction_increasing"] == a.v_fraction_increasing
+        assert sim.get("j") == a.j
+        assert sim.get("empirical_gain") == a.empirical_gain
+    assert assessed[-1].j is not None
+
+    out = tmp_path / "repro"
+    before = len(assessed)
+    assert run(["repro", "--t-end", "1", "--out-dir", str(out)]) == 0
+    assert len(assessed) == before + 2
+    checks = json.loads((out / "repro_report.json").read_text())["checks"]
+    consensus, attenuation = assessed[-2:]
+    assert checks["consensus_final_error"] == consensus.final_error
+    assert checks["v_increases"] == consensus.v_increases
+    assert checks["j"] == attenuation.j
+    assert checks["empirical_gain"] == attenuation.empirical_gain
+
+
 def test_repro_end_to_end(tmp_path, capsys):
     code = run(["repro", "--t-end", "10.0", "--out-dir", str(tmp_path)])
     assert code == 0

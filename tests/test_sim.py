@@ -19,10 +19,9 @@ from consyn import (
     Scenario,
     Trajectory,
     analyze,
+    assess,
     closed_loop,
-    hinf_cost,
     integrate,
-    lyapunov_diag,
     max_pairwise_distance,
     square_wave,
     synthesize,
@@ -383,40 +382,52 @@ def test_identical_initial_states_zero_error(consensus_design):
     assert np.max(traj.v_lyap) < 1e-24
 
 
-def test_hinf_cost_pure_disturbance():
+def test_assess_cost_pure_disturbance():
     times = np.linspace(0.0, 1.0, 101)
     shape = (101, 2, 1)
     traj = Trajectory(times=times, states=np.zeros((101, 2, 1)),
                       e=np.zeros(shape), z=np.zeros(shape),
                       v_lyap=np.zeros(101), j_running=np.zeros(101),
                       omega=np.ones(shape))
-    cost = hinf_cost(traj, gamma=2.0)
-    assert cost.j == pytest.approx(-4.0 * 2.0, rel=1e-12)
-    assert cost.empirical_gain == pytest.approx(0.0, abs=1e-12)
+    run = assess(traj, gamma=2.0)
+    assert run.j == pytest.approx(-4.0 * 2.0, rel=1e-12)
+    assert run.empirical_gain == pytest.approx(0.0, abs=1e-12)
 
 
-def test_hinf_cost_gain_undefined_without_disturbance():
+def test_assess_gain_undefined_without_disturbance():
     times = np.linspace(0.0, 1.0, 11)
     shape = (11, 1, 1)
     traj = Trajectory(times=times, states=np.zeros(shape),
                       e=np.zeros(shape), z=np.ones(shape),
                       v_lyap=np.zeros(11), j_running=np.zeros(11),
                       omega=np.zeros(shape))
-    cost = hinf_cost(traj, gamma=2.0)
-    assert cost.empirical_gain is None
-    assert cost.j == pytest.approx(cost.z_energy, rel=1e-12)
-    assert cost.j > 0
+    run = assess(traj, gamma=2.0)
+    assert run.empirical_gain is None
+    # with no disturbance J is the output energy, int_0^1 1 dt
+    assert run.j == pytest.approx(1.0, rel=1e-12)
 
 
-def test_hinf_cost_sign_flips_with_gamma():
+def test_assess_cost_sign_flips_with_gamma():
     times = np.linspace(0.0, 1.0, 101)
     shape = (101, 1, 1)
     traj = Trajectory(times=times, states=np.zeros(shape),
                       e=np.zeros(shape), z=np.full(shape, 0.5),
                       v_lyap=np.zeros(101), j_running=np.zeros(101),
                       omega=np.ones(shape))
-    assert hinf_cost(traj, gamma=2.0).j < 0
-    assert hinf_cost(traj, gamma=1e-3).j > 0
+    assert assess(traj, gamma=2.0).j < 0
+    assert assess(traj, gamma=1e-3).j > 0
+
+
+def test_assess_without_gamma_sets_no_cost():
+    times = np.linspace(0.0, 1.0, 11)
+    shape = (11, 2, 1)
+    traj = Trajectory(times=times, states=np.zeros(shape),
+                      e=np.zeros(shape), z=np.ones(shape),
+                      v_lyap=np.zeros(11), j_running=np.zeros(11),
+                      omega=np.ones(shape))
+    run = assess(traj)
+    assert run.j is None
+    assert run.empirical_gain is None
 
 
 def test_running_cost_matches_batch_quadrature(hinf_design):
@@ -424,29 +435,28 @@ def test_running_cost_matches_batch_quadrature(hinf_design):
                         disturbance=benchmark.benchmark_disturbance(),
                         t_end=0.5, dt=1e-3)
     traj = integrate(scenario)
-    cost = hinf_cost(traj, benchmark.GAMMA)
-    assert traj.j_running[-1] == pytest.approx(cost.j, rel=1e-9)
+    run = assess(traj, benchmark.GAMMA)
+    assert traj.j_running[-1] == pytest.approx(run.j, rel=1e-9)
 
 
 def test_lyapunov_zero_on_manifold(consensus_design):
     x0 = np.tile([0.5, 0.1, -0.3, 0.2], (6, 1))
     scenario = Scenario(design=consensus_design, x0=x0, t_end=0.1, dt=1e-3)
     traj = integrate(scenario)
-    report = lyapunov_diag(traj)
-    assert report.v0 == pytest.approx(0.0, abs=1e-24)
+    assert assess(traj).v0 == pytest.approx(0.0, abs=1e-24)
     # V never leaves numerical zero; the per-step tolerance 1e-10 V(0)
-    # degenerates here, so flag counts are not meaningful
+    # degenerates here, so increase counts are not meaningful
     assert np.max(traj.v_lyap) < 1e-24
-    assert report.max_increase < 1e-24
+    assert np.diff(traj.v_lyap).max() < 1e-24
 
 
 def test_lyapunov_decreases_on_benchmark(consensus_design):
     scenario = Scenario(design=consensus_design,
                         x0=benchmark.initial_states(), t_end=1.0, dt=1e-3)
-    report = lyapunov_diag(integrate(scenario))
-    assert report.v0 > 0
-    assert report.n_increasing == 0
-    assert report.fraction_increasing == 0.0
+    run = assess(integrate(scenario))
+    assert run.v0 > 0
+    assert run.v_increases == 0
+    assert run.v_fraction_increasing == 0.0
 
 
 def test_lyapunov_flags_weakened_coupling():
@@ -457,9 +467,9 @@ def test_lyapunov_flags_weakened_coupling():
     design = witness_design(model, g, p=1.0, scalar=4.0, c=0.05)
     scenario = Scenario(
         design=design, x0=np.array([[1.0], [-1.0]]), t_end=1.0, dt=1e-3)
-    report = lyapunov_diag(integrate(scenario))
-    assert report.fraction_increasing > 0.5
-    assert report.max_increase > 0
+    traj = integrate(scenario)
+    assert assess(traj).v_fraction_increasing > 0.5
+    assert np.diff(traj.v_lyap).max() > 0
 
 
 def test_lyapunov_leader_follower_weights():
@@ -469,9 +479,9 @@ def test_lyapunov_leader_follower_weights():
     scenario = Scenario(design=design, x0=np.array([[1.0], [0.0], [-1.0]]),
                         t_end=2.0, dt=1e-3)
     traj = integrate(scenario)
-    report = lyapunov_diag(traj)
-    assert report.v0 > 0
-    assert report.n_increasing == 0
+    run = assess(traj)
+    assert run.v0 > 0
+    assert run.v_increases == 0
     # tracking errors are offsets from the leader state
     assert_allclose(traj.e, traj.states - traj.states[:, 0:1, :], atol=0.0)
 
@@ -489,7 +499,7 @@ def test_lyapunov_tracking_weights_follow_g():
     scenario = Scenario(
         design=design, x0=np.array([[0.0], [2.0], [1.0], [1.0], [1.0]]),
         t_end=5.0, dt=1e-3)
-    assert lyapunov_diag(integrate(scenario)).n_increasing == 0
+    assert assess(integrate(scenario)).v_increases == 0
 
 
 def test_max_pairwise_distance():
