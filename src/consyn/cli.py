@@ -5,9 +5,10 @@ Subcommands: graph (spectral analysis), synth (protocol design), simulate
 bundle). Reports are JSON, trajectories CSV, graphs plain-text edge lists.
 
 Exit codes: 0 success, 2 precondition violation (including unreadable or
-malformed inputs, and an output that cannot be written, named in the
-message), 3 feasibility search exhausted its budget, 4 simulation blow-up.
-main alone maps an exception to its exit code. The default output
+malformed inputs, an output that cannot be written, named in the message,
+and an allocation too large for the machine), 3 feasibility search
+exhausted its budget, 4 simulation blow-up (an overflowing run included,
+without a warning). main alone maps an exception to its exit code. The default output
 directory comes from CONSYN_OUT_DIR, falling back to the current directory.
 """
 from __future__ import annotations
@@ -505,7 +506,7 @@ def main(argv=None) -> int:
         print(f"error: {exc} (last valid time {exc.last_valid_time})",
               file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

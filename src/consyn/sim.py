@@ -22,7 +22,6 @@ from . import numkit
 from .errors import BlowUpError, PreconditionError
 from .synthesis import ProtocolDesign
 
-NONLINEARITY_KINDS = ("zero", "sine", "saturation", "tanh")
 # Slack on alpha in the Lipschitz check, the state norm at which
 # integrate aborts, the per-step rise of V, relative to V(0), that
 # assess does not count, and the gap, relative to t_end, allowed
@@ -34,6 +33,13 @@ GRID_REL = 1e-9
 # Samples write_csv formats per block: a block's floats and text stay a
 # few MB however long the run.
 CSV_BLOCK_ROWS = 256
+# The componentwise g of each nonlinearity kind: f(x) = C g(x).
+CATALOG = {
+    "zero": np.zeros_like,
+    "sine": np.sin,
+    "saturation": lambda x: np.clip(x, -1.0, 1.0),
+    "tanh": np.tanh,
+}
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class Nonlinearity:
     terms: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in NONLINEARITY_KINDS:
+        if self.kind not in CATALOG:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "zero" and self.terms:
             raise ValueError("zero nonlinearity takes no terms")
@@ -66,35 +72,34 @@ class Nonlinearity:
     def sine(terms) -> "Nonlinearity":
         return Nonlinearity("sine", tuple(terms))
 
-    def _g(self, x):
-        if self.kind == "sine":
-            return np.sin(x)
-        if self.kind == "tanh":
-            return np.tanh(x)
-        if self.kind == "saturation":
-            return np.clip(x, -1.0, 1.0)
-        raise AssertionError
+    def matrix(self, n: int, out_dim: int) -> NDArray[np.float64]:
+        """The (out_dim, n) matrix C of f(x) = C g(x): C[o, i] sums the
+        signed coefficients of the terms from input i to output o.
+
+        Every catalog g has slope 1 at 0, so C is also the Jacobian of f
+        at 0. Each term's indices and coefficient are checked first.
+        """
+        m = np.zeros((out_dim, n))
+        for k, (o, i, c) in enumerate(self.terms):
+            if not 0 <= o < out_dim:
+                raise ValueError(f"nonlinearity output index {o} outside d1")
+            if not 0 <= i < n:
+                raise ValueError(f"nonlinearity input index {i} outside state")
+            numkit.check_model_numbers(
+                c, f"the coefficient of nonlinearity term {k + 1}")
+            m[o, i] += c
+        return m
 
     def apply(self, x: NDArray[np.float64], out_dim: int
               ) -> NDArray[np.float64]:
         """Evaluate on states of shape (..., n), returning (..., out_dim)."""
-        out = np.zeros(x.shape[:-1] + (out_dim,))
-        for (o, i, c) in self.terms:
-            out[..., o] += c * self._g(x[..., i])
-        return out
+        return CATALOG[self.kind](x) @ self.matrix(x.shape[-1], out_dim).T
 
     def lipschitz_constant(self, n: int, out_dim: int) -> float:
-        """Exact Lipschitz constant ||C||_2 of f on R^n, where C[o, i] sums
-        the signed coefficients of the terms from input i to output o.
-
-        f(x) = C g(x) with g applied componentwise, and every catalog g has
-        slope in [-1, 1] and slope 1 at 0, so the Jacobian C diag(g'(x))
-        has norm at most ||C||_2 and reaches it at x = 0.
-        """
-        m = np.zeros((out_dim, n))
-        for (o, i, c) in self.terms:
-            m[o, i] += c
-        return float(np.linalg.norm(m, 2))
+        """Exact Lipschitz constant ||C||_2 of f on R^n, C = matrix(n, out_dim):
+        each catalog g has slope in [-1, 1] and slope 1 at 0, so the Jacobian
+        C diag(g'(x)) has norm at most ||C||_2 and reaches it at x = 0."""
+        return float(np.linalg.norm(self.matrix(n, out_dim), 2))
 
 
 @dataclass(frozen=True)
@@ -138,13 +143,6 @@ class AgentModel:
         for name, val in (("a", a), ("b", b), ("d1", d1), ("d2", d2),
                           ("c_out", c_out), ("alpha", self.alpha)):
             numkit.check_model_numbers(val, name)
-        for k, (o, i, coef) in enumerate(self.f.terms):
-            if not (0 <= o < d1.shape[1]):
-                raise ValueError(f"nonlinearity output index {o} outside d1")
-            if not (0 <= i < n):
-                raise ValueError(f"nonlinearity input index {i} outside state")
-            numkit.check_model_numbers(
-                coef, f"the coefficient of nonlinearity term {k + 1}")
         lip = self.f.lipschitz_constant(n, d1.shape[1])
         if self.alpha + LIPSCHITZ_SLACK < lip:
             raise PreconditionError(
@@ -159,24 +157,16 @@ class AgentModel:
     def n(self) -> int:
         return self.a.shape[0]
 
-    def nonlinear(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
-        return self.f.apply(x, self.d1.shape[1])
 
-
-def square_wave(t, unipolar: bool = False):
+def square_wave(t, unipolar: bool = False) -> NDArray[np.float64]:
     """One-period square wave starting at t = 0 with width 2 and height 1.
 
     Bipolar (default): 1 on [0, 1), -1 on [1, 2), 0 afterwards.
-    Unipolar: 1 on [0, 2), 0 afterwards. A scalar t gives a float without
-    numpy overhead, since the right-hand side evaluates it every stage.
+    Unipolar: 1 on [0, 2), 0 afterwards. An array of t's shape.
     """
-    def at(s: float) -> float:
-        if not 0.0 <= s < 2.0:
-            return 0.0
-        return 1.0 if unipolar or s < 1.0 else -1.0
-    if np.ndim(t) == 0:
-        return at(float(t))
-    return np.vectorize(at, otypes=[float])(t)
+    t = np.asarray(t, dtype=float)
+    return np.where((0.0 <= t) & (t < 2.0),
+                    np.where(unipolar | (t < 1.0), 1.0, -1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -207,16 +197,11 @@ class DisturbanceSpec:
                              f"({n_agents}, {m1})")
         return scales
 
-    def wave(self, t):
-        """The shared wave value at time t (an array for array t)."""
+    def wave(self, t) -> NDArray[np.float64]:
+        """The shared wave value at the times t, an array of t's shape."""
         if self.kind == "none":
             return np.zeros_like(np.asarray(t, dtype=float))
         return square_wave(t, unipolar=self.kind == "unipolar")
-
-    def omega(self, t, n_agents: int, m1: int) -> NDArray[np.float64]:
-        """Disturbance matrix (N, m1) at time t (or (T, N, m1) for array t)."""
-        scales = self.resolve_scales(n_agents, m1)
-        return np.asarray(self.wave(t))[..., None, None] * scales
 
 
 def check_time_grid(dt: float, t_end: float) -> None:
@@ -279,32 +264,35 @@ class Trajectory:
 
 def closed_loop(design: ProtocolDesign,
                 disturbance: DisturbanceSpec = DisturbanceSpec()
-                ) -> Callable[[float, NDArray[np.float64]], NDArray[np.float64]]:
-    """Closed-loop vector field f(t, x) of a design on (N, n) states.
+                ) -> Callable[..., NDArray[np.float64]]:
+    """Closed-loop vector field f(x, w=0.0) of a design on (N, n) states,
+    where w is the value of the shared wave.
 
     The protocol feeds back relative states only: u_i = c K sum_j a_ij
     (x_i - x_j), which is row i of c K L x, so
 
-        dx = x A^T + f(x) D1^T + c (L x) (B K)^T (+ w(t) S D2^T)
+        dx = x A^T + g(x) C^T D1^T + c (L x) (B K)^T (+ w S D2^T)
 
-    with the model and L read from the design, w the shared wave and S the
-    per-agent scales. F = S D2^T is formed once; w is 1, -1 or 0, so w F
-    equals (w S) D2^T bit for bit. A tracking design's leader has
-    in-degree 0, so its Laplacian row is zero and it evolves open loop.
+    with the model and L read from the design, f(x) = C g(x) the agent
+    nonlinearity and S the per-agent scales. Every matrix is formed once,
+    F = S D2^T among them; w is 1, -1 or 0, so w F equals (w S) D2^T bit
+    for bit. A tracking design's leader has in-degree 0, so its Laplacian
+    row is zero and it evolves open loop.
     """
     model, lap = design.model, design.analysis.laplacian
     a_t, d1_t = model.a.T, model.d1.T
+    g = CATALOG[model.f.kind]
+    coef_t = model.f.matrix(model.n, model.d1.shape[1]).T
     coupling_t = (model.b @ design.k).T
     c = design.c
     forcing = disturbance.resolve_scales(
         design.analysis.graph.n, model.d2.shape[1]) @ model.d2.T
-    wave = disturbance.wave
     disturbed = disturbance.kind != "none"
 
-    def f(t, x):
-        dx = x @ a_t + model.nonlinear(x) @ d1_t + c * (lap @ x) @ coupling_t
+    def f(x, w=0.0):
+        dx = x @ a_t + g(x) @ coef_t @ d1_t + c * (lap @ x) @ coupling_t
         if disturbed:
-            dx = dx + wave(t) * forcing
+            dx = dx + w * forcing
         return dx
     return f
 
@@ -312,8 +300,10 @@ def closed_loop(design: ProtocolDesign,
 def integrate(scenario: Scenario) -> Trajectory:
     """Fixed-step RK4 integration of the scenario.
 
-    Deterministic for fixed inputs. Aborts with BlowUpError when the state
-    norm crosses BLOWUP_NORM, carrying the last valid time.
+    Deterministic for fixed inputs. The wave is tabulated at the grid times
+    and at each step's t + dt/2 and t + dt, which may differ from the next
+    grid time in the last bit. Aborts with BlowUpError when the state norm
+    crosses BLOWUP_NORM or overflows, carrying the last valid time.
     """
     design, dist, dt = scenario.design, scenario.disturbance, scenario.dt
     model = design.model
@@ -321,24 +311,27 @@ def integrate(scenario: Scenario) -> Trajectory:
     steps = int(round(scenario.t_end / dt))
     times = np.arange(steps + 1) * dt
     f = closed_loop(design, dist)
+    wave = dist.wave(times)
+    w_mid = dist.wave(times[:-1] + dt / 2)
+    w_end = dist.wave(times[:-1] + dt)
 
     states = np.empty((steps + 1, n_agents, n))
     x = scenario.x0.copy()
     states[0] = x
-    for k in range(steps):
-        t = k * dt
-        k1 = f(t, x)
-        k2 = f(t + dt / 2, x + dt / 2 * k1)
-        k3 = f(t + dt / 2, x + dt / 2 * k2)
-        k4 = f(t + dt, x + dt * k3)
-        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        # a NaN norm compares false, so NaN states abort too
-        if not np.linalg.norm(x) < BLOWUP_NORM:
-            raise BlowUpError(
-                f"state norm crossed {BLOWUP_NORM:.1e} at t = {t + dt:.6g}",
-                last_valid_time=t,
-            )
-        states[k + 1] = x
+    # an overflow leaves inf or NaN states, which the norm check catches
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            k1 = f(x, wave[k])
+            k2 = f(x + dt / 2 * k1, w_mid[k])
+            k3 = f(x + dt / 2 * k2, w_mid[k])
+            k4 = f(x + dt * k3, w_end[k])
+            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            # a NaN norm compares false, so NaN states abort too
+            if not np.linalg.norm(x) < BLOWUP_NORM:
+                t = float(times[k])
+                raise BlowUpError(f"state norm crossed {BLOWUP_NORM:.1e} at "
+                                  f"t = {t + dt:.6g}", last_valid_time=t)
+            states[k + 1] = x
 
     weights, lf = design.analysis.weights, design.analysis.leader_follower
     if lf is None:
@@ -347,7 +340,8 @@ def integrate(scenario: Scenario) -> Trajectory:
     else:
         e = states - states[:, lf.leader - 1: lf.leader, :]
     z = e @ model.c_out.T
-    omega = dist.omega(times, n_agents, model.d2.shape[1])
+    omega = wave[:, None, None] * dist.resolve_scales(
+        n_agents, model.d2.shape[1])
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
     v = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
     gamma = design.gamma or 0.0

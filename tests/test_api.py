@@ -57,3 +57,15 @@ def test_run_assessment_has_one_source():
         for name in ("lyapunov_diag", "LyapunovReport", "hinf_cost",
                      "HinfCost"):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_second_right_hand_side_is_gone():
+    """The simulator evaluates f through Nonlinearity.matrix and the
+    CATALOG table, and the wave through DisturbanceSpec.wave, tabulated
+    once per run: the per-stage helpers are gone."""
+    for obj, names in ((consyn.AgentModel, ("nonlinear",)),
+                       (consyn.DisturbanceSpec, ("omega",)),
+                       (consyn.Nonlinearity, ("_g",)),
+                       (sim, ("NONLINEARITY_KINDS",))):
+        for name in names:
+            assert not hasattr(obj, name), f"{obj.__name__}.{name}"

@@ -609,6 +609,39 @@ def test_simulate_blow_up_exit_code(tmp_path, capsys):
     assert "last valid time" in capsys.readouterr().err
 
 
+def test_simulate_overflow_exit_code(tmp_path):
+    """A run whose arithmetic overflows exits 4 with no RuntimeWarning."""
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    proc = run_subprocess(["simulate", model, str(gfile), "--mode",
+                           "leaderless", "--c-multiplier", "1e150",
+                           "--out-dir", str(tmp_path)])
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: state norm crossed")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+# Both allocations exceed the 128 PiB address space of 5-level paging, so
+# they fail at once and touch no memory: 6.94 EiB for the graph's
+# adjacency, 711 PiB for the run's time grid.
+@pytest.mark.parametrize("command", ["graph", "simulate"])
+def test_allocation_too_large_exit_code(tmp_path, command):
+    gfile = tmp_path / "g.txt"
+    if command == "graph":
+        gfile.write_text("nodes 1000000000\n1 2\n2 1\n")
+        argv = ["graph", str(gfile)]
+    else:
+        gfile.write_text(TWO_NODE)
+        argv = ["simulate", write_json(tmp_path / "m.json", SCALAR_MODEL),
+                str(gfile), "--mode", "leaderless", "--t-end", "1e11",
+                "--dt", "1e-6"]
+    proc = run_subprocess([*argv, "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert "Traceback" not in proc.stderr
+
+
 def test_model_round_trip():
     model = benchmark.manipulator_model()
     d = cli.model_to_dict(model, gamma=2.0)

@@ -175,24 +175,30 @@ def test_square_wave_range(t):
 def test_square_wave_array():
     out = square_wave(np.array([0.5, 1.5, 2.5]))
     assert_allclose(out, [1.0, -1.0, 0.0], atol=0.0)
-    # the array path agrees with the scalar one at and around the edges
+    # at and around the edges, and a scalar t gives the array's value
     ts = np.array([-1.0, -0.0, 0.0, 0.999, 1.0, 1.999, 2.0, 2.5])
-    for unipolar in (False, True):
-        assert square_wave(ts, unipolar).tolist() == [
-            square_wave(t, unipolar) for t in ts]
+    for unipolar, want in ((False, [0, 1, 1, 1, -1, -1, 0, 0]),
+                           (True, [0, 1, 1, 1, 1, 1, 0, 0])):
+        assert square_wave(ts, unipolar).tolist() == want
+        assert [float(square_wave(t, unipolar)) for t in ts] == want
+
+
+def omega(dist, t, n_agents, m1):
+    """The disturbance matrix (N, m1) at time t, (T, N, m1) for array t."""
+    return dist.wave(t)[..., None, None] * dist.resolve_scales(n_agents, m1)
 
 
 def test_disturbance_benchmark_scaling():
     dist = benchmark.benchmark_disturbance()
-    om = dist.omega(0.5, 6, 1)
+    om = omega(dist, 0.5, 6, 1)
     assert_allclose(om, benchmark.DISTURBANCE_SCALES, atol=0.0)
-    om_neg = dist.omega(1.5, 6, 1)
+    om_neg = omega(dist, 1.5, 6, 1)
     assert_allclose(om_neg, -benchmark.DISTURBANCE_SCALES, atol=0.0)
 
 
 def test_disturbance_batched_shape():
     dist = DisturbanceSpec(kind="bipolar")
-    om = dist.omega(np.array([0.0, 1.0, 2.0]), 4, 2)
+    om = omega(dist, np.array([0.0, 1.0, 2.0]), 4, 2)
     assert om.shape == (3, 4, 2)
     assert_allclose(om[0], np.ones((4, 2)), atol=0.0)
     assert_allclose(om[2], np.zeros((4, 2)), atol=0.0)
@@ -203,15 +209,15 @@ def test_disturbance_validation():
         DisturbanceSpec(kind="sawtooth")
     dist = DisturbanceSpec(kind="bipolar", scales=np.ones((3, 1)))
     with pytest.raises(ValueError):
-        dist.omega(0.5, 4, 1)
+        dist.resolve_scales(4, 1)
 
 
 def test_rhs_consensus_manifold_invariant(bench_model, consensus_design):
     xbar = np.array([0.3, -0.2, 0.5, 0.1])
     x = np.tile(xbar, (6, 1))
-    dx = closed_loop(consensus_design)(0.0, x)
+    dx = closed_loop(consensus_design)(x)
     open_loop = (bench_model.a @ xbar
-                 + bench_model.d1 @ bench_model.nonlinear(xbar))
+                 + bench_model.d1 @ bench_model.f.apply(xbar, 4))
     for row in dx:
         assert_allclose(row, open_loop, atol=1e-12)
 
@@ -220,7 +226,7 @@ def test_rhs_two_node_arithmetic():
     model = scalar_model()
     g = two_node_graph()
     design = witness_design(model, g, c=1.0)  # K = -1/2
-    dx = closed_loop(design)(0.0, np.array([[1.0], [0.0]]))
+    dx = closed_loop(design)(np.array([[1.0], [0.0]]))
     # u1 = cK(x1 - x2) = -0.5, u2 = cK(x2 - x1) = +0.5
     assert_allclose(dx, [[-1.5], [0.5]], atol=1e-15)
 
@@ -229,15 +235,19 @@ def test_rhs_matches_kronecker_form(bench_model, bench_graph,
                                     consensus_design):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(24)
-    dx = closed_loop(consensus_design)(0.0, x.reshape(6, 4)).reshape(-1)
     eye = np.eye(6)
     lap = analyze(bench_graph).laplacian
-    big_a = np.kron(eye, bench_model.a)
-    big_d1 = np.kron(eye, bench_model.d1)
-    coupling = np.kron(lap, bench_model.b @ consensus_design.k)
-    fx = bench_model.nonlinear(x.reshape(6, 4)).reshape(-1)
-    expected = big_a @ x + big_d1 @ fx + consensus_design.c * coupling @ x
-    assert_allclose(dx, expected, atol=1e-10)
+    # the benchmark's sine, and tanh with two terms on the fourth output
+    tanh = Nonlinearity("tanh", [(3, 0, -0.2), (3, 2, 0.25)])
+    for model in (bench_model, dataclasses.replace(bench_model, f=tanh)):
+        design = dataclasses.replace(consensus_design, model=model)
+        dx = closed_loop(design)(x.reshape(6, 4)).reshape(-1)
+        big_a = np.kron(eye, model.a)
+        big_d1 = np.kron(eye, model.d1)
+        coupling = np.kron(lap, model.b @ design.k)
+        fx = model.f.apply(x.reshape(6, 4), 4).reshape(-1)
+        expected = big_a @ x + big_d1 @ fx + design.c * coupling @ x
+        assert_allclose(dx, expected, atol=1e-10)
 
 
 def test_rhs_disturbed_reduces_to_leaderless(consensus_design):
@@ -245,15 +255,15 @@ def test_rhs_disturbed_reduces_to_leaderless(consensus_design):
     x = rng.standard_normal((6, 4))
     # the square wave is off after t = 2
     dist = benchmark.benchmark_disturbance()
-    assert np.all(dist.omega(3.0, 6, 1) == 0.0)
-    dx0 = closed_loop(consensus_design, dist)(3.0, x)
-    assert_allclose(dx0, closed_loop(consensus_design)(3.0, x), atol=0.0)
+    assert dist.wave(3.0) == 0.0
+    dx0 = closed_loop(consensus_design, dist)(x, dist.wave(3.0))
+    assert_allclose(dx0, closed_loop(consensus_design)(x), atol=0.0)
 
 
 def test_rhs_disturbed_zero_state(bench_model, hinf_design):
     dist = benchmark.benchmark_disturbance()
-    om = dist.omega(0.5, 6, 1)
-    dx = closed_loop(hinf_design, dist)(0.5, np.zeros((6, 4)))
+    om = omega(dist, 0.5, 6, 1)
+    dx = closed_loop(hinf_design, dist)(np.zeros((6, 4)), dist.wave(0.5))
     assert_allclose(dx, om @ bench_model.d2.T, atol=1e-15)
 
 
@@ -268,7 +278,7 @@ def test_rhs_leader_follower_tracking_manifold():
     g = path_graph()
     design = synthesize(model, g, "leader-follower", cert=([[1.0]], 1.0))
     x = np.full((3, 1), 0.7)
-    dx = closed_loop(design)(0.0, x)
+    dx = closed_loop(design)(x)
     assert_allclose(dx, np.full((3, 1), -0.7), atol=1e-15)
 
 
@@ -276,7 +286,7 @@ def test_rhs_leader_follower_constant_leader():
     model = AgentModel(a=[[0.0]], b=[[1.0]], d1=[[1.0]])
     g = path_graph()
     design = synthesize(model, g, "leader-follower", cert=([[1.0]], 2.0))
-    dx = closed_loop(design)(0.0, np.array([[1.0], [0.4], [0.2]]))
+    dx = closed_loop(design)(np.array([[1.0], [0.4], [0.2]]))
     assert dx[0, 0] == 0.0
 
 
@@ -289,8 +299,8 @@ def test_translation_leaves_protocol_unchanged(bench_graph):
     x = rng.standard_normal((6, 2))
     shift = np.array([0.8, -1.1])
     f = closed_loop(design)
-    dx = f(0.0, x)
-    dx_shifted = f(0.0, x + shift)
+    dx = f(x)
+    dx_shifted = f(x + shift)
     assert_allclose(dx_shifted - dx, np.tile(model.a @ shift, (6, 1)),
                     atol=1e-12)
 
@@ -320,6 +330,75 @@ def test_integrate_blow_up_guard():
     with pytest.raises(BlowUpError) as exc:
         integrate(nan_run)
     assert exc.value.last_valid_time == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [1e150, 1e300])
+def test_integrate_overflow_raises_blow_up(c):
+    """A step whose arithmetic overflows to inf or NaN raises BlowUpError,
+    with no RuntimeWarning on the way."""
+    design = witness_design(scalar_model(), two_node_graph(), c=c)
+    scenario = Scenario(design=design, x0=np.array([[1.0], [-1.0]]),
+                        t_end=1.0, dt=1e-3)
+    with pytest.raises(BlowUpError) as exc:
+        integrate(scenario)
+    assert exc.value.last_valid_time == 0.0
+    assert type(exc.value.last_valid_time) is float
+
+
+def reference_rk4(scenario):
+    """The states of RK4 over f(t, x), which evaluates the wave at the
+    Python float t of each stage and f by a loop over the sine terms."""
+    design, dist, dt = scenario.design, scenario.disturbance, scenario.dt
+    model, lap = design.model, design.analysis.laplacian
+    forcing = dist.resolve_scales(*scenario.x0.shape) @ model.d2.T
+
+    def wave(t):
+        if dist.kind == "none" or not 0.0 <= t < 2.0:
+            return 0.0
+        return 1.0 if dist.kind == "unipolar" or t < 1.0 else -1.0
+
+    def f_by_terms(x):
+        out = np.zeros(x.shape[:-1] + (model.d1.shape[1],))
+        for (o, i, c) in model.f.terms:
+            out[..., o] += c * np.sin(x[..., i])
+        return out
+
+    def f(t, x):
+        dx = (x @ model.a.T + f_by_terms(x) @ model.d1.T
+              + design.c * (lap @ x) @ (model.b @ design.k).T)
+        if dist.kind != "none":
+            dx = dx + wave(t) * forcing
+        return dx
+
+    x = scenario.x0.copy()
+    states = [x]
+    for k in range(round(scenario.t_end / dt)):
+        t = k * dt
+        k1 = f(t, x)
+        k2 = f(t + dt / 2, x + dt / 2 * k1)
+        k3 = f(t + dt / 2, x + dt / 2 * k2)
+        k4 = f(t + dt, x + dt * k3)
+        x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(x)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("kind", ["bipolar", "unipolar", "none"])
+def test_integrate_matches_reference_rk4(kind):
+    """integrate's tables give the per-stage formulation's states bit for
+    bit. At dt = 1/3 step 5 ends at t + dt = 1.9999999999999998, where the
+    wave is still on, while the grid holds 2.0, where it is off."""
+    model = AgentModel(a=[[-1.0]], b=[[1.0]], d1=[[1.0]], d2=[[1.0]],
+                       c_out=[[1.0]], alpha=0.5,
+                       f=Nonlinearity.sine([(0, 0, 0.5)]))
+    design = synthesize(model, two_node_graph(), "hinf", 2.0)
+    scenario = Scenario(design=design, x0=np.array([[1.0], [-0.5]]),
+                        disturbance=DisturbanceSpec(kind, [[1.0], [-2.0]]),
+                        t_end=3.0, dt=1 / 3)
+    assert 5 * scenario.dt + scenario.dt < 2.0 == 6 * scenario.dt
+    traj = integrate(scenario)
+    assert np.array_equal(traj.states, reference_rk4(scenario))
 
 
 def test_scenario_validation(consensus_design):
@@ -364,10 +443,10 @@ def test_error_dynamics_consistency(bench_model, bench_graph,
     r = bench_spectra.r
     proj = np.eye(6) - np.outer(np.ones(6), r)
     e = proj @ x
-    dx = closed_loop(consensus_design)(0.0, x)
+    dx = closed_loop(consensus_design)(x)
     lap = analyze(bench_graph).laplacian
     coupling = bench_model.b @ consensus_design.k
-    fx = bench_model.nonlinear(x)
+    fx = bench_model.f.apply(x, 4)
     de = (e @ bench_model.a.T
           + consensus_design.c * (lap @ e) @ coupling.T
           + proj @ fx @ bench_model.d1.T)
