@@ -444,6 +444,14 @@ def cmd_repro(ns) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """The --seed value: numpy's generators take non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="consyn",
@@ -457,6 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--out-dir", default=None)
     p_graph.set_defaults(func=cmd_graph)
 
+    def add_run_flags(p):
+        p.add_argument("--dt", type=float, default=1e-3)
+        p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
+        p.add_argument("--seed", type=_seed, default=12345)
+
     def add_synth_flags(p, with_sim=False):
         p.add_argument("model_file")
         p.add_argument("graph_file", nargs="?", default=None)
@@ -468,9 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cert", default=None)
         p.add_argument("--out-dir", default=None)
         if with_sim:
-            p.add_argument("--dt", type=float, default=1e-3)
-            p.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-            p.add_argument("--seed", type=int, default=12345)
+            add_run_flags(p)
             p.add_argument("--disturbance", default="none",
                            choices=["bipolar", "unipolar", "none"])
 
@@ -485,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro = sub.add_parser(
         "repro", help="run the bundled six-manipulator benchmark")
     p_repro.add_argument("--out-dir", default=None)
-    p_repro.add_argument("--dt", type=float, default=1e-3)
-    p_repro.add_argument("--t-end", type=float, default=10.0, dest="t_end")
-    p_repro.add_argument("--seed", type=int, default=12345)
+    add_run_flags(p_repro)
     p_repro.add_argument("--disturbance", default="bipolar",
                          choices=["bipolar", "unipolar"])
     p_repro.set_defaults(func=cmd_repro)

@@ -341,6 +341,33 @@ def test_simulate_seed_determinism(tmp_path):
             == reports[1]["simulation"]["final_consensus_error"])
 
 
+@pytest.mark.parametrize("command", ["simulate", "repro"])
+def test_negative_seed_exits_2_before_any_search(tmp_path, monkeypatch,
+                                                 capsys, command):
+    """A negative --seed is refused as the flags are parsed: exit 2, a
+    message naming --seed, no certificate search and no stage run."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("certificate search started")
+
+    monkeypatch.setattr(cli, "synthesize", counting)
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    argv = {"simulate": ["simulate", model, str(gfile), "--mode",
+                         "leaderless"],
+            "repro": ["repro"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", "-3", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err
+    assert not any(line.startswith("stage") for line in err.splitlines())
+    assert calls == []
+
+
 def test_simulate_disturbed_reports_cost(tmp_path):
     model_dict = dict(SCALAR_MODEL)
     model_dict.update(d2=[[1.0]], c=[[1.0]], gamma=2.0)

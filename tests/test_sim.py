@@ -14,8 +14,10 @@ from consyn import (
     BlowUpError,
     DiGraph,
     DisturbanceSpec,
+    LmiCertificate,
     Nonlinearity,
     PreconditionError,
+    ProtocolDesign,
     Scenario,
     Trajectory,
     analyze,
@@ -28,9 +30,10 @@ from consyn import (
     write_csv,
 )
 from consyn import benchmark, sim
-from consyn.sim import LIPSCHITZ_SLACK
+from consyn.sim import BLOWUP_NORM, CATALOG, LIPSCHITZ_SLACK
 
-from conftest import path_graph, scalar_model, two_node_graph
+from conftest import (path_graph, random_balanced_sc_digraph,
+                      random_sc_digraph, scalar_model, two_node_graph)
 
 
 def witness_design(model, g, p=1.0, scalar=1.0, c=None):
@@ -315,7 +318,71 @@ def test_integrate_scalar_decay():
                     atol=1e-8)
 
 
+def textbook_rk4(scenario):
+    """The states of the textbook RK4 loop: stage arguments and the stage
+    sum allocated afresh as written, @ products, and np.linalg.norm as the
+    blow-up check. Raises BlowUpError as integrate does."""
+    design, dist, dt = scenario.design, scenario.disturbance, scenario.dt
+    model, lap = design.model, design.analysis.laplacian
+    a_t, d1_t = model.a.T, model.d1.T
+    g = CATALOG[model.f.kind]
+    coef_t = model.f.matrix(model.n, model.d1.shape[1]).T
+    coupling_t = (model.b @ design.k).T
+    c = design.c
+    forcing = dist.resolve_scales(
+        design.analysis.graph.n, model.d2.shape[1]) @ model.d2.T
+    disturbed = dist.kind != "none"
+
+    def f(x, w=0.0):
+        dx = x @ a_t + g(x) @ coef_t @ d1_t + c * (lap @ x) @ coupling_t
+        if disturbed:
+            dx = dx + w * forcing
+        return dx
+
+    steps = int(round(scenario.t_end / dt))
+    times = np.arange(steps + 1) * dt
+    wave = dist.wave(times)
+    w_mid = dist.wave(times[:-1] + dt / 2)
+    w_end = dist.wave(times[:-1] + dt)
+    states = np.empty((steps + 1,) + scenario.x0.shape)
+    x = scenario.x0.copy()
+    states[0] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            k1 = f(x, wave[k])
+            k2 = f(x + dt / 2 * k1, w_mid[k])
+            k3 = f(x + dt / 2 * k2, w_mid[k])
+            k4 = f(x + dt * k3, w_end[k])
+            x = x + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.linalg.norm(x) < BLOWUP_NORM:
+                t = float(times[k])
+                raise BlowUpError(f"state norm crossed {BLOWUP_NORM:.1e} at "
+                                  f"t = {t + dt:.6g}", last_valid_time=t)
+            states[k + 1] = x
+    return states
+
+
+def run_outcome(run, scenario):
+    """The states of a run, or the message and last valid time of its
+    blow-up."""
+    try:
+        return run(scenario)
+    except BlowUpError as exc:
+        return str(exc), exc.last_valid_time
+
+
+def assert_same_outcome(scenario):
+    got = run_outcome(lambda s: integrate(s).states, scenario)
+    want = run_outcome(textbook_rk4, scenario)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+
+
 def test_integrate_blow_up_guard():
+    """The guard aborts at the step where the textbook loop's np.linalg.norm
+    first reaches BLOWUP_NORM, with the same message."""
     model = scalar_model(a=2.0)
     g = two_node_graph()
     design = witness_design(model, g, p=1.0, scalar=6.0)
@@ -323,20 +390,24 @@ def test_integrate_blow_up_guard():
         design=design, x0=np.full((2, 1), 10.0), t_end=12.0, dt=1e-3)
     with pytest.raises(BlowUpError) as exc:
         integrate(scenario)
-    assert 0.0 < exc.value.last_valid_time < 12.0
+    assert exc.value.last_valid_time == 9037 * 1e-3
+    assert str(exc.value) == "state norm crossed 1.0e+09 at t = 9.038"
+    assert_same_outcome(scenario)
     # a NaN state has a NaN norm, which the guard catches at once
     nan_run = dataclasses.replace(
         scenario, design=dataclasses.replace(design, c=np.nan))
     with pytest.raises(BlowUpError) as exc:
         integrate(nan_run)
     assert exc.value.last_valid_time == 0.0
+    assert str(exc.value) == "state norm crossed 1.0e+09 at t = 0.001"
+    assert_same_outcome(nan_run)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("c", [1e150, 1e300])
 def test_integrate_overflow_raises_blow_up(c):
     """A step whose arithmetic overflows to inf or NaN raises BlowUpError,
-    with no RuntimeWarning on the way."""
+    with no RuntimeWarning on the way, at the textbook loop's step."""
     design = witness_design(scalar_model(), two_node_graph(), c=c)
     scenario = Scenario(design=design, x0=np.array([[1.0], [-1.0]]),
                         t_end=1.0, dt=1e-3)
@@ -344,6 +415,8 @@ def test_integrate_overflow_raises_blow_up(c):
         integrate(scenario)
     assert exc.value.last_valid_time == 0.0
     assert type(exc.value.last_valid_time) is float
+    assert str(exc.value) == "state norm crossed 1.0e+09 at t = 0.001"
+    assert_same_outcome(scenario)
 
 
 def reference_rk4(scenario):
@@ -399,6 +472,86 @@ def test_integrate_matches_reference_rk4(kind):
     assert 5 * scenario.dt + scenario.dt < 2.0 == 6 * scenario.dt
     traj = integrate(scenario)
     assert np.array_equal(traj.states, reference_rk4(scenario))
+
+
+def random_leader_rooted(rng, n):
+    """A graph whose node 1 roots a random spanning tree, plus random
+    edges among the followers."""
+    edges = {(int(rng.integers(1, v)), v) for v in range(2, n + 1)}
+    mask = rng.random((n, n)) < 0.2
+    edges |= {(i + 1, j + 1) for i in range(1, n) for j in range(1, n)
+              if i != j and mask[i, j]}
+    return DiGraph.from_edges(n, edges)
+
+
+GRAPHS = {"leaderless": random_sc_digraph,
+          "hinf": random_balanced_sc_digraph,
+          "leader-follower": random_leader_rooted}
+
+
+def random_design(rng, kind, mode, n_agents, n, out_dim, m1, m2):
+    """A design of a random stable model: A has spectral abscissa -1/2 or
+    less, f has catalog terms on distinct (out, in) pairs, and the gain
+    follows K = -1/2 B^T P^-1 for a random P > 0."""
+    m = rng.uniform(-0.5, 0.5, (n, n))
+    a = m - (np.linalg.norm(m, 2) + 0.5) * np.eye(n)
+    pairs = [(o, i) for o in range(out_dim) for i in range(n)]
+    count = 0 if kind == "zero" else int(rng.integers(1, len(pairs) + 1))
+    picked = rng.permutation(len(pairs))[:count]
+    f = Nonlinearity(kind, [(*pairs[j], float(rng.uniform(-1.0, 1.0)))
+                            for j in picked])
+    model = AgentModel(a=a, b=rng.uniform(-1.0, 1.0, (n, m1)),
+                       d1=rng.uniform(-1.0, 1.0, (n, out_dim)),
+                       d2=rng.uniform(-1.0, 1.0, (n, m2)),
+                       c_out=rng.uniform(-1.0, 1.0, (1, n)),
+                       alpha=f.lipschitz_constant(n, out_dim), f=f)
+    q = rng.uniform(-1.0, 1.0, (n, n))
+    p = q @ q.T + np.eye(n)
+    c = float(rng.uniform(0.0, 2.0))
+    return ProtocolDesign(
+        k=-0.5 * np.linalg.solve(p, model.b).T, c=c,
+        cert=LmiCertificate(p=p, scalar=1.0, margin=0.0, feasible=False),
+        c_threshold=c, mode=mode,
+        analysis=analyze(GRAPHS[mode](rng, n_agents)), model=model,
+        gamma=2.0 if mode == "hinf" else None)
+
+
+@given(kind=st.sampled_from(sorted(CATALOG)),
+       mode=st.sampled_from(sorted(GRAPHS)),
+       n_agents=st.integers(2, 8), n=st.integers(1, 4),
+       out_dim=st.integers(1, 3), m1=st.integers(1, 2), m2=st.integers(1, 2),
+       disturbance=st.sampled_from(["none", "bipolar", "unipolar"]),
+       dt=st.sampled_from([1 / 3, 1e-2]), steps=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_integrate_is_the_textbook_loop_bit_for_bit(
+        kind, mode, n_agents, n, out_dim, m1, m2, disturbance, dt, steps,
+        seed):
+    """In-place stages, .dot products and the sqrt-of-dot guard give the
+    textbook loop's states, or its blow-up, bit for bit, on every shape."""
+    rng = np.random.default_rng(seed)
+    design = random_design(rng, kind, mode, n_agents, n, out_dim, m1, m2)
+    scenario = Scenario(
+        design=design, x0=rng.uniform(-2.0, 2.0, (n_agents, n)),
+        disturbance=DisturbanceSpec(
+            disturbance, rng.uniform(-2.0, 2.0, (n_agents, m2))),
+        t_end=steps * dt, dt=dt)
+    assert_same_outcome(scenario)
+
+
+def test_integrate_is_the_textbook_loop_at_64_agents():
+    rng = np.random.default_rng(64)
+    model = benchmark.manipulator_model()
+    design = dataclasses.replace(synthesize(
+        model, random_balanced_sc_digraph(rng, 64), "hinf", benchmark.GAMMA,
+        cert=(benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON)),
+        c=benchmark.REFERENCE_C)
+    scenario = Scenario(
+        design=design, x0=rng.uniform(-1.0, 1.0, (64, 4)),
+        disturbance=DisturbanceSpec("bipolar",
+                                    rng.uniform(-2.0, 2.0, (64, 1))),
+        t_end=0.2, dt=1e-3)
+    assert np.array_equal(integrate(scenario).states, textbook_rk4(scenario))
 
 
 def test_scenario_validation(consensus_design):
