@@ -12,8 +12,8 @@ import dataclasses
 import numpy as np
 
 from consyn import Scenario, assess, integrate, synthesize, write_csv
-from consyn.benchmark import (GAMMA, REFERENCE_C, REFERENCE_EPSILON,
-                              REFERENCE_P, benchmark_disturbance,
+from consyn.benchmark import (DISTURBANCE_SCALES, GAMMA, REFERENCE_C,
+                              REFERENCE_EPSILON, REFERENCE_P,
                               benchmark_graph, manipulator_model)
 
 np.set_printoptions(precision=4, suppress=True)
@@ -40,7 +40,8 @@ design = dataclasses.replace(design, c=REFERENCE_C)
 scenario = Scenario(
     design=design,
     x0=np.zeros((g.n, model.n)),
-    disturbance=benchmark_disturbance("bipolar"),
+    disturbance="bipolar",
+    scales=DISTURBANCE_SCALES,
     t_end=10.0, dt=1e-3,
 )
 traj = integrate(scenario)

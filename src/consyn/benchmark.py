@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import DiGraph
-from .sim import AgentModel, DisturbanceSpec, Nonlinearity
+from .sim import AgentModel, Nonlinearity
 
 GAMMA = 2.0
 
@@ -73,11 +73,6 @@ def manipulator_model() -> AgentModel:
 def benchmark_graph() -> DiGraph:
     """Six-node directed communication graph, balanced and strongly connected."""
     return DiGraph.from_edges(6, _EDGES)
-
-
-def benchmark_disturbance(kind: str = "bipolar") -> DisturbanceSpec:
-    """Square-wave disturbance with the published per-agent scalings."""
-    return DisturbanceSpec(kind=kind, scales=DISTURBANCE_SCALES)
 
 
 def initial_states(seed: int = 12345) -> np.ndarray:

@@ -27,8 +27,8 @@ from . import __version__, benchmark
 from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
                     parse_edge_list)
-from .sim import (AgentModel, DisturbanceSpec, Nonlinearity, Scenario,
-                  assess, check_time_grid, integrate, write_csv)
+from .sim import (AgentModel, Nonlinearity, Scenario, assess,
+                  check_time_grid, integrate, write_csv)
 from .synthesis import DesignMode, ProtocolDesign, synthesize
 
 OUT_DIR_ENV = "CONSYN_OUT_DIR"
@@ -39,24 +39,6 @@ CONVERGED_BELOW = 1e-3
 
 def _listify(a):
     return np.asarray(a, dtype=float).tolist()
-
-
-def model_to_dict(model: AgentModel, gamma=None) -> dict:
-    d = {
-        "a": _listify(model.a),
-        "b": _listify(model.b),
-        "d1": _listify(model.d1),
-        "d2": _listify(model.d2),
-        "c": _listify(model.c_out),
-        "alpha": model.alpha,
-        "f": {
-            "kind": model.f.kind,
-            "terms": [[o + 1, i + 1, c] for (o, i, c) in model.f.terms],
-        },
-    }
-    if gamma is not None:
-        d["gamma"] = float(gamma)
-    return d
 
 
 def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
@@ -299,10 +281,9 @@ def cmd_simulate(ns) -> int:
         raise PreconditionError(
             "disturbance rejection for tracking runs is out of scope")
     design = _build_design(ns, model, gamma, g)
-    dist = DisturbanceSpec(kind=ns.disturbance)
-    x0 = np.zeros((g.n, model.n)) if dist.kind != "none" else \
+    x0 = np.zeros((g.n, model.n)) if ns.disturbance != "none" else \
         np.random.default_rng(ns.seed).uniform(-1.0, 1.0, (g.n, model.n))
-    scenario = Scenario(design=design, x0=x0, disturbance=dist,
+    scenario = Scenario(design=design, x0=x0, disturbance=ns.disturbance,
                         t_end=ns.t_end, dt=ns.dt)
     traj = integrate(scenario)
     out_dir = _out_dir(ns)
@@ -383,7 +364,7 @@ def cmd_repro(ns) -> int:
         stage = "attenuation-sim"
         traj_h = integrate(Scenario(
             design=published, x0=np.zeros((6, 4)),
-            disturbance=benchmark.benchmark_disturbance(ns.disturbance),
+            disturbance=ns.disturbance, scales=benchmark.DISTURBANCE_SCALES,
             t_end=ns.t_end, dt=ns.dt))
         write_csv(traj_h, out_dir / "attenuation_traj.csv", decimation=10)
         run_h = assess(traj_h, published.gamma)

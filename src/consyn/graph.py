@@ -322,12 +322,6 @@ def parse_edge_list(text: str) -> DiGraph:
     return DiGraph.from_edges(n, edges)
 
 
-def format_edge_list(g: DiGraph) -> str:
-    lines = [f"nodes {g.n}"]
-    lines += [f"{p} {c}" for (p, c) in sorted(g.edges)]
-    return "\n".join(lines) + "\n"
-
-
 def digraph_from_adjacency(a) -> DiGraph:
     """Graph from a 0/1 adjacency matrix with a[i, j] = 1 iff edge j+1 -> i+1."""
     am = numkit.as_matrix(a, "adjacency")

@@ -25,7 +25,7 @@ achievable margin saturates), so the feasible-with-margin region is a window
 and a plain bisection would fail.
 
 Infeasibility is reported, never certified: exhausting the scalar ladder
-yields feasible=False at the largest scalar tried.
+raises InfeasibleError carrying the search's trace.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from numpy.typing import NDArray
 from scipy.linalg import block_diag, solve_continuous_are
 
 from . import numkit
+from .errors import InfeasibleError
 
 if TYPE_CHECKING:
     from .sim import AgentModel
@@ -117,7 +118,6 @@ class MarginReport:
     """Recomputed margins of a certificate and the floors they must clear."""
 
     p_margin: float
-    scalar_value: float
     lmi_margin: float
     p_floor: float
     lmi_floor: float
@@ -181,7 +181,6 @@ def verify(problem: LmiProblem, cert: LmiCertificate) -> MarginReport:
     p_floor, lmi_floor = _floor(p_values), _floor(m_values)
     return MarginReport(
         p_margin=p_margin,
-        scalar_value=float(cert.scalar),
         lmi_margin=lmi_margin,
         p_floor=p_floor,
         lmi_floor=lmi_floor,
@@ -316,9 +315,9 @@ def solve(problem: LmiProblem) -> LmiCertificate:
     Deterministic: the scalar starts at 10 ||A||_F^2, is laddered up tenfold
     until the centre exists (-s B B^T grows the feasible set with s), then
     descended tenfold while it exists and refined once by sqrt(10). With no
-    feasible rung the certificate is infeasible at the largest scalar tried,
-    with p = ||A||_F I. The margin is the one recorded at the chosen probe;
-    synthesize replaces it with the margin lmi.verify measures.
+    feasible rung it raises InfeasibleError with the trace. The margin is
+    the one recorded at the chosen probe; synthesize replaces it with the
+    margin lmi.verify measures.
 
     When no probe meets the margin rule, the probe with the widest margin
     is returned, feasible when that margin is positive. The branch is
@@ -348,11 +347,11 @@ def solve(problem: LmiProblem) -> LmiCertificate:
     s = 10.0 * norm_a ** 2
     while not probe(s):
         if len(records) >= MAX_LADDER:
-            p_nom = norm_a * np.eye(stacker.n)
-            margin, _ = _margin_and_req(problem, p_nom, s)
-            return LmiCertificate(
-                p_nom, float(s), margin, False,
-                SolveTrace(tuple(records), "ladder_exhausted"))
+            raise InfeasibleError(
+                "feasibility search exhausted its budget: no rung of the "
+                f"scalar ladder, up to {s:.3e}, had a strictly feasible "
+                "Riccati point",
+                trace=SolveTrace(tuple(records), "ladder_exhausted"))
         s *= 10.0
 
     stop = "descent_budget"

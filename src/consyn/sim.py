@@ -14,6 +14,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,50 +160,29 @@ class AgentModel:
         return self.a.shape[0]
 
 
-def square_wave(t, unipolar: bool = False) -> NDArray[np.float64]:
-    """One-period square wave starting at t = 0 with width 2 and height 1.
+class Disturbance(str, Enum):
+    """The kind of a run's shared wave, which square_wave tabulates."""
 
-    Bipolar (default): 1 on [0, 1), -1 on [1, 2), 0 afterwards.
-    Unipolar: 1 on [0, 2), 0 afterwards. An array of t's shape.
-    """
+    NONE = "none"
+    BIPOLAR = "bipolar"
+    UNIPOLAR = "unipolar"
+
+    @property
+    def kind(self) -> str:
+        """The kind's string; perfbench's tracer reads it off a scenario."""
+        return self.value
+
+
+def square_wave(t, kind: str = "bipolar") -> NDArray[np.float64]:
+    """The wave of a disturbance kind at the times t, an array of t's
+    shape: bipolar is 1 on [0, 1) and -1 on [1, 2), unipolar 1 on [0, 2),
+    both 0 elsewhere; none is 0 throughout."""
     t = np.asarray(t, dtype=float)
+    if kind == "none":
+        return np.zeros_like(t)
     return np.where((0.0 <= t) & (t < 2.0),
-                    np.where(unipolar | (t < 1.0), 1.0, -1.0), 0.0)
-
-
-@dataclass(frozen=True)
-class DisturbanceSpec:
-    """Per-agent disturbance: a shared scalar wave scaled per agent/channel.
-
-    kind is none, bipolar, or unipolar. scales has shape (N, m1) and
-    multiplies the wave value; None with a non-none kind means unit scales.
-    """
-
-    kind: str = "none"
-    scales: Optional[NDArray[np.float64]] = None
-
-    def __post_init__(self):
-        if self.kind not in ("none", "bipolar", "unipolar"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if self.scales is not None:
-            object.__setattr__(
-                self, "scales", numkit.as_matrix(self.scales, "scales"))
-
-    def resolve_scales(self, n_agents: int, m1: int) -> NDArray[np.float64]:
-        """The (N, m1) scales, unit when none were given, checked in shape."""
-        scales = self.scales
-        if scales is None:
-            scales = np.ones((n_agents, m1))
-        if scales.shape != (n_agents, m1):
-            raise ValueError(f"scales shape {scales.shape} does not match "
-                             f"({n_agents}, {m1})")
-        return scales
-
-    def wave(self, t) -> NDArray[np.float64]:
-        """The shared wave value at the times t, an array of t's shape."""
-        if self.kind == "none":
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return square_wave(t, unipolar=self.kind == "unipolar")
+                    np.where((kind == "unipolar") | (t < 1.0), 1.0, -1.0),
+                    0.0)
 
 
 def check_time_grid(dt: float, t_end: float) -> None:
@@ -220,21 +200,31 @@ def check_time_grid(dt: float, t_end: float) -> None:
 @dataclass(frozen=True)
 class Scenario:
     """One run of a design: x0 has a row per node of the design's graph,
-    and the time grid 0 < dt <= t_end < inf ends at t_end."""
+    the time grid 0 < dt <= t_end < inf ends at t_end, and disturbance
+    channel k of agent i carries the wave of the disturbance kind times
+    scales[i, k]. scales has shape (N, m1); None stores unit scales."""
 
     design: ProtocolDesign
     x0: NDArray[np.float64]
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
+    disturbance: Disturbance = Disturbance.NONE
+    scales: Optional[NDArray[np.float64]] = None
     t_end: float = 10.0
     dt: float = 1e-3
 
     def __post_init__(self):
         check_time_grid(self.dt, self.t_end)
-        x0 = numkit.as_matrix(self.x0, "x0")
-        shape = (self.design.analysis.graph.n, self.design.model.n)
-        if x0.shape != shape:
-            raise ValueError(f"x0 shape {x0.shape} does not match {shape}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "disturbance", Disturbance(self.disturbance))
+        n_agents, model = self.design.analysis.graph.n, self.design.model
+        shapes = {"x0": (n_agents, model.n),
+                  "scales": (n_agents, model.d2.shape[1])}
+        if self.scales is None:
+            object.__setattr__(self, "scales", np.ones(shapes["scales"]))
+        for name, shape in shapes.items():
+            value = numkit.as_matrix(getattr(self, name), name)
+            if value.shape != shape:
+                raise ValueError(
+                    f"{name} shape {value.shape} does not match {shape}")
+            object.__setattr__(self, name, value)
 
 
 def _trapezoid_steps(y: NDArray[np.float64], t: NDArray[np.float64]
@@ -264,7 +254,7 @@ class Trajectory:
 
 
 def closed_loop(design: ProtocolDesign,
-                disturbance: DisturbanceSpec = DisturbanceSpec()
+                scales: Optional[NDArray[np.float64]] = None
                 ) -> Callable[..., NDArray[np.float64]]:
     """Closed-loop vector field f(x, w=0.0) of a design on (N, n) states,
     where w is the value of the shared wave.
@@ -275,10 +265,11 @@ def closed_loop(design: ProtocolDesign,
         dx = x A^T + g(x) C^T D1^T + c (L x) (B K)^T (+ w S D2^T)
 
     with the model and L read from the design, f(x) = C g(x) the agent
-    nonlinearity and S the per-agent scales. Every matrix is formed once,
-    F = S D2^T among them; w is 1, -1 or 0, so w F equals (w S) D2^T bit
-    for bit. A tracking design's leader has in-degree 0, so its Laplacian
-    row is zero and it evolves open loop.
+    nonlinearity and S the (N, m1) per-agent scales, a Scenario's; without
+    scales f ignores w. Every matrix is formed once, F = S D2^T among
+    them; w is 1, -1 or 0, so w F equals (w S) D2^T bit for bit. A
+    tracking design's leader has in-degree 0, so its Laplacian row is zero
+    and it evolves open loop.
     """
     model, lap = design.model, design.analysis.laplacian
     a_t, d1_t = model.a.T, model.d1.T
@@ -286,15 +277,13 @@ def closed_loop(design: ProtocolDesign,
     coef_t = model.f.matrix(model.n, model.d1.shape[1]).T
     coupling_t = (model.b @ design.k).T
     c = design.c
-    forcing = disturbance.resolve_scales(
-        design.analysis.graph.n, model.d2.shape[1]) @ model.d2.T
-    disturbed = disturbance.kind != "none"
+    forcing = None if scales is None else scales @ model.d2.T
 
     # ndarray.dot reaches the same BLAS call as @ at less dispatch cost
     def f(x, w=0.0):
         dx = (x.dot(a_t) + g(x).dot(coef_t).dot(d1_t)
               + (c * lap.dot(x)).dot(coupling_t))
-        if disturbed:
+        if forcing is not None:
             dx += w * forcing
         return dx
     return f
@@ -309,15 +298,15 @@ def integrate(scenario: Scenario) -> Trajectory:
     is written straight into states. Aborts with BlowUpError when the state
     norm crosses BLOWUP_NORM or overflows, carrying the last valid time.
     """
-    design, dist, dt = scenario.design, scenario.disturbance, scenario.dt
-    model = design.model
+    design, kind, dt = scenario.design, scenario.disturbance, scenario.dt
+    scales, model = scenario.scales, design.model
     n_agents, n = scenario.x0.shape
     steps = int(round(scenario.t_end / dt))
     times = np.arange(steps + 1) * dt
-    f = closed_loop(design, dist)
-    wave = dist.wave(times)
-    w_mid = dist.wave(times[:-1] + dt / 2)
-    w_end = dist.wave(times[:-1] + dt)
+    f = closed_loop(design, None if kind == Disturbance.NONE else scales)
+    wave = square_wave(times, kind)
+    w_mid = square_wave(times[:-1] + dt / 2, kind)
+    w_end = square_wave(times[:-1] + dt, kind)
 
     states = np.empty((steps + 1, n_agents, n))
     states[0] = scenario.x0
@@ -351,8 +340,7 @@ def integrate(scenario: Scenario) -> Trajectory:
     else:
         e = states - states[:, lf.leader - 1: lf.leader, :]
     z = e @ model.c_out.T
-    omega = wave[:, None, None] * dist.resolve_scales(
-        n_agents, model.d2.shape[1])
+    omega = wave[:, None, None] * scales
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
     v = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
     gamma = design.gamma or 0.0

@@ -83,8 +83,9 @@ def problem_for(model: "AgentModel", mode, gamma: Optional[float] = None
 
 
 def _certify(problem: lmi.LmiProblem, cert) -> lmi.LmiCertificate:
-    """Search for a certificate unless a (p, scalar) pair is given; verify
-    either way and keep the margin verification measured."""
+    """Search for a certificate unless a (p, scalar) pair is given (a search
+    whose ladder runs out raises InfeasibleError); verify either way and
+    keep the margin verification measured."""
     injected = cert is not None
     if injected:
         p, scalar = cert
@@ -92,17 +93,12 @@ def _certify(problem: lmi.LmiProblem, cert) -> lmi.LmiCertificate:
                                   margin=np.nan, feasible=False)
     else:
         cert = lmi.solve(problem)
-        if not cert.feasible:
-            raise InfeasibleError(
-                "feasibility search exhausted its budget: no rung of the "
-                f"scalar ladder, up to {cert.scalar:.3e}, had a strictly "
-                "feasible Riccati point", trace=cert.trace)
     report = lmi.verify(problem, cert)
     if not report.passed:
         message = (
             f"{'injected' if injected else 'solver'} certificate fails "
             f"verification (p margin {report.p_margin:.3e}, rounding floor "
-            f"{report.p_floor:.1e}; scalar {report.scalar_value:.3e}; "
+            f"{report.p_floor:.1e}; scalar {cert.scalar:.3e}; "
             f"inequality margin {report.lmi_margin:.3e}, rounding floor "
             f"{report.lmi_floor:.1e})"
         )

@@ -20,6 +20,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from consyn import (
+    InfeasibleError,
     Scenario,
     analyze,
     assemble,
@@ -101,7 +102,9 @@ def test_solver_feasibility(bench_model):
 
     bad = LmiProblem(
         LmiKind.CONSENSUS, scalar_model(a=1.0, b=0.0, d1=1.0, alpha=1.0))
-    assert not solve(bad).feasible
+    with pytest.raises(InfeasibleError) as info:
+        solve(bad)
+    assert info.value.trace.stop == "ladder_exhausted"
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -125,7 +128,8 @@ def test_consensus_convergence(consensus_design):
 def test_disturbance_attenuation(hinf_design):
     """Zero-state bipolar run at gamma = 2: J < 0 and empirical gain < 2."""
     scenario = Scenario(design=hinf_design, x0=np.zeros((6, 4)),
-                        disturbance=benchmark.benchmark_disturbance(),
+                        disturbance="bipolar",
+                        scales=benchmark.DISTURBANCE_SCALES,
                         t_end=10.0, dt=1e-3)
     traj = integrate(scenario)
     run = assess(traj, benchmark.GAMMA)

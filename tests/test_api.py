@@ -2,7 +2,7 @@ import dataclasses
 import inspect
 
 import consyn
-from consyn import graph, lmi, numkit, sim
+from consyn import benchmark, cli, graph, lmi, numkit, sim
 
 
 def test_public_callables_take_no_numeric_policy():
@@ -61,11 +61,29 @@ def test_run_assessment_has_one_source():
 
 def test_second_right_hand_side_is_gone():
     """The simulator evaluates f through Nonlinearity.matrix and the
-    CATALOG table, and the wave through DisturbanceSpec.wave, tabulated
-    once per run: the per-stage helpers are gone."""
+    CATALOG table, and the wave through square_wave, tabulated once per
+    run: the per-stage helpers are gone."""
     for obj, names in ((consyn.AgentModel, ("nonlinear",)),
-                       (consyn.DisturbanceSpec, ("omega",)),
+                       (consyn.Scenario, ("omega", "wave")),
                        (consyn.Nonlinearity, ("_g",)),
                        (sim, ("NONLINEARITY_KINDS",))):
         for name in names:
             assert not hasattr(obj, name), f"{obj.__name__}.{name}"
+
+
+def test_scenario_holds_the_whole_disturbance():
+    """Scenario holds a run's disturbance kind and scales: the separate
+    disturbance record is gone, with the benchmark's helper for it, and
+    so are the serializers no caller used and MarginReport's echo of the
+    certificate scalar."""
+    for obj, names in ((consyn, ("DisturbanceSpec",)),
+                       (sim, ("DisturbanceSpec",)),
+                       (benchmark, ("benchmark_disturbance",)),
+                       (cli, ("model_to_dict",)),
+                       (graph, ("format_edge_list",))):
+        for name in names:
+            assert not hasattr(obj, name), f"{obj.__name__}.{name}"
+    fields = {f.name for f in dataclasses.fields(lmi.MarginReport)}
+    assert "scalar_value" not in fields
+    assert {f.name for f in dataclasses.fields(consyn.Scenario)} >= {
+        "disturbance", "scales"}

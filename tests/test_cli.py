@@ -9,10 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from consyn import adjacency
+from consyn import adjacency, parse_edge_list
 from consyn import benchmark
 from consyn import BlowUpError, InfeasibleError, PreconditionError, cli, lmi
-from consyn.graph import format_edge_list
 
 from conftest import scalar_model
 
@@ -20,6 +19,17 @@ SCALAR_MODEL = {
     "a": [[-1.0]], "b": [[1.0]], "d1": [[1.0]], "alpha": 0.0,
     "f": {"kind": "zero", "terms": []},
 }
+# the bundled six-manipulator model and graph, as files would hold them
+MANIPULATOR = {
+    "a": [[0.0, 1.0, 0.0, 0.0], [-48.6, -1.26, 48.6, 0.0],
+          [0.0, 0.0, 0.0, 10.0], [1.95, 0.0, -1.95, 0.0]],
+    "b": [[0.0], [21.6], [0.0], [0.0]],
+    "d1": np.eye(4).tolist(), "d2": [[0.0], [1.0], [0.4], [0.0]],
+    "c": [[1.0, 0.0, 0.0, 0.0]], "alpha": 0.333,
+    "f": {"kind": "sine", "terms": [[4, 1, -0.333]]},
+}
+BENCH_GRAPH = ("nodes 6\n1 2\n1 4\n2 3\n2 6\n3 1\n4 1\n4 5\n5 4\n5 6\n"
+               "6 2\n6 5\n")
 TWO_NODE = "nodes 2\n1 2\n2 1\n"
 # leader 1 -> 2 -> 3, then 3 fans out to six leaves; H is indefinite
 FAN_TREE = "nodes 9\n1 2\n2 3\n" + "".join(f"3 {k}\n" for k in range(4, 10))
@@ -37,7 +47,7 @@ def run(argv):
 
 def test_graph_command_benchmark(tmp_path, capsys):
     gfile = tmp_path / "bench.txt"
-    gfile.write_text(format_edge_list(benchmark.benchmark_graph()))
+    gfile.write_text(BENCH_GRAPH)
     assert run(["graph", str(gfile), "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "balanced: True" in out
@@ -253,10 +263,9 @@ def test_synth_scalar_witness(tmp_path, capsys):
 
 
 def test_synth_benchmark_injected_certificate(tmp_path):
-    model_dict = cli.model_to_dict(benchmark.manipulator_model(),
-                                   gamma=benchmark.GAMMA)
-    model_dict["adjacency"] = adjacency(benchmark.benchmark_graph()).tolist()
-    model = write_json(tmp_path / "bench.json", model_dict)
+    model = write_json(tmp_path / "bench.json", dict(
+        MANIPULATOR, gamma=benchmark.GAMMA,
+        adjacency=adjacency(benchmark.benchmark_graph()).tolist()))
     cert = write_json(tmp_path / "cert.json", {
         "p": benchmark.REFERENCE_P.tolist(),
         "scalar": benchmark.REFERENCE_EPSILON,
@@ -302,6 +311,59 @@ def test_synth_infeasible_model_exit_code(tmp_path, capsys):
                 "--out-dir", str(tmp_path)])
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_json_graph_file_without_adjacency_exit_code(tmp_path, capsys):
+    gfile = write_json(tmp_path / "g.json", {"nodes": 2})
+    assert run(["graph", gfile, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"graph file {gfile} lacks an 'adjacency' entry" in err
+    assert not (tmp_path / "graph_report.json").exists()
+
+
+def test_synth_without_any_graph_exit_code(tmp_path, capsys):
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    code = run(["synth", model, "--mode", "leaderless",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "no graph given" in capsys.readouterr().err
+    assert not (tmp_path / "synth_report.json").exists()
+
+
+def test_simulate_hinf_without_disturbance_has_no_gain(tmp_path, capsys):
+    model = write_json(tmp_path / "m.json", dict(
+        SCALAR_MODEL, d2=[[1.0]], c=[[1.0]], gamma=2.0))
+    cert = write_json(tmp_path / "cert.json", WITNESS)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    code = run(["simulate", model, str(gfile), "--mode", "hinf",
+                "--disturbance", "none", "--cert", cert, "--t-end", "0.5",
+                "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "empirical gain: undefined (zero disturbance)" in \
+        capsys.readouterr().out
+    sim = json.loads((tmp_path / "simulate_report.json").read_text())
+    summary = sim["simulation"]
+    assert summary["empirical_gain"] is None
+    # no disturbance, a nonzero error: J is the output energy alone
+    assert summary["j"] > 0
+
+
+def test_synth_leader_follower_reports_simplified_threshold(tmp_path):
+    # leader 1 feeds 2; followers 2 and 3 form a balanced 2-cycle, whose
+    # symmetrized block [[2, -1], [-1, 1]] has smallest eigenvalue
+    # (3 - sqrt 5) / 2
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    cert = write_json(tmp_path / "cert.json", WITNESS)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("nodes 3\n1 2\n2 3\n3 2\n")
+    code = run(["synth", model, str(gfile), "--mode", "leader-follower",
+                "--cert", cert, "--out-dir", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "synth_report.json").read_text())
+    assert report["design"]["c_threshold_simplified"] == pytest.approx(
+        2.0 / (3.0 - np.sqrt(5.0)), rel=1e-12)
+    assert report["graph"]["leader_follower"]["simplified_applicable"]
 
 
 def test_simulate_scalar_run(tmp_path):
@@ -450,8 +512,7 @@ def test_cancelling_terms_load_silently_with_alpha_zero(tmp_path, capsys):
 
 
 def test_benchmark_model_draws_no_lipschitz_warning(tmp_path, capsys):
-    model = write_json(tmp_path / "m.json",
-                       cli.model_to_dict(benchmark.manipulator_model()))
+    model = write_json(tmp_path / "m.json", MANIPULATOR)
     cli.load_model(model)
     assert capsys.readouterr().err == ""
 
@@ -670,14 +731,14 @@ def test_allocation_too_large_exit_code(tmp_path, command):
 
 
 def test_model_round_trip():
+    """The model file of the bundled manipulator loads as that model."""
     model = benchmark.manipulator_model()
-    d = cli.model_to_dict(model, gamma=2.0)
-    # nonlinearity terms are serialized 1-based
-    assert d["f"]["terms"] == [[4, 1, -benchmark.ALPHA]]
-    back, gamma = cli.model_from_dict(d)
+    assert parse_edge_list(BENCH_GRAPH) == benchmark.benchmark_graph()
+    # nonlinearity terms are written 1-based
+    back, gamma = cli.model_from_dict(dict(MANIPULATOR, gamma=2.0))
     assert gamma == 2.0
-    assert_allclose(back.a, model.a, atol=0.0)
-    assert_allclose(back.d2, model.d2, atol=0.0)
+    for name in ("a", "b", "d1", "d2", "c_out"):
+        assert_allclose(getattr(back, name), getattr(model, name), atol=0.0)
     assert back.f == model.f
     assert back.alpha == model.alpha
 

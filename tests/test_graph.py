@@ -16,7 +16,7 @@ from consyn import (
     spectra,
 )
 from consyn import benchmark
-from consyn.graph import digraph_from_adjacency, format_edge_list
+from consyn.graph import digraph_from_adjacency
 
 from conftest import (
     path_graph,
@@ -393,7 +393,10 @@ def test_parse_edge_list_rejects_out_of_range():
 def test_edge_list_round_trip(seed):
     rng = np.random.default_rng(seed)
     g = random_sc_digraph(rng)
-    assert parse_edge_list(format_edge_list(g)) == g
+    text = f"nodes {g.n}\n" + "".join(f"{p} {c}\n" for p, c in g.edges)
+    assert parse_edge_list(text) == g
+    assert parse_edge_list("nodes 3\n# ring\n1 2\n\n2 3\n3 1\n") == \
+        DiGraph.from_edges(3, [(1, 2), (2, 3), (3, 1)])
 
 
 def test_adjacency_round_trip(bench_graph):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from consyn import (AgentModel, LmiCertificate, Nonlinearity, assemble, solve,
-                    verify)
+from consyn import (AgentModel, InfeasibleError, LmiCertificate, Nonlinearity,
+                    assemble, solve, verify)
 from consyn import benchmark
 from consyn.lmi import (MAX_LADDER, LmiKind, LmiProblem,
                         _barrier_derivatives, _center, _margin_and_req,
@@ -78,7 +78,6 @@ def test_verify_accepts_hand_witness():
     report = verify(problem, witness_cert([[1.0]], 1.0, problem))
     assert report.passed
     assert report.p_margin == pytest.approx(1.0)
-    assert report.scalar_value == pytest.approx(1.0)
     assert report.lmi_margin > 0
 
 
@@ -121,13 +120,12 @@ def test_solve_uncontrollable_reports_infeasible_within_budget():
     # top-left block is 2p + 1, positive for every p > 0
     problem = LmiProblem(
         LmiKind.CONSENSUS, scalar_model(a=1.0, b=0.0, d1=1.0, alpha=1.0))
-    cert = solve(problem)
-    assert not cert.feasible
-    assert cert.margin < 0
-    trace = cert.trace
+    with pytest.raises(InfeasibleError, match="no rung") as info:
+        solve(problem)
+    trace = info.value.trace
     assert trace.stop == "ladder_exhausted"
     assert len(trace.probes) == MAX_LADDER
-    assert cert.scalar == trace.probes[-1].scalar
+    assert f"up to {trace.probes[-1].scalar:.3e}," in str(info.value)
     assert all(np.isnan(r.margin) and r.newton_steps == 0
                for r in trace.probes)
 

@@ -13,7 +13,7 @@ from consyn import (
     AgentModel,
     BlowUpError,
     DiGraph,
-    DisturbanceSpec,
+    Disturbance,
     LmiCertificate,
     Nonlinearity,
     PreconditionError,
@@ -163,16 +163,19 @@ def test_square_wave_bipolar_boundaries():
 
 
 def test_square_wave_unipolar():
-    assert square_wave(0.5, unipolar=True) == 1.0
-    assert square_wave(1.5, unipolar=True) == 1.0
-    assert square_wave(2.0, unipolar=True) == 0.0
+    assert square_wave(0.5, "unipolar") == 1.0
+    assert square_wave(1.5, "unipolar") == 1.0
+    assert square_wave(2.0, "unipolar") == 0.0
+    # the none kind is zero everywhere, also where the wave is on
+    assert square_wave(0.5, "none") == 0.0
 
 
 @given(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
 @settings(max_examples=50, deadline=None)
 def test_square_wave_range(t):
     assert square_wave(t) in (-1.0, 0.0, 1.0)
-    assert square_wave(t, unipolar=True) in (0.0, 1.0)
+    assert square_wave(t, "unipolar") in (0.0, 1.0)
+    assert square_wave(t, Disturbance.NONE) == 0.0
 
 
 def test_square_wave_array():
@@ -180,39 +183,59 @@ def test_square_wave_array():
     assert_allclose(out, [1.0, -1.0, 0.0], atol=0.0)
     # at and around the edges, and a scalar t gives the array's value
     ts = np.array([-1.0, -0.0, 0.0, 0.999, 1.0, 1.999, 2.0, 2.5])
-    for unipolar, want in ((False, [0, 1, 1, 1, -1, -1, 0, 0]),
-                           (True, [0, 1, 1, 1, 1, 1, 0, 0])):
-        assert square_wave(ts, unipolar).tolist() == want
-        assert [float(square_wave(t, unipolar)) for t in ts] == want
+    for kind, want in (("bipolar", [0, 1, 1, 1, -1, -1, 0, 0]),
+                       ("unipolar", [0, 1, 1, 1, 1, 1, 0, 0]),
+                       ("none", [0] * 8)):
+        assert square_wave(ts, kind).tolist() == want
+        assert [float(square_wave(t, kind)) for t in ts] == want
 
 
-def omega(dist, t, n_agents, m1):
-    """The disturbance matrix (N, m1) at time t, (T, N, m1) for array t."""
-    return dist.wave(t)[..., None, None] * dist.resolve_scales(n_agents, m1)
+def bench_scenario(design, kind="bipolar", t_end=10.0):
+    """The published attenuation run of a design: zero state, the bundled
+    per-agent scales."""
+    return Scenario(design=design, x0=np.zeros((6, 4)), disturbance=kind,
+                    scales=benchmark.DISTURBANCE_SCALES, t_end=t_end, dt=1e-3)
 
 
-def test_disturbance_benchmark_scaling():
-    dist = benchmark.benchmark_disturbance()
-    om = omega(dist, 0.5, 6, 1)
-    assert_allclose(om, benchmark.DISTURBANCE_SCALES, atol=0.0)
-    om_neg = omega(dist, 1.5, 6, 1)
-    assert_allclose(om_neg, -benchmark.DISTURBANCE_SCALES, atol=0.0)
+def test_disturbance_benchmark_scaling(hinf_design):
+    # omega is the wave at the grid times times the per-agent scales
+    traj = integrate(bench_scenario(hinf_design, t_end=2.5))
+    assert_allclose(traj.omega[500], benchmark.DISTURBANCE_SCALES, atol=0.0)
+    assert_allclose(traj.omega[1500], -benchmark.DISTURBANCE_SCALES, atol=0.0)
+    assert not traj.omega[2000:].any()
 
 
 def test_disturbance_batched_shape():
-    dist = DisturbanceSpec(kind="bipolar")
-    om = omega(dist, np.array([0.0, 1.0, 2.0]), 4, 2)
+    """Without scales the scenario stores unit (N, m1) scales."""
+    model = AgentModel(a=-np.eye(2), b=np.ones((2, 1)), d1=np.eye(2),
+                       d2=np.ones((2, 2)))
+    ring = DiGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
+    design = synthesize(model, ring, "leaderless", cert=(np.eye(2), 1.0))
+    scenario = Scenario(design=design, x0=np.zeros((4, 2)),
+                        disturbance="bipolar", t_end=2.0, dt=1.0)
+    assert scenario.disturbance is Disturbance.BIPOLAR
+    assert_allclose(scenario.scales, np.ones((4, 2)), atol=0.0)
+    om = integrate(scenario).omega
     assert om.shape == (3, 4, 2)
     assert_allclose(om[0], np.ones((4, 2)), atol=0.0)
+    assert_allclose(om[1], -np.ones((4, 2)), atol=0.0)
     assert_allclose(om[2], np.zeros((4, 2)), atol=0.0)
 
 
-def test_disturbance_validation():
-    with pytest.raises(ValueError):
-        DisturbanceSpec(kind="sawtooth")
-    dist = DisturbanceSpec(kind="bipolar", scales=np.ones((3, 1)))
-    with pytest.raises(ValueError):
-        dist.resolve_scales(4, 1)
+def test_disturbance_validation(consensus_design):
+    """A wrong-shaped scales array or an unknown kind fails when the
+    scenario is built, before any integration."""
+    x0 = np.zeros((6, 4))
+    with pytest.raises(ValueError, match="sawtooth"):
+        Scenario(design=consensus_design, x0=x0, disturbance="sawtooth")
+    with pytest.raises(ValueError,
+                       match=re.escape("scales shape (3, 1) does not match "
+                                       "(6, 1)")):
+        Scenario(design=consensus_design, x0=x0, disturbance="bipolar",
+                 scales=np.ones((3, 1)))
+    for bad in ([1.0] * 6, np.ones((6, 2)), [[np.nan]] * 6):
+        with pytest.raises(ValueError, match="scales"):
+            Scenario(design=consensus_design, x0=x0, scales=bad)
 
 
 def test_rhs_consensus_manifold_invariant(bench_model, consensus_design):
@@ -257,17 +280,17 @@ def test_rhs_disturbed_reduces_to_leaderless(consensus_design):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((6, 4))
     # the square wave is off after t = 2
-    dist = benchmark.benchmark_disturbance()
-    assert dist.wave(3.0) == 0.0
-    dx0 = closed_loop(consensus_design, dist)(x, dist.wave(3.0))
+    assert square_wave(3.0, "bipolar") == 0.0
+    dx0 = closed_loop(consensus_design, benchmark.DISTURBANCE_SCALES)(
+        x, square_wave(3.0, "bipolar"))
     assert_allclose(dx0, closed_loop(consensus_design)(x), atol=0.0)
 
 
 def test_rhs_disturbed_zero_state(bench_model, hinf_design):
-    dist = benchmark.benchmark_disturbance()
-    om = omega(dist, 0.5, 6, 1)
-    dx = closed_loop(hinf_design, dist)(np.zeros((6, 4)), dist.wave(0.5))
-    assert_allclose(dx, om @ bench_model.d2.T, atol=1e-15)
+    scales = benchmark.DISTURBANCE_SCALES
+    dx = closed_loop(hinf_design, scales)(np.zeros((6, 4)),
+                                          square_wave(0.5, "bipolar"))
+    assert_allclose(dx, scales @ bench_model.d2.T, atol=1e-15)
 
 
 def test_rhs_leader_follower_requires_source_leader(bench_model, bench_graph):
@@ -322,16 +345,15 @@ def textbook_rk4(scenario):
     """The states of the textbook RK4 loop: stage arguments and the stage
     sum allocated afresh as written, @ products, and np.linalg.norm as the
     blow-up check. Raises BlowUpError as integrate does."""
-    design, dist, dt = scenario.design, scenario.disturbance, scenario.dt
+    design, kind, dt = scenario.design, scenario.disturbance, scenario.dt
     model, lap = design.model, design.analysis.laplacian
     a_t, d1_t = model.a.T, model.d1.T
     g = CATALOG[model.f.kind]
     coef_t = model.f.matrix(model.n, model.d1.shape[1]).T
     coupling_t = (model.b @ design.k).T
     c = design.c
-    forcing = dist.resolve_scales(
-        design.analysis.graph.n, model.d2.shape[1]) @ model.d2.T
-    disturbed = dist.kind != "none"
+    forcing = scenario.scales @ model.d2.T
+    disturbed = kind != "none"
 
     def f(x, w=0.0):
         dx = x @ a_t + g(x) @ coef_t @ d1_t + c * (lap @ x) @ coupling_t
@@ -341,9 +363,9 @@ def textbook_rk4(scenario):
 
     steps = int(round(scenario.t_end / dt))
     times = np.arange(steps + 1) * dt
-    wave = dist.wave(times)
-    w_mid = dist.wave(times[:-1] + dt / 2)
-    w_end = dist.wave(times[:-1] + dt)
+    wave = square_wave(times, kind)
+    w_mid = square_wave(times[:-1] + dt / 2, kind)
+    w_end = square_wave(times[:-1] + dt, kind)
     states = np.empty((steps + 1,) + scenario.x0.shape)
     x = scenario.x0.copy()
     states[0] = x
@@ -422,14 +444,14 @@ def test_integrate_overflow_raises_blow_up(c):
 def reference_rk4(scenario):
     """The states of RK4 over f(t, x), which evaluates the wave at the
     Python float t of each stage and f by a loop over the sine terms."""
-    design, dist, dt = scenario.design, scenario.disturbance, scenario.dt
+    design, kind, dt = scenario.design, scenario.disturbance, scenario.dt
     model, lap = design.model, design.analysis.laplacian
-    forcing = dist.resolve_scales(*scenario.x0.shape) @ model.d2.T
+    forcing = scenario.scales @ model.d2.T
 
     def wave(t):
-        if dist.kind == "none" or not 0.0 <= t < 2.0:
+        if kind == "none" or not 0.0 <= t < 2.0:
             return 0.0
-        return 1.0 if dist.kind == "unipolar" or t < 1.0 else -1.0
+        return 1.0 if kind == "unipolar" or t < 1.0 else -1.0
 
     def f_by_terms(x):
         out = np.zeros(x.shape[:-1] + (model.d1.shape[1],))
@@ -440,7 +462,7 @@ def reference_rk4(scenario):
     def f(t, x):
         dx = (x @ model.a.T + f_by_terms(x) @ model.d1.T
               + design.c * (lap @ x) @ (model.b @ design.k).T)
-        if dist.kind != "none":
+        if kind != "none":
             dx = dx + wave(t) * forcing
         return dx
 
@@ -467,7 +489,7 @@ def test_integrate_matches_reference_rk4(kind):
                        f=Nonlinearity.sine([(0, 0, 0.5)]))
     design = synthesize(model, two_node_graph(), "hinf", 2.0)
     scenario = Scenario(design=design, x0=np.array([[1.0], [-0.5]]),
-                        disturbance=DisturbanceSpec(kind, [[1.0], [-2.0]]),
+                        disturbance=kind, scales=[[1.0], [-2.0]],
                         t_end=3.0, dt=1 / 3)
     assert 5 * scenario.dt + scenario.dt < 2.0 == 6 * scenario.dt
     traj = integrate(scenario)
@@ -533,8 +555,8 @@ def test_integrate_is_the_textbook_loop_bit_for_bit(
     design = random_design(rng, kind, mode, n_agents, n, out_dim, m1, m2)
     scenario = Scenario(
         design=design, x0=rng.uniform(-2.0, 2.0, (n_agents, n)),
-        disturbance=DisturbanceSpec(
-            disturbance, rng.uniform(-2.0, 2.0, (n_agents, m2))),
+        disturbance=disturbance,
+        scales=rng.uniform(-2.0, 2.0, (n_agents, m2)),
         t_end=steps * dt, dt=dt)
     assert_same_outcome(scenario)
 
@@ -548,8 +570,7 @@ def test_integrate_is_the_textbook_loop_at_64_agents():
         c=benchmark.REFERENCE_C)
     scenario = Scenario(
         design=design, x0=rng.uniform(-1.0, 1.0, (64, 4)),
-        disturbance=DisturbanceSpec("bipolar",
-                                    rng.uniform(-2.0, 2.0, (64, 1))),
+        disturbance="bipolar", scales=rng.uniform(-2.0, 2.0, (64, 1)),
         t_end=0.2, dt=1e-3)
     assert np.array_equal(integrate(scenario).states, textbook_rk4(scenario))
 
@@ -663,10 +684,7 @@ def test_assess_without_gamma_sets_no_cost():
 
 
 def test_running_cost_matches_batch_quadrature(hinf_design):
-    scenario = Scenario(design=hinf_design, x0=np.zeros((6, 4)),
-                        disturbance=benchmark.benchmark_disturbance(),
-                        t_end=0.5, dt=1e-3)
-    traj = integrate(scenario)
+    traj = integrate(bench_scenario(hinf_design, t_end=0.5))
     run = assess(traj, benchmark.GAMMA)
     assert traj.j_running[-1] == pytest.approx(run.j, rel=1e-9)
 

@@ -244,6 +244,21 @@ def test_solver_certificate_is_reverified(monkeypatch):
     assert calls[0].p is design.cert.p
 
 
+def test_solver_certificate_failing_verification_is_infeasible(monkeypatch):
+    """A widest-margin certificate whose margin sits under the rounding
+    floor ends the design in InfeasibleError with the solve's trace."""
+    trace = lmi.SolveTrace((), "descent_budget")
+    monkeypatch.setattr(lmi, "solve", lambda problem: LmiCertificate(
+        p=np.array([[1e-10]]), scalar=1e-17, margin=9.99e-18, feasible=True,
+        trace=trace))
+    with pytest.raises(InfeasibleError,
+                       match="solver certificate fails verification") as info:
+        synthesize(scalar_model(a=0.0, d1=0.0), two_node_graph(),
+                   "leaderless")
+    assert info.value.trace is trace
+    assert "scalar 1.000e-17" in str(info.value)
+
+
 def test_hinf_needs_gamma():
     with pytest.raises(PreconditionError, match="gamma"):
         synthesize(scalar_model(), two_node_graph(), "hinf")
