@@ -274,9 +274,9 @@ def _center(stacker: _Stacker, scalar: float):
         r.append(-problem.gamma ** 2 * np.eye(m.d2.shape[1]))
         q = q + m.c_out.T @ m.c_out
     try:
-        # an underflowing B R^-1 B^T makes scipy cast a NaN; treat it as
-        # no seed rather than let a RuntimeWarning through
-        with np.errstate(invalid="raise"):
+        # an underflowing B R^-1 B^T (scipy casts a NaN) or a subnormal A
+        # (its balancing overflows) leaves no seed, and no RuntimeWarning
+        with np.errstate(invalid="raise", over="raise"):
             p0 = np.linalg.inv(solve_continuous_are(m.a, np.hstack(cols), q,
                                                     block_diag(*r)))
     except (np.linalg.LinAlgError, ValueError, FloatingPointError):

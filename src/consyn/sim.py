@@ -2,10 +2,11 @@
 
 The integrator is fixed-step classical Runge-Kutta (RK4) over the single
 closed-loop vector field :func:`closed_loop`, deterministic by construction.
-States are carried as an (N, n) array, one row per agent. The design fixes
-the agent model, the graph and the error reference: the weighted average
-e_i = x_i - sum_j r_j x_j for leaderless and disturbance runs, the leader
-offset v_i = x_i - x_lead for tracking runs.
+A run keeps one (T, N, n) array, its states (a row per agent), and O(T)
+series: about 8 T N n bytes. The design fixes the agent model, the graph
+and the error reference: the weighted average e_i = x_i - sum_j r_j x_j
+for leaderless and disturbance runs, the leader offset v_i = x_i - x_lead
+for tracking runs. e and the outputs z are derived where they are used.
 """
 from __future__ import annotations
 
@@ -32,8 +33,7 @@ LIPSCHITZ_SLACK = 1e-9
 BLOWUP_NORM = 1e9
 V_STEP_REL = 1e-10
 GRID_REL = 1e-9
-# Samples write_csv formats per block: a block's floats and text stay a
-# few MB however long the run.
+# Samples per block where e and z are derived: a few MB however long a run.
 CSV_BLOCK_ROWS = 256
 # The componentwise g of each nonlinearity kind: f(x) = C g(x).
 CATALOG = {
@@ -91,11 +91,6 @@ class Nonlinearity:
                 c, f"the coefficient of nonlinearity term {k + 1}")
             m[o, i] += c
         return m
-
-    def apply(self, x: NDArray[np.float64], out_dim: int
-              ) -> NDArray[np.float64]:
-        """Evaluate on states of shape (..., n), returning (..., out_dim)."""
-        return CATALOG[self.kind](x) @ self.matrix(x.shape[-1], out_dim).T
 
     def lipschitz_constant(self, n: int, out_dim: int) -> float:
         """Exact Lipschitz constant ||C||_2 of f on R^n, C = matrix(n, out_dim):
@@ -237,20 +232,26 @@ def _trapezoid_steps(y: NDArray[np.float64], t: NDArray[np.float64]
 class Trajectory:
     """Sampled closed-loop run.
 
-    states has shape (T, N, n); e holds consensus (or tracking) errors; z
-    the performance outputs; v_lyap the error energy
-    V = sum_i w_i e_i^T P^{-1} e_i with w = design.analysis.weights;
-    j_running the running attenuation cost integral; omega the applied
-    disturbance.
+    states has shape (T, N, n); ref (T, n), the error reference, is the
+    states' weighted mean or a view of the leader's row; e_and_z derives
+    the errors and outputs from them and c_out. v_lyap is the error energy
+    V = sum_i w_i e_i^T P^{-1} e_i, w = design.analysis.weights; j_running
+    the running attenuation cost; z_sq and w_sq hold ||z(t)||^2, ||w(t)||^2.
     """
 
     times: NDArray[np.float64]
     states: NDArray[np.float64]
-    e: NDArray[np.float64]
-    z: NDArray[np.float64]
+    ref: NDArray[np.float64]
+    c_out: NDArray[np.float64]
     v_lyap: NDArray[np.float64]
     j_running: NDArray[np.float64]
-    omega: NDArray[np.float64]
+    z_sq: NDArray[np.float64]
+    w_sq: NDArray[np.float64]
+
+    def e_and_z(self, rows: slice = slice(None)):
+        """Errors e, (len, N, n), and outputs z = e C^T at the samples rows."""
+        e = self.states[rows] - self.ref[rows, None, :]
+        return e, e @ self.c_out.T
 
 
 def closed_loop(design: ProtocolDesign,
@@ -334,21 +335,22 @@ def integrate(scenario: Scenario) -> Trajectory:
                                   f"t = {t + dt:.6g}", last_valid_time=t)
 
     weights, lf = design.analysis.weights, design.analysis.leader_follower
-    if lf is None:
-        mean = np.einsum("j,tjk->tk", weights, states)
-        e = states - mean[:, None, :]
-    else:
-        e = states - states[:, lf.leader - 1: lf.leader, :]
-    z = e @ model.c_out.T
-    omega = wave[:, None, None] * scales
+    ref = (np.einsum("j,tjk->tk", weights, states) if lf is None
+           else states[:, lf.leader - 1, :])
+    v, j_running, z_sq = np.zeros((3, steps + 1))
+    # w is -1, 0 or 1 times the scales, so ||w||^2 is theirs or 0
+    traj = Trajectory(times, states, ref, model.c_out, v, j_running, z_sq,
+                      np.where(wave == 0.0, 0.0, (scales ** 2).sum()))
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
-    v = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
-    gamma = design.gamma or 0.0
-    integrand = (z ** 2).sum(axis=(1, 2)) - gamma ** 2 * (omega ** 2).sum(axis=(1, 2))
-    j_running = np.concatenate(
-        [[0.0], np.cumsum(_trapezoid_steps(integrand, times))])
-    return Trajectory(times=times, states=states, e=e, z=z, v_lyap=v,
-                      j_running=j_running, omega=omega)
+    for lo in range(0, steps + 1, CSV_BLOCK_ROWS):
+        # einsum orders a lone sample's sum differently: add the one before
+        sl = slice(min(lo, steps - 1), lo + CSV_BLOCK_ROWS)
+        e, z = traj.e_and_z(sl)
+        v[sl] = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
+        z_sq[sl] = (z ** 2).sum(axis=(1, 2))
+    integrand = z_sq - (design.gamma or 0.0) ** 2 * traj.w_sq
+    np.cumsum(_trapezoid_steps(integrand, times), out=j_running[1:])
+    return traj
 
 
 def max_pairwise_distance(states: NDArray[np.float64]) -> float:
@@ -381,19 +383,17 @@ class Assessment:
 def assess(traj: Trajectory, gamma: Optional[float] = None) -> Assessment:
     """The Assessment of a run; gamma, when given, sets j and the gain.
 
-    V is read from traj.v_lyap. Guaranteed decrease is a sufficient
-    condition tied to the coupling threshold, so an increase under a
-    weakened design is counted, not raised.
+    V, ||z||^2 and ||w||^2 are read from traj. Guaranteed decrease is a
+    sufficient condition tied to the coupling threshold, so an increase
+    under a weakened design is counted, not raised.
     """
     v = traj.v_lyap
     dv = np.diff(v)
     increasing = dv > V_STEP_REL * float(v[0])
     j = gain = None
     if gamma is not None:
-        z2 = (traj.z ** 2).sum(axis=(1, 2))
-        w2 = (traj.omega ** 2).sum(axis=(1, 2))
-        z_energy = float(_trapezoid_steps(z2, traj.times).sum())
-        w_energy = float(_trapezoid_steps(w2, traj.times).sum())
+        z_energy = float(_trapezoid_steps(traj.z_sq, traj.times).sum())
+        w_energy = float(_trapezoid_steps(traj.w_sq, traj.times).sum())
         j = z_energy - gamma ** 2 * w_energy
         gain = float(np.sqrt(z_energy / w_energy)) if w_energy > 0 else None
     return Assessment(
@@ -414,14 +414,15 @@ def _cpu_count() -> int:
 def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
                 row_fmt: str) -> None:
     """Format the kept samples rows.start..rows.stop - 1 to the binary file
-    out, CSV_BLOCK_ROWS at a time, straight from the trajectory's arrays."""
+    out, CSV_BLOCK_ROWS at a time, deriving each block's e and z."""
     for lo in range(rows.start, rows.stop, CSV_BLOCK_ROWS):
         hi = min(lo + CSV_BLOCK_ROWS, rows.stop)
         sl = slice(lo * decimation, (hi - 1) * decimation + 1, decimation)
         count = hi - lo
+        e, z = traj.e_and_z(sl)
         block = np.concatenate(
             [traj.times[sl, None], traj.states[sl].reshape(count, -1),
-             traj.e[sl].reshape(count, -1), traj.z[sl].reshape(count, -1),
+             e.reshape(count, -1), z.reshape(count, -1),
              traj.v_lyap[sl, None], traj.j_running[sl, None]], axis=1)
         out.write(((row_fmt * count) % tuple(block.ravel().tolist()))
                   .encode("ascii"))
@@ -516,18 +517,17 @@ def write_csv(traj: Trajectory, path, decimation: int = 1) -> None:
 
     The kept rows are split into one contiguous range per CPU the process
     may use. With one CPU this process writes them all. Otherwise a forked
-    child formats each range, the first after the header in the output and
-    the others into temporary files next to it, appended in order once all
-    have exited. A failure to write raises OSError naming path, and no
-    child or temporary file outlives the call.
+    child derives e and z and formats the rows of each range, the first
+    after the header in the output and the others into temporary files next
+    to it, appended in order once all have exited. A failure to write
+    raises OSError naming path, and no child or temporary file outlives it.
     """
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
     nt = len(range(0, traj.times.shape[0], decimation))
-    n_agents, n = traj.states.shape[1], traj.states.shape[2]
-    m2 = traj.z.shape[2]
+    n_agents, n = traj.states.shape[1:]
     header = ["t"]
-    for name, width in (("x", n), ("e", n), ("z", m2)):
+    for name, width in (("x", n), ("e", n), ("z", traj.c_out.shape[0])):
         header += [f"{name}{i + 1}_{k + 1}"
                    for i in range(n_agents) for k in range(width)]
     header += ["V", "J_running"]

@@ -218,6 +218,9 @@ MUTATED_MODEL = st.builds(
 @example([1], "leaderless")
 # B R^-1 B^T underflows in the Riccati seed
 @example({"a": [[0]], "b": [[4.2e-279]], "d1": [[0]]}, "leaderless")
+# a subnormal A overflows the Riccati solver's balancing
+@example({"a": [[-2.225073858507203e-309]], "b": [[1.401298464324817e-45]],
+          "d1": [[0.0]]}, "leaderless")
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_model_file_fuzz_exit_codes(tmp_path, model, mode):

@@ -3,6 +3,9 @@ import dataclasses
 import os
 import re
 import signal
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from consyn import (
     synthesize,
     write_csv,
 )
-from consyn import benchmark, sim
+from consyn import benchmark, numkit, sim
 from consyn.sim import BLOWUP_NORM, CATALOG, LIPSCHITZ_SLACK
 
 from conftest import (path_graph, random_balanced_sc_digraph,
@@ -43,10 +46,16 @@ def witness_design(model, g, p=1.0, scalar=1.0, c=None):
     return design
 
 
+def apply(f, x, out_dim):
+    """f on states of shape (..., n), returning (..., out_dim): the
+    expression closed_loop evaluates."""
+    return CATALOG[f.kind](x) @ f.matrix(x.shape[-1], out_dim).T
+
+
 def test_nonlinearity_sine_single_term():
     f = Nonlinearity.sine([(3, 0, -0.333)])
     x = np.array([0.5, 1.0, -2.0, 0.1])
-    out = f.apply(x, 4)
+    out = apply(f, x, 4)
     expected = np.zeros(4)
     expected[3] = -0.333 * np.sin(0.5)
     assert_allclose(out, expected, atol=0.0)
@@ -55,7 +64,7 @@ def test_nonlinearity_sine_single_term():
 def test_nonlinearity_batched_apply():
     f = Nonlinearity.sine([(1, 0, 2.0)])
     x = np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]])
-    out = f.apply(x, 2)
+    out = apply(f, x, 2)
     assert out.shape == (3, 2)
     assert_allclose(out[:, 1], 2.0 * np.sin(x[:, 0]), atol=0.0)
     assert_allclose(out[:, 0], 0.0, atol=0.0)
@@ -63,11 +72,11 @@ def test_nonlinearity_batched_apply():
 
 def test_nonlinearity_saturation_and_tanh():
     sat = Nonlinearity("saturation", [(0, 0, 1.0)])
-    assert_allclose(sat.apply(np.array([3.0]), 1), [1.0], atol=0.0)
-    assert_allclose(sat.apply(np.array([-3.0]), 1), [-1.0], atol=0.0)
-    assert_allclose(sat.apply(np.array([0.4]), 1), [0.4], atol=0.0)
+    assert_allclose(apply(sat, np.array([3.0]), 1), [1.0], atol=0.0)
+    assert_allclose(apply(sat, np.array([-3.0]), 1), [-1.0], atol=0.0)
+    assert_allclose(apply(sat, np.array([0.4]), 1), [0.4], atol=0.0)
     th = Nonlinearity("tanh", [(0, 0, 2.0)])
-    assert_allclose(th.apply(np.array([0.7]), 1), [2.0 * np.tanh(0.7)],
+    assert_allclose(apply(th, np.array([0.7]), 1), [2.0 * np.tanh(0.7)],
                     atol=0.0)
 
 
@@ -117,7 +126,7 @@ def test_lipschitz_constant_is_exact(spec, seed):
     x = rng.uniform(-3.0, 3.0, size=(2000, n))
     y = rng.uniform(-3.0, 3.0, size=(2000, n))
     dx = np.linalg.norm(x - y, axis=1)
-    df = np.linalg.norm(f.apply(x, out_dim) - f.apply(y, out_dim), axis=1)
+    df = np.linalg.norm(apply(f, x, out_dim) - apply(f, y, out_dim), axis=1)
     keep = dx > 0
     assert np.all(df[keep] / dx[keep] <= lip * (1 + 1e-9) + LIPSCHITZ_SLACK)
     # every catalog g has slope 1 at 0, so the central difference along
@@ -127,8 +136,8 @@ def test_lipschitz_constant_is_exact(spec, seed):
         c[o, i] += coef
     v = np.linalg.svd(c)[2][0]
     h = 1e-4
-    reach = np.linalg.norm(f.apply(h * v, out_dim)
-                           - f.apply(-h * v, out_dim)) / (2 * h)
+    reach = np.linalg.norm(apply(f, h * v, out_dim)
+                           - apply(f, -h * v, out_dim)) / (2 * h)
     assert reach >= (1 - 1e-6) * lip - LIPSCHITZ_SLACK
 
 
@@ -198,11 +207,12 @@ def bench_scenario(design, kind="bipolar", t_end=10.0):
 
 
 def test_disturbance_benchmark_scaling(hinf_design):
-    # omega is the wave at the grid times times the per-agent scales
+    # w is the wave at the grid times times the per-agent scales, so
+    # ||w||^2 is the scales' squared norm while the wave is on, else 0
     traj = integrate(bench_scenario(hinf_design, t_end=2.5))
-    assert_allclose(traj.omega[500], benchmark.DISTURBANCE_SCALES, atol=0.0)
-    assert_allclose(traj.omega[1500], -benchmark.DISTURBANCE_SCALES, atol=0.0)
-    assert not traj.omega[2000:].any()
+    on = (benchmark.DISTURBANCE_SCALES ** 2).sum()
+    assert traj.w_sq[500] == on == traj.w_sq[1500]
+    assert not traj.w_sq[2000:].any()
 
 
 def test_disturbance_batched_shape():
@@ -215,11 +225,8 @@ def test_disturbance_batched_shape():
                         disturbance="bipolar", t_end=2.0, dt=1.0)
     assert scenario.disturbance is Disturbance.BIPOLAR
     assert_allclose(scenario.scales, np.ones((4, 2)), atol=0.0)
-    om = integrate(scenario).omega
-    assert om.shape == (3, 4, 2)
-    assert_allclose(om[0], np.ones((4, 2)), atol=0.0)
-    assert_allclose(om[1], -np.ones((4, 2)), atol=0.0)
-    assert_allclose(om[2], np.zeros((4, 2)), atol=0.0)
+    # ||w||^2 over the 4 x 2 unit channels: on at t = 0 and 1, off at 2
+    assert integrate(scenario).w_sq.tolist() == [8.0, 8.0, 0.0]
 
 
 def test_disturbance_validation(consensus_design):
@@ -243,7 +250,7 @@ def test_rhs_consensus_manifold_invariant(bench_model, consensus_design):
     x = np.tile(xbar, (6, 1))
     dx = closed_loop(consensus_design)(x)
     open_loop = (bench_model.a @ xbar
-                 + bench_model.d1 @ bench_model.f.apply(xbar, 4))
+                 + bench_model.d1 @ apply(bench_model.f, xbar, 4))
     for row in dx:
         assert_allclose(row, open_loop, atol=1e-12)
 
@@ -271,7 +278,7 @@ def test_rhs_matches_kronecker_form(bench_model, bench_graph,
         big_a = np.kron(eye, model.a)
         big_d1 = np.kron(eye, model.d1)
         coupling = np.kron(lap, model.b @ design.k)
-        fx = model.f.apply(x.reshape(6, 4), 4).reshape(-1)
+        fx = apply(model.f, x.reshape(6, 4), 4).reshape(-1)
         expected = big_a @ x + big_d1 @ fx + design.c * coupling @ x
         assert_allclose(dx, expected, atol=1e-10)
 
@@ -511,10 +518,10 @@ GRAPHS = {"leaderless": random_sc_digraph,
           "leader-follower": random_leader_rooted}
 
 
-def random_design(rng, kind, mode, n_agents, n, out_dim, m1, m2):
+def random_design(rng, kind, mode, n_agents, n, out_dim, m1, m2, outputs=1):
     """A design of a random stable model: A has spectral abscissa -1/2 or
-    less, f has catalog terms on distinct (out, in) pairs, and the gain
-    follows K = -1/2 B^T P^-1 for a random P > 0."""
+    less, f has catalog terms on distinct (out, in) pairs, C has outputs
+    rows, and the gain follows K = -1/2 B^T P^-1 for a random P > 0."""
     m = rng.uniform(-0.5, 0.5, (n, n))
     a = m - (np.linalg.norm(m, 2) + 0.5) * np.eye(n)
     pairs = [(o, i) for o in range(out_dim) for i in range(n)]
@@ -525,7 +532,7 @@ def random_design(rng, kind, mode, n_agents, n, out_dim, m1, m2):
     model = AgentModel(a=a, b=rng.uniform(-1.0, 1.0, (n, m1)),
                        d1=rng.uniform(-1.0, 1.0, (n, out_dim)),
                        d2=rng.uniform(-1.0, 1.0, (n, m2)),
-                       c_out=rng.uniform(-1.0, 1.0, (1, n)),
+                       c_out=rng.uniform(-1.0, 1.0, (outputs, n)),
                        alpha=f.lipschitz_constant(n, out_dim), f=f)
     q = rng.uniform(-1.0, 1.0, (n, n))
     p = q @ q.T + np.eye(n)
@@ -575,6 +582,99 @@ def test_integrate_is_the_textbook_loop_at_64_agents():
     assert np.array_equal(integrate(scenario).states, textbook_rk4(scenario))
 
 
+def whole_run_derivation(scenario, traj):
+    """e, z, V, ||z||^2 and J_running of a run by the whole-run expressions:
+    every (T, N, .) array at once, the disturbance w included."""
+    design, model = scenario.design, scenario.design.model
+    states, times = traj.states, traj.times
+    weights, lf = design.analysis.weights, design.analysis.leader_follower
+    if lf is None:
+        mean = np.einsum("j,tjk->tk", weights, states)
+        e = states - mean[:, None, :]
+    else:
+        e = states - states[:, lf.leader - 1: lf.leader, :]
+    z = e @ model.c_out.T
+    omega = (square_wave(times, scenario.disturbance)[:, None, None]
+             * scenario.scales)
+    p_inv = numkit.solve_linear(design.cert.p, np.eye(model.n))
+    v = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
+    z2 = (z ** 2).sum(axis=(1, 2))
+    gamma = design.gamma or 0.0
+    integrand = z2 - gamma ** 2 * (omega ** 2).sum(axis=(1, 2))
+    j_running = np.concatenate(
+        [[0.0], np.cumsum(np.diff(times) * (integrand[1:] + integrand[:-1])
+                          / 2.0)])
+    return e, z, v, z2, j_running
+
+
+BLOCK = sim.CSV_BLOCK_ROWS
+
+
+@given(mode=st.sampled_from(sorted(GRAPHS)), n_agents=st.integers(2, 8),
+       n=st.integers(1, 4), outputs=st.integers(1, 3),
+       disturbance=st.sampled_from(["none", "bipolar", "unipolar"]),
+       steps=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1,
+                              3 * BLOCK + 17]),
+       decimation=st.sampled_from([1, 10]), cpus=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_blockwise_derivation_is_the_whole_run_bit_for_bit(
+        mode, n_agents, n, outputs, disturbance, steps, decimation, cpus,
+        seed):
+    """V, ||z||^2 and J_running computed a block of samples at a time, and
+    the CSV's e and z columns derived a block at a time by one to three
+    writers, equal the whole-run expressions bit for bit, for weighted-mean
+    and leader-row references, step counts below, at and across the block
+    size (one sample past it included)."""
+    rng = np.random.default_rng(seed)
+    design = random_design(rng, "sine", mode, n_agents, n, 2, 1, 1, outputs)
+    scenario = Scenario(
+        design=design, x0=rng.uniform(-1.0, 1.0, (n_agents, n)),
+        disturbance=disturbance, scales=rng.uniform(-2.0, 2.0, (n_agents, 1)),
+        t_end=steps * 1e-2, dt=1e-2)
+    traj = integrate(scenario)
+    e, z, v, z2, j_running = whole_run_derivation(scenario, traj)
+    assert traj.v_lyap.tobytes() == v.tobytes()
+    assert traj.z_sq.tobytes() == z2.tobytes()
+    assert traj.j_running.tobytes() == j_running.tobytes()
+    with tempfile.TemporaryDirectory() as folder, \
+            mock.patch.object(sim, "_cpu_count", lambda: cpus):
+        write_csv(traj, os.path.join(folder, "out.csv"), decimation)
+        savetxt_reference(traj, os.path.join(folder, "ref.csv"), decimation,
+                          e, z)
+        with open(os.path.join(folder, "out.csv"), "rb") as out, \
+                open(os.path.join(folder, "ref.csv"), "rb") as ref:
+            assert out.read() == ref.read()
+
+
+def test_run_memory_is_the_states_plus_a_few_blocks(tmp_path, monkeypatch):
+    """integrate, assess and write_csv of an N = 64 disturbed run hold no
+    (T, N, .) array but the states. numpy reports its buffers to
+    tracemalloc; the workers format the CSV, so the traced peak is this
+    process's arrays: the states, T-long series and a few blocks."""
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    rng = np.random.default_rng(64)
+    design = dataclasses.replace(synthesize(
+        benchmark.manipulator_model(), random_balanced_sc_digraph(rng, 64),
+        "hinf", benchmark.GAMMA,
+        cert=(benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON)),
+        c=benchmark.REFERENCE_C)
+    scenario = Scenario(design=design, x0=np.zeros((64, 4)),
+                        disturbance="bipolar",
+                        scales=rng.uniform(-2.0, 2.0, (64, 1)),
+                        t_end=2.0, dt=1e-3)
+    tracemalloc.start()
+    try:
+        traj = integrate(scenario)
+        assess(traj, design.gamma)
+        write_csv(traj, tmp_path / "traj.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = sim.CSV_BLOCK_ROWS * traj.states[0].nbytes
+    assert peak < traj.states.nbytes + 4 * block
+
+
 def test_scenario_validation(consensus_design):
     x0 = np.zeros((6, 4))
     with pytest.raises(ValueError):
@@ -601,11 +701,12 @@ def test_trajectory_error_invariants(consensus_design, bench_spectra):
                         x0=benchmark.initial_states(), t_end=0.3, dt=1e-3)
     traj = integrate(scenario)
     r = bench_spectra.r
+    e, _ = traj.e_and_z()
     # e = ((I - 1 r^T) (x) I) x and (r^T (x) I) e = 0 at every sample
-    weighted = np.einsum("j,tjk->tk", r, traj.e)
+    weighted = np.einsum("j,tjk->tk", r, e)
     assert np.max(np.abs(weighted)) < 1e-9
     mean = np.einsum("j,tjk->tk", r, traj.states)
-    assert_allclose(traj.e, traj.states - mean[:, None, :], atol=1e-12)
+    assert_allclose(e, traj.states - mean[:, None, :], atol=1e-12)
     assert np.all(traj.v_lyap >= 0)
 
 
@@ -620,7 +721,7 @@ def test_error_dynamics_consistency(bench_model, bench_graph,
     dx = closed_loop(consensus_design)(x)
     lap = analyze(bench_graph).laplacian
     coupling = bench_model.b @ consensus_design.k
-    fx = bench_model.f.apply(x, 4)
+    fx = apply(bench_model.f, x, 4)
     de = (e @ bench_model.a.T
           + consensus_design.c * (lap @ e) @ coupling.T
           + proj @ fx @ bench_model.d1.T)
@@ -631,29 +732,32 @@ def test_identical_initial_states_zero_error(consensus_design):
     x0 = np.tile([0.2, -0.4, 0.6, 0.0], (6, 1))
     scenario = Scenario(design=consensus_design, x0=x0, t_end=0.2, dt=1e-3)
     traj = integrate(scenario)
-    assert np.max(np.abs(traj.e)) < 1e-12
+    e, z = traj.e_and_z()
+    assert np.max(np.abs(e)) < 1e-12
+    assert np.max(np.abs(z)) < 1e-12
     assert np.max(traj.v_lyap) < 1e-24
 
 
+def energy_trajectory(samples, agents, z, w):
+    """A run at rest on [0, 1] whose agents each carry the constant scalar
+    output z and disturbance w."""
+    times = np.linspace(0.0, 1.0, samples)
+    return Trajectory(times=times, states=np.zeros((samples, agents, 1)),
+                      ref=np.zeros((samples, 1)), c_out=np.zeros((1, 1)),
+                      v_lyap=np.zeros(samples), j_running=np.zeros(samples),
+                      z_sq=np.full(samples, agents * z ** 2),
+                      w_sq=np.full(samples, agents * w ** 2))
+
+
 def test_assess_cost_pure_disturbance():
-    times = np.linspace(0.0, 1.0, 101)
-    shape = (101, 2, 1)
-    traj = Trajectory(times=times, states=np.zeros((101, 2, 1)),
-                      e=np.zeros(shape), z=np.zeros(shape),
-                      v_lyap=np.zeros(101), j_running=np.zeros(101),
-                      omega=np.ones(shape))
+    traj = energy_trajectory(101, 2, z=0.0, w=1.0)
     run = assess(traj, gamma=2.0)
     assert run.j == pytest.approx(-4.0 * 2.0, rel=1e-12)
     assert run.empirical_gain == pytest.approx(0.0, abs=1e-12)
 
 
 def test_assess_gain_undefined_without_disturbance():
-    times = np.linspace(0.0, 1.0, 11)
-    shape = (11, 1, 1)
-    traj = Trajectory(times=times, states=np.zeros(shape),
-                      e=np.zeros(shape), z=np.ones(shape),
-                      v_lyap=np.zeros(11), j_running=np.zeros(11),
-                      omega=np.zeros(shape))
+    traj = energy_trajectory(11, 1, z=1.0, w=0.0)
     run = assess(traj, gamma=2.0)
     assert run.empirical_gain is None
     # with no disturbance J is the output energy, int_0^1 1 dt
@@ -661,23 +765,13 @@ def test_assess_gain_undefined_without_disturbance():
 
 
 def test_assess_cost_sign_flips_with_gamma():
-    times = np.linspace(0.0, 1.0, 101)
-    shape = (101, 1, 1)
-    traj = Trajectory(times=times, states=np.zeros(shape),
-                      e=np.zeros(shape), z=np.full(shape, 0.5),
-                      v_lyap=np.zeros(101), j_running=np.zeros(101),
-                      omega=np.ones(shape))
+    traj = energy_trajectory(101, 1, z=0.5, w=1.0)
     assert assess(traj, gamma=2.0).j < 0
     assert assess(traj, gamma=1e-3).j > 0
 
 
 def test_assess_without_gamma_sets_no_cost():
-    times = np.linspace(0.0, 1.0, 11)
-    shape = (11, 2, 1)
-    traj = Trajectory(times=times, states=np.zeros(shape),
-                      e=np.zeros(shape), z=np.ones(shape),
-                      v_lyap=np.zeros(11), j_running=np.zeros(11),
-                      omega=np.ones(shape))
+    traj = energy_trajectory(11, 2, z=1.0, w=1.0)
     run = assess(traj)
     assert run.j is None
     assert run.empirical_gain is None
@@ -732,8 +826,11 @@ def test_lyapunov_leader_follower_weights():
     run = assess(traj)
     assert run.v0 > 0
     assert run.v_increases == 0
-    # tracking errors are offsets from the leader state
-    assert_allclose(traj.e, traj.states - traj.states[:, 0:1, :], atol=0.0)
+    # tracking errors are offsets from the leader state, the reference a
+    # view of its row
+    assert np.shares_memory(traj.ref, traj.states)
+    assert_allclose(traj.e_and_z()[0], traj.states - traj.states[:, 0:1, :],
+                    atol=0.0)
 
 
 def test_lyapunov_tracking_weights_follow_g():
@@ -803,30 +900,48 @@ CSV_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308 / 3,
 
 def special_trajectory(steps: int) -> Trajectory:
     """A 2-agent, 2-state, 1-output trajectory of steps samples whose
-    entries cycle through CSV_VALUES in a shuffled order."""
+    stored entries are drawn from CSV_VALUES. Its reference is zero, so
+    e = x exactly, and C = [1, 0], so z is the first state component."""
     rng = np.random.default_rng(steps)
 
     def fill(*shape):
         idx = rng.integers(0, len(CSV_VALUES), size=shape)
         return np.array(CSV_VALUES)[idx]
     return Trajectory(times=fill(steps), states=fill(steps, 2, 2),
-                      e=fill(steps, 2, 2), z=fill(steps, 2, 1),
+                      ref=np.zeros((steps, 2)), c_out=np.array([[1.0, 0.0]]),
                       v_lyap=fill(steps), j_running=fill(steps),
-                      omega=np.zeros((steps, 2, 1)))
+                      z_sq=np.zeros(steps), w_sq=np.zeros(steps))
 
 
-def savetxt_reference(traj, path, decimation):
-    """The trajectory CSV as one np.savetxt call over the whole table."""
+def bit_patterns(a):
+    return set(np.asarray(a, dtype=float).view(np.int64).ravel().tolist())
+
+
+def test_special_values_reach_every_column():
+    """Every CSV_VALUES entry reaches the x and e columns, and every one
+    but -0.0 the z columns: a sum of products starts from +0.0, so no
+    output is -0.0."""
+    traj = special_trajectory(2 * sim.CSV_BLOCK_ROWS * 10 + 3)
+    e, z = traj.e_and_z()
+    assert e.tobytes() == traj.states.tobytes()
+    assert bit_patterns(e) == bit_patterns(CSV_VALUES)
+    assert bit_patterns(z) == bit_patterns(CSV_VALUES) - bit_patterns(-0.0)
+
+
+def savetxt_reference(traj, path, decimation, e, z):
+    """The trajectory CSV as one np.savetxt call over the whole table,
+    with the errors e and outputs z of the whole run."""
     t = traj.times[::decimation]
     cols = [t[:, None]]
-    for arr in (traj.states, traj.e, traj.z):
+    header = ["t"]
+    for name, arr in (("x", traj.states), ("e", e), ("z", z)):
         cols.append(arr[::decimation].reshape(t.size, -1))
+        header += [f"{name}{i + 1}_{k + 1}" for i in range(arr.shape[1])
+                   for k in range(arr.shape[2])]
     cols += [traj.v_lyap[::decimation, None],
              traj.j_running[::decimation, None]]
-    header = ("t,x1_1,x1_2,x2_1,x2_2,e1_1,e1_2,e2_1,e2_2,z1_1,z2_1,"
-              "V,J_running")
     np.savetxt(path, np.column_stack(cols), fmt="%.12g", delimiter=",",
-               header=header, comments="")
+               header=",".join(header + ["V", "J_running"]), comments="")
 
 
 def assert_no_child_left():
@@ -847,7 +962,8 @@ def test_write_csv_matches_savetxt_bytes(tmp_path, monkeypatch, cpus,
     out_dir.mkdir()
     ref_dir.mkdir()
     write_csv(traj, out_dir / "traj.csv", decimation=decimation)
-    savetxt_reference(traj, ref_dir / "traj.csv", decimation)
+    savetxt_reference(traj, ref_dir / "traj.csv", decimation,
+                      traj.states, traj.states @ traj.c_out.T)
     assert (out_dir / "traj.csv").read_bytes() == \
         (ref_dir / "traj.csv").read_bytes()
     assert os.listdir(out_dir) == ["traj.csv"]
