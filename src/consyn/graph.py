@@ -14,8 +14,8 @@ weights of the error energy V. :func:`spectra` and
 of one class enforced.
 
 The adjacency matrix is the only working representation: the connectivity
-and balance flags are read from it, the strongly connected components
-through scipy's csgraph search.
+and balance flags are read from it, reachability through its transitive
+closure (Warshall 1962).
 """
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from . import numkit
 from .errors import PreconditionError
@@ -124,26 +122,24 @@ def adjacency(g: DiGraph) -> NDArray[np.float64]:
 def _flags(a: NDArray[np.float64]) -> GraphFlags:
     """Connectivity and balance flags of the graph with adjacency a.
 
-    Balanced means in-degree equals out-degree at every node. A spanning
-    tree exists when exactly one strongly connected component has no edge
-    entering it; when that component is one node, it is the root.
+    Balanced means in-degree equals out-degree at every node. A root is a
+    node that reaches every node: the graph is strongly connected when all
+    nodes are roots and has a spanning tree when one is. A sole root is the
+    leader, and has in-degree 0: a node with an edge into it would reach
+    every node too. Reachability is I + A squared until it stops changing,
+    O(N^3 log d) for a longest shortest path d, beside analyze's O(N^3)
+    eigensolves.
     """
-    # scipy reads a[i, j] as an edge i -> j, the reverse of ours; reversal
-    # leaves the strongly connected components unchanged. A sparse input
-    # skips scipy's validation of dense graphs, most of the call's cost.
-    count, comp = connected_components(csr_array(a), directed=True,
-                                       connection="strong")
-    crossing = (a > 0) & (comp[:, None] != comp[None, :])
-    entered = np.bincount(comp[crossing.any(axis=1)], minlength=count)
-    sources = np.flatnonzero(entered == 0)
-    root = None
-    if len(sources) == 1 and np.count_nonzero(comp == sources[0]) == 1:
-        root = int(np.flatnonzero(comp == sources[0])[0]) + 1
+    # reach[v, w] > 0 iff v reaches w; a float product runs in BLAS
+    reach = (np.eye(len(a)) + a.T > 0) * 1.0
+    while not np.array_equal(reach, square := (reach @ reach > 0) * 1.0):
+        reach = square
+    roots = np.flatnonzero(reach.all(axis=1))
     return GraphFlags(
-        strongly_connected=count == 1,
+        strongly_connected=len(roots) == len(a),
         balanced=np.array_equal(a.sum(axis=1), a.sum(axis=0)),
-        has_spanning_tree=len(sources) == 1,
-        leader_follower_root=root,
+        has_spanning_tree=len(roots) > 0,
+        leader_follower_root=int(roots[0]) + 1 if len(roots) == 1 else None,
     )
 
 

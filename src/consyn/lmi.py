@@ -36,7 +36,6 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import block_diag, solve_continuous_are
 
 from . import numkit
 from .errors import InfeasibleError
@@ -262,6 +261,8 @@ def _center(stacker: _Stacker, scalar: float):
     singular Hessian or an infeasible step keeps the current point. Returns
     (p, Newton steps), or None without a strictly feasible seed.
     """
+    # here, not at import: only a certificate search loads scipy
+    from scipy.linalg import block_diag, solve_continuous_are
     problem, m = stacker.problem, stacker.problem.model
     cols, r = [m.b], [np.eye(m.b.shape[1]) / scalar]
     # an alpha^2 whose inverse overflows weighs nothing: solve as alpha = 0

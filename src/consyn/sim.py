@@ -33,8 +33,10 @@ LIPSCHITZ_SLACK = 1e-9
 BLOWUP_NORM = 1e9
 V_STEP_REL = 1e-10
 GRID_REL = 1e-9
-# Samples per block where e and z are derived: a few MB however long a run.
+# Samples per block of integrate's V and ||z||^2 pass, and values per block
+# of CSV text, whose Python floats outweigh the arrays: a few MB at any size.
 CSV_BLOCK_ROWS = 256
+CSV_BLOCK_VALUES = 256 * 64
 # The componentwise g of each nonlinearity kind: f(x) = C g(x).
 CATALOG = {
     "zero": np.zeros_like,
@@ -414,9 +416,10 @@ def _cpu_count() -> int:
 def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
                 row_fmt: str) -> None:
     """Format the kept samples rows.start..rows.stop - 1 to the binary file
-    out, CSV_BLOCK_ROWS at a time, deriving each block's e and z."""
-    for lo in range(rows.start, rows.stop, CSV_BLOCK_ROWS):
-        hi = min(lo + CSV_BLOCK_ROWS, rows.stop)
+    out, CSV_BLOCK_VALUES values a block, deriving each block's e and z."""
+    per = max(1, CSV_BLOCK_VALUES // row_fmt.count("%"))
+    for lo in range(rows.start, rows.stop, per):
+        hi = min(lo + per, rows.stop)
         sl = slice(lo * decimation, (hi - 1) * decimation + 1, decimation)
         count = hi - lo
         e, z = traj.e_and_z(sl)

@@ -559,16 +559,38 @@ def test_alpha_below_off_axis_lipschitz_constant_exit_code(tmp_path, capsys):
     assert not (tmp_path / "simulate_report.json").exists()
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    """scipy.integrate costs about 0.3 s of import time and the package
-    needs none of it."""
+def test_cli_loads_scipy_only_for_a_certificate_search(tmp_path):
+    """Only the certificate search uses scipy, whose import costs about
+    0.3 s: importing the CLI, and a graph or a certified simulate run in
+    a fresh process, load no scipy module; a search loads scipy.linalg."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import consyn.cli, sys; print('scipy.integrate' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=src), check=True,
-        capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "False"
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    cert = write_json(tmp_path / "cert.json", WITNESS)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    out = ["--out-dir", str(tmp_path)]
+    runs = {"import": [], "graph": ["graph", str(gfile)] + out,
+            "simulate --cert": ["simulate", model, str(gfile), "--mode",
+                                "leaderless", "--cert", cert, "--t-end",
+                                "0.5"] + out,
+            "synth": ["synth", model, str(gfile), "--mode", "leaderless"]
+            + out}
+    loaded = {}
+    for name, argv in runs.items():
+        loaded[name] = json.loads(subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; from consyn import cli\n"
+             "if sys.argv[1:]: assert cli.main(sys.argv[1:]) == 0\n"
+             "print(json.dumps(sorted(m for m in sys.modules\n"
+             "                        if m.split('.')[0] == 'scipy')))",
+             *argv],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+            capture_output=True, text=True,
+            # the last line, after the command's own output
+            timeout=120).stdout.splitlines()[-1])
+    assert loaded["import"] == loaded["graph"] == []
+    assert loaded["simulate --cert"] == []
+    assert "scipy.linalg" in loaded["synth"]
 
 
 # an empty b would reach the Riccati solver as a 1x0 input matrix

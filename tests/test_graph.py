@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from consyn import (
     DiGraph,
+    GraphFlags,
     PreconditionError,
     adjacency,
     analyze,
@@ -114,41 +115,105 @@ def test_classify_isolated_node():
     assert flags.leader_follower_root is None
 
 
-@given(st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_classify_matches_reachability(seed):
-    rng = np.random.default_rng(seed)
-    n, density = int(rng.integers(2, 8)), rng.uniform(0.05, 0.5)
-    edges = [(p, c) for p in range(1, n + 1) for c in range(1, n + 1)
-             if p != c and rng.random() < density]
+def roots_by_search(a):
+    """0-based nodes that reach every node, by a depth-first search from
+    each node along the edges v -> w, a[w, v] = 1."""
+    roots = []
+    for v in range(len(a)):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in np.flatnonzero(a[:, todo.pop()]).tolist():
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) == len(a):
+            roots.append(v)
+    return roots
 
-    def roots_of(a):
-        # reach[v, w]: w is reachable from v, by transitive closure
-        reach = (a.T + np.eye(len(a))) > 0
-        for _ in range(len(a)):
-            reach = (reach.astype(int) @ reach.astype(int)) > 0
-        return [v for v in range(len(a)) if reach[v].all()]
 
-    # the graph as drawn, and with every edge into one node removed so that
-    # leader-rooted graphs are common
-    cut = int(rng.integers(1, n + 1))
-    for g in (DiGraph.from_edges(n, edges),
-              DiGraph.from_edges(n, [e for e in edges if e[1] != cut])):
-        a = adjacency(g)
-        roots, indeg = roots_of(a), a.sum(axis=1)
-        flags = analyze(g).flags
-        assert flags.strongly_connected == (len(roots) == n)
-        assert flags.has_spanning_tree == bool(roots)
-        assert flags.balanced == bool(np.all(indeg == a.sum(axis=0)))
-        assert flags.leader_follower_root == next(
-            (v + 1 for v in roots if indeg[v] == 0), None)
-        if flags.leader_follower_root is None:
-            continue
+def check_flags_by_search(g):
+    """analyze's flags, and whether the followers of a leader admit the
+    lambda1_sym threshold, against roots_by_search; returns the flags."""
+    a, n = adjacency(g), g.n
+    roots, indeg = roots_by_search(a), a.sum(axis=1)
+    analysis = analyze(g)
+    flags = analysis.flags
+    assert flags == GraphFlags(
+        strongly_connected=len(roots) == n,
+        balanced=bool(np.all(indeg == a.sum(axis=0))),
+        has_spanning_tree=bool(roots),
+        leader_follower_root=next((v + 1 for v in roots if indeg[v] == 0),
+                                  None))
+    # plain bools, as the JSON report needs them
+    assert {type(flags.strongly_connected), type(flags.balanced),
+            type(flags.has_spanning_tree)} == {bool}
+    if flags.leader_follower_root is not None:
         idx = [v for v in range(n) if v != flags.leader_follower_root - 1]
         sub = a[np.ix_(idx, idx)]
         sub_balanced = np.all(sub.sum(axis=1) == sub.sum(axis=0))
-        assert (analyze(g).leader_follower.lambda1_sym is not None) == bool(
-            sub_balanced and len(roots_of(sub)) == n - 1)
+        assert (analysis.leader_follower.lambda1_sym is not None) == bool(
+            sub_balanced and len(roots_by_search(sub)) == n - 1)
+    return flags
+
+
+def shaped_edges(shape, n, rng):
+    """Edges of a graph on 1..n with a known class, before relabelling.
+
+    "tail": a cycle of k >= 2 nodes roots a path through the rest;
+    "two-sources": two components without entering edges feed node n;
+    "path": the leader 1 roots the path 1 -> ... -> n, the one with the
+    most squarings to close, with the followers' back edges or without."""
+    k = int(rng.integers(2, n - 1))
+    if shape == "tail":
+        return ([(v, v % k + 1) for v in range(1, k + 1)]
+                + [(v, v + 1) for v in range(k, n)])
+    if shape == "two-sources":
+        # a cycle of k nodes, and a cycle or a lone node through the rest
+        second = [(v, v + 1) for v in range(k + 1, n - 1)]
+        second += [(n - 1, k + 1)] if second else []
+        return ([(v, v % k + 1) for v in range(1, k + 1)] + second
+                + [(1, n), (n - 1, n)])
+    back = [(v + 1, v) for v in range(2, n)] if rng.random() < 0.5 else []
+    return [(v, v + 1) for v in range(1, n)] + back
+
+
+@given(st.integers(0, 10_000),
+       st.sampled_from([None, "tail", "two-sources", "path"]))
+@settings(max_examples=120, deadline=None)
+def test_classify_matches_reachability(seed, shape):
+    """Random graphs of 2 to 64 nodes, up to the benchmark's size, and
+    graphs of three known classes relabelled at random."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2 if shape is None else 4, 65))
+    if shape is None:
+        density = rng.uniform(0.5, 4.0) / n
+        edges = [(p, c) for p in range(1, n + 1) for c in range(1, n + 1)
+                 if p != c and rng.random() < density]
+        # the graph as drawn, and with every edge into one node removed so
+        # that leader-rooted graphs are common
+        cut = int(rng.integers(1, n + 1))
+        for g in (DiGraph.from_edges(n, edges),
+                  DiGraph.from_edges(n, [e for e in edges if e[1] != cut])):
+            check_flags_by_search(g)
+        return
+    label = rng.permutation(n) + 1
+    flags = check_flags_by_search(DiGraph.from_edges(
+        n, [(label[p - 1], label[c - 1])
+            for p, c in shaped_edges(shape, n, rng)]))
+    assert not flags.strongly_connected
+    assert flags.has_spanning_tree == (shape != "two-sources")
+    assert flags.leader_follower_root == (label[0] if shape == "path"
+                                          else None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_every_small_digraph(n):
+    """Every digraph on 2, 3 and 4 nodes: 2, 64 and 4,096 graphs."""
+    pairs = [(p, c) for p in range(1, n + 1) for c in range(1, n + 1)
+             if p != c]
+    for bits in range(2 ** len(pairs)):
+        check_flags_by_search(DiGraph.from_edges(
+            n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
 
 
 def test_left_perron_balanced_is_uniform():

@@ -675,6 +675,34 @@ def test_run_memory_is_the_states_plus_a_few_blocks(tmp_path, monkeypatch):
     assert peak < traj.states.nbytes + 4 * block
 
 
+@pytest.mark.parametrize("n_agents", [16, 128])
+def test_csv_block_memory_does_not_grow_with_the_agents(tmp_path,
+                                                        monkeypatch,
+                                                        n_agents):
+    """The text of one block, its Python floats, tuple, string and bytes,
+    sets write_csv's memory on one CPU. Blocks of CSV_BLOCK_VALUES values,
+    not of a fixed row count, keep one bound at 16 and at 128 agents
+    (147 and 1,155 values a row): about 1.2 MB, where 256-row blocks
+    peaked at 2.6 and 20.4 MB."""
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+    rng = np.random.default_rng(n_agents)
+    design = dataclasses.replace(synthesize(
+        benchmark.manipulator_model(),
+        random_balanced_sc_digraph(rng, n_agents), "hinf", benchmark.GAMMA,
+        cert=(benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON)),
+        c=benchmark.REFERENCE_C)
+    traj = integrate(Scenario(
+        design=design, x0=rng.uniform(-1.0, 1.0, (n_agents, 4)),
+        disturbance="bipolar", t_end=0.3, dt=1e-3))
+    tracemalloc.start()
+    try:
+        write_csv(traj, tmp_path / "traj.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * sim.CSV_BLOCK_VALUES
+
+
 def test_scenario_validation(consensus_design):
     x0 = np.zeros((6, 4))
     with pytest.raises(ValueError):
