@@ -174,8 +174,9 @@ def verify(problem: LmiProblem, cert: LmiCertificate) -> MarginReport:
     exceeds dim(M) eps ||M||_2. Never raises on a failing certificate; the
     report carries the margins and floors.
     """
-    p_values = numkit.sym_eigvals(cert.p)
-    m_values = numkit.sym_eigvals(assemble(problem, cert.p, cert.scalar))
+    p_values = numkit.sym_eigvals(cert.p, "p")
+    m_values = numkit.sym_eigvals(assemble(problem, cert.p, cert.scalar),
+                                  "the assembled inequality")
     p_margin, lmi_margin = float(p_values[0]), -float(m_values[-1])
     p_floor, lmi_floor = _floor(p_values), _floor(m_values)
     return MarginReport(

@@ -57,17 +57,17 @@ def check_model_numbers(m: ArrayLike, name: str) -> None:
             "magnitude a model number may have")
 
 
-def sym_eigvals(s: ArrayLike) -> NDArray[np.float64]:
-    """Ascending eigenvalues of a symmetric matrix.
+def sym_eigvals(s: ArrayLike, name: str = "s") -> NDArray[np.float64]:
+    """Ascending eigenvalues of a symmetric matrix; errors call it name.
 
     The input is symmetrized as (s + s^T)/2 after checking that the relative
     asymmetry does not exceed ``SYM_ASYM``. The values are read from
     ``eigh`` rather than ``eigvalsh``: the two differ in the last bits, and
     reports pin the ``eigh`` ones.
     """
-    m = as_matrix(s, "s")
+    m = as_matrix(s, name)
     if m.shape[0] != m.shape[1]:
-        raise ValueError(f"s must be square, got shape {m.shape}")
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
     # The asymmetry ||m - m^T||_F relative to max(1, ||m||_F), from m
     # scaled to largest magnitude 1, so that no square overflows. Halves
     # before the sum, since m + m^T can overflow; halving a normal number
@@ -77,7 +77,8 @@ def sym_eigvals(s: ArrayLike) -> NDArray[np.float64]:
     size = float(np.linalg.norm(unit, "fro"))
     rel = float(np.linalg.norm(unit - unit.T, "fro")) / max(1.0 / top, size)
     if rel > SYM_ASYM:
-        raise ValueError(f"s is not symmetric: relative asymmetry {rel:.3e}")
+        raise ValueError(
+            f"{name} is not symmetric: relative asymmetry {rel:.3e}")
     sym = m / 2.0 + m.T / 2.0
     try:
         return np.linalg.eigh(sym)[0]

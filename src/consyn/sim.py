@@ -10,9 +10,12 @@ for tracking runs. e and the outputs z are derived where they are used.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
+import pickle
 import shutil
+import signal
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
@@ -433,46 +436,84 @@ def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
 
 def _write_part(fd: int, traj: Trajectory, rows: range, decimation: int,
                 row_fmt: str) -> None:
-    """Body of a forked worker: write its rows to fd, then end the process
-    with code 0, or 1 on any exception. It never returns to the caller."""
+    """A forked writer's task: write its rows to fd, its own file."""
+    with open(fd, "wb") as part:
+        _write_rows(traj, part, rows, decimation, row_fmt)
+
+
+def _in_child(task: Callable[[], object], fd: int) -> None:
+    """Body of a forked child: write the pickled value task returns, or the
+    exception it raises, to fd, then end the process with code 0, or 1 if
+    that fails. It never returns to the caller."""
     code = 1
     try:
-        with open(fd, "wb") as part:
-            _write_rows(traj, part, rows, decimation, row_fmt)
+        try:
+            outcome = task()
+        except Exception as exc:
+            outcome = exc
+        with open(fd, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
 
 
-def _run_children(traj: Trajectory, fds: list[int], ranges: list[range],
-                  decimation: int, row_fmt: str) -> list[int]:
-    """Fork a child writing each range to the matching fd, and return
-    their exit statuses once all have exited.
+def _run_children(tasks: list[Callable[[], object]],
+                  meanwhile: Optional[Callable[[], object]] = None
+                  ) -> tuple[object, list]:
+    """Run each task in a forked child while this process runs meanwhile,
+    and return what meanwhile returns (None without it) and each task's
+    outcome: the value it returned or the exception it raised, pickled back
+    over a pipe, or a ChildProcessError for a child that ended without
+    reporting one. Every child is reaped before this returns, and killed
+    first if this process fails or is interrupted.
 
-    While they run, this process does no work of its own: every page it
-    wrote while the children still shared its memory would be copied
-    first, which slowed all it did in that time (a 1.5 ms timer handler
-    took up to 36 ms). It waits in a single read, which ends when the last
-    child has exited and so closed its end of a pipe (the handler of a
-    signal that restarts the read waits with it), and only then reaps them.
+    Without meanwhile, this process does no work of its own while they
+    run: every page it wrote while the children still shared its memory
+    would be copied first, which slowed all it did in that time (a 1.5 ms
+    timer handler took up to 36 ms). It waits in blocking reads of the
+    pipes, each ending when its child has exited (the handler of a signal
+    that restarts a read waits with it), and only then reaps them.
+    meanwhile may work all the same when it writes mostly into arrays it
+    allocates after the fork, which no child shares. repro's consensus
+    stage does: beside an idle child it copied about 650 pages (2.6 MB)
+    and took no longer than alone.
     """
-    children = []
-    done_r, done_w = os.pipe()
+    children, reads = [], []
     try:
-        for fd, rows in zip(fds, ranges):
-            pid = os.fork()
-            if pid == 0:
-                _write_part(fd, traj, rows, decimation, row_fmt)
+        for task in tasks:
+            r, w = os.pipe()
+            reads.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    # a write then fails, not blocks, once no reader is left
+                    os.close(r)
+                    _in_child(task, w)
+            finally:
+                os.close(w)
             children.append(pid)
+        own = meanwhile() if meanwhile is not None else None
+        payloads = [pipe.read() for pipe in reads]
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        os.close(done_w)
-        try:
-            os.read(done_r, 1)
-        finally:
-            os.close(done_r)
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                     for pid in children]
-    return codes
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in children]
+        for pipe in reads:
+            pipe.close()
+    return own, [_outcome(data, code) for data, code in zip(payloads, codes)]
+
+
+def _outcome(data: bytes, code: int):
+    """What a child with exit code code reported in data, or the error."""
+    if code == 0:
+        return pickle.loads(data)
+    how = (f"was killed by signal {signal.Signals(-code).name}" if code < 0
+           else f"ended with status {code}")
+    return ChildProcessError(f"a forked process {how}")
 
 
 def _write_ranges(traj: Trajectory, out, ranges: list[range],
@@ -493,11 +534,13 @@ def _write_ranges(traj: Trajectory, out, ranges: list[range],
             fd, part = tempfile.mkstemp(suffix=".part", dir=folder)
             fds.append(fd)
             parts.append(part)
-        codes = _run_children(traj, fds, ranges, decimation, row_fmt)
-        for rows, code in zip(ranges, codes):
-            if code != 0:
+        _, outcomes = _run_children([
+            functools.partial(_write_part, fd, traj, rows, decimation,
+                              row_fmt) for fd, rows in zip(fds, ranges)])
+        for rows, outcome in zip(ranges, outcomes):
+            if isinstance(outcome, BaseException):
                 raise OSError(f"the process formatting rows {rows.start + 1}"
-                              f"-{rows.stop} ended with status {code}")
+                              f"-{rows.stop} failed: {outcome}")
         # the first child moved the file offset that out shares with it
         out.seek(0, os.SEEK_END)
         for part in parts:

@@ -89,7 +89,11 @@ def _certify(problem: lmi.LmiProblem, cert) -> lmi.LmiCertificate:
     injected = cert is not None
     if injected:
         p, scalar = cert
-        cert = lmi.LmiCertificate(numkit.as_matrix(p, "p"), float(scalar),
+        scalar = float(scalar)
+        if not np.isfinite(scalar):
+            raise PreconditionError("the certificate scalar must be "
+                                    f"finite, got scalar = {scalar}")
+        cert = lmi.LmiCertificate(numkit.as_matrix(p, "p"), scalar,
                                   margin=np.nan, feasible=False)
     else:
         cert = lmi.solve(problem)

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,10 @@ from numpy.testing import assert_allclose
 from consyn import adjacency, parse_edge_list
 from consyn import benchmark
 from consyn import BlowUpError, InfeasibleError, PreconditionError, cli, lmi
+from consyn import sim
 
 from conftest import scalar_model
+from test_sim import assert_no_child_left
 
 SCALAR_MODEL = {
     "a": [[-1.0]], "b": [[1.0]], "d1": [[1.0]], "alpha": 0.0,
@@ -709,6 +713,30 @@ def test_non_finite_number_exit_code(tmp_path, capsys, command, flags,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cert, named", [
+    ('{"p": [[1.0, 0.0]], "scalar": 1.0}', "p must be square"),
+    ('{"p": [[1.0, 0.5], [0.0, 1.0]], "scalar": 1.0}', "p is not symmetric"),
+    ('{"p": [[1.0, 0.0], [0.0, 1.0]], "scalar": 1e400}',
+     "the certificate scalar must be finite, got scalar = inf"),
+], ids=["not-square", "asymmetric", "scalar-inf"])
+def test_malformed_certificate_names_its_entry(tmp_path, cert, named):
+    """A certificate p that is not a symmetric square, or a scalar beyond
+    the float range, exits 2 naming the entry the file holds."""
+    model = write_json(tmp_path / "m.json",
+                       {"a": [[-1.0, 0.0], [0.0, -1.0]], "b": [[1.0], [1.0]],
+                        "d1": np.eye(2).tolist()})
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(cert)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    proc = run_subprocess(["simulate", model, str(gfile), "--mode",
+                           "leaderless", "--cert", str(cfile), "--t-end",
+                           "0.01", "--out-dir", str(tmp_path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {named}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_blow_up_exit_code(tmp_path, capsys):
     model = write_json(tmp_path / "m.json",
                        dict(SCALAR_MODEL, a=[[2.0]]))
@@ -799,6 +827,109 @@ def test_repro_stage_exit_codes(tmp_path, monkeypatch, capsys, binding,
         == code
     assert f"stage {stage} failed" in capsys.readouterr().err
     assert not (tmp_path / "repro_report.json").exists()
+
+
+def repro_outputs(out_dir, capsys) -> dict:
+    """The files a repro run left in out_dir, its report without the
+    provenance, and its captured stdout and stderr."""
+    outputs = {path.name: path.read_bytes()
+               for path in sorted(out_dir.iterdir())}
+    if "repro_report.json" in outputs:
+        report = json.loads(outputs["repro_report.json"])
+        del report["provenance"]
+        outputs["repro_report.json"] = report
+    captured = capsys.readouterr()
+    return outputs | {"stdout": captured.out, "stderr": captured.err}
+
+
+def repro_on(cpus, out_dir, monkeypatch, capsys, *flags):
+    """Exit code and outputs of repro --t-end 1 with cpus CPUs, after
+    which no child is left."""
+    monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+    code = run(["repro", "--t-end", "1", "--out-dir", str(out_dir),
+                *flags])
+    assert_no_child_left()
+    return code, repro_outputs(out_dir, capsys)
+
+
+def fail_disturbed_runs(monkeypatch, failure):
+    """Make integrate call failure() on the attenuation run only."""
+    def flaky(scenario):
+        if scenario.disturbance != "none":
+            failure()
+        return real(scenario)
+
+    real = cli.integrate
+    monkeypatch.setattr(cli, "integrate", flaky)
+
+
+@pytest.mark.parametrize("disturbance", ["bipolar", "unipolar"])
+def test_repro_is_the_same_on_one_and_two_cpus(tmp_path, monkeypatch,
+                                               capsys, disturbance):
+    """The attenuation run integrated in a forked child gives the CSVs,
+    stdout and report of the one-CPU run, which integrates it after the
+    consensus stage."""
+    flags = ["--disturbance", disturbance]
+    one = repro_on(1, tmp_path, monkeypatch, capsys, *flags)
+    two = repro_on(2, tmp_path, monkeypatch, capsys, *flags)
+    assert one[0] == 0
+    assert sorted(one[1]) == ["attenuation_traj.csv", "consensus_traj.csv",
+                              "repro_report.json", "stderr", "stdout"]
+    assert two == one
+
+
+def test_repro_attenuation_blow_up_on_one_and_two_cpus(tmp_path, monkeypatch,
+                                                       capsys):
+    """A blow-up of the attenuation run alone exits 4 with its stage and
+    its last valid time, after the consensus stage wrote its CSV, whether
+    the child or this process integrated it."""
+    def blow_up():
+        raise BlowUpError("state norm crossed 1.0e+09 at t = 0.5", 0.499)
+
+    fail_disturbed_runs(monkeypatch, blow_up)
+    outcomes = []
+    for cpus in (1, 2):
+        out_dir = tmp_path / str(cpus)
+        outcomes.append(repro_on(cpus, out_dir, monkeypatch, capsys))
+        assert sorted(os.listdir(out_dir)) == ["consensus_traj.csv"]
+    code, outputs = outcomes[0]
+    assert code == 4
+    assert outputs["stderr"] == (
+        "stage attenuation-sim failed\n"
+        "error: state norm crossed 1.0e+09 at t = 0.5 "
+        "(last valid time 0.499)\n")
+    assert outcomes[1] == outcomes[0]
+
+
+def test_repro_consensus_failure_kills_the_child(tmp_path, monkeypatch,
+                                                 capsys):
+    """A consensus stage that fails while the child still integrates kills
+    it: repro ends at once, with no child and no attenuation CSV."""
+    fail_disturbed_runs(monkeypatch, lambda: time.sleep(60))
+
+    def no_room(traj, path, decimation=1):
+        raise OSError(f"cannot write {path}: no room")
+
+    monkeypatch.setattr(cli, "write_csv", no_room)
+    start = time.monotonic()
+    code, outputs = repro_on(2, tmp_path, monkeypatch, capsys)
+    assert time.monotonic() - start < 30
+    assert code == 2
+    assert outputs["stderr"].startswith("stage consensus-sim failed\n")
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def test_repro_child_killed_by_a_signal(tmp_path, monkeypatch, capsys):
+    """A child that dies of a signal makes repro exit 2, naming the stage
+    and the signal, with no traceback."""
+    fail_disturbed_runs(
+        monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    code, outputs = repro_on(2, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert outputs["stderr"] == (
+        "stage attenuation-sim failed\n"
+        "error: a forked process was killed by signal SIGKILL\n")
+    assert sorted(os.listdir(tmp_path)) == ["consensus_traj.csv"]
 
 
 def _unwritable(tmp_path, command):

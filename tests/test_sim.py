@@ -3,7 +3,10 @@ import dataclasses
 import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 from unittest import mock
 
@@ -975,6 +978,70 @@ def savetxt_reference(traj, path, decimation, e, z):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_children_returns_each_outcome():
+    """The forked tasks' values, the exceptions they raise with their
+    attributes, and a ChildProcessError for a child that ends without
+    reporting, next to what this process ran meanwhile."""
+    def blow_up():
+        raise BlowUpError("too large", last_valid_time=0.25)
+
+    own, outcomes = sim._run_children(
+        [lambda: np.arange(3.0), blow_up, lambda: os._exit(3),
+         lambda: os.kill(os.getpid(), signal.SIGKILL)],
+        lambda: os.getpid())
+    assert own == os.getpid()
+    assert outcomes[0].tolist() == [0.0, 1.0, 2.0]
+    assert isinstance(outcomes[1], BlowUpError)
+    assert (str(outcomes[1]), outcomes[1].last_valid_time) == \
+        ("too large", 0.25)
+    assert [str(e) for e in outcomes[2:]] == [
+        "a forked process ended with status 3",
+        "a forked process was killed by signal SIGKILL"]
+    assert all(isinstance(e, ChildProcessError) for e in outcomes[2:])
+    assert_no_child_left()
+
+
+def running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_run_children_child_ends_when_its_parent_is_killed(tmp_path):
+    """A child whose parent was killed ends once it has a result to send,
+    rather than blocking on a pipe that no process reads."""
+    pid_file = tmp_path / "child.pid"
+    script = f"""if True:
+        import os, signal, time
+        import numpy as np
+        from consyn import sim
+
+        def task():
+            open({str(pid_file)!r}, "w").write(str(os.getpid()))
+            time.sleep(0.5)
+            return np.zeros(10 ** 6)
+
+        def die():
+            while not os.path.exists({str(pid_file)!r}):
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        sim._run_children([task], die)
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == -signal.SIGKILL
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 30
+    while running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running(pid)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
