@@ -15,9 +15,9 @@ from .graph import (DiGraph, GraphAnalysis, GraphFlags, LeaderFollowerData,
 from .lmi import (LmiCertificate, LmiKind, LmiProblem, MarginReport,
                   ProbeRecord, SolveTrace, assemble, solve, verify)
 from .numkit import as_matrix, solve_linear, sym_eigvals
-from .sim import (AgentModel, Assessment, Disturbance, Nonlinearity,
-                  Scenario, Trajectory, assess, closed_loop, integrate,
-                  max_pairwise_distance, square_wave, write_csv)
+from .sim import (AgentModel, Assessment, CsvWriter, Disturbance,
+                  Nonlinearity, Scenario, Trajectory, assess, closed_loop,
+                  integrate, max_pairwise_distance, square_wave, write_csv)
 from .synthesis import DesignMode, ProtocolDesign, problem_for, synthesize
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "LmiCertificate", "LmiKind", "LmiProblem", "MarginReport",
     "ProbeRecord", "SolveTrace", "assemble", "solve", "verify",
     "as_matrix", "solve_linear", "sym_eigvals",
-    "AgentModel", "Assessment", "Disturbance", "Nonlinearity",
+    "AgentModel", "Assessment", "CsvWriter", "Disturbance", "Nonlinearity",
     "Scenario", "Trajectory", "assess", "closed_loop", "integrate",
     "max_pairwise_distance", "square_wave", "write_csv",
     "DesignMode", "ProtocolDesign", "problem_for", "synthesize",

@@ -31,7 +31,7 @@ from . import __version__, benchmark, sim
 from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
                     parse_edge_list)
-from .sim import (AgentModel, Nonlinearity, Scenario, assess,
+from .sim import (AgentModel, CsvWriter, Nonlinearity, Scenario, assess,
                   check_time_grid, integrate, write_csv)
 from .synthesis import DesignMode, ProtocolDesign, synthesize
 
@@ -289,10 +289,10 @@ def cmd_simulate(ns) -> int:
         np.random.default_rng(ns.seed).uniform(-1.0, 1.0, (g.n, model.n))
     scenario = Scenario(design=design, x0=x0, disturbance=ns.disturbance,
                         t_end=ns.t_end, dt=ns.dt)
-    traj = integrate(scenario)
-    out_dir = _out_dir(ns)
-    csv_path = out_dir / "trajectory.csv"
-    write_csv(traj, csv_path)
+    csv_path = _out_dir(ns) / "trajectory.csv"
+    with CsvWriter(csv_path) as csv:
+        traj = integrate(scenario, csv)
+        csv.finish(traj)
     run = assess(traj, design.gamma)
     summary = {
         "final_consensus_error": run.final_error,
@@ -313,7 +313,7 @@ def cmd_simulate(ns) -> int:
         },
         "provenance": _provenance(vars(ns)),
     }
-    path = _write_report(report, out_dir, "simulate_report.json")
+    path = _write_report(report, csv_path.parent, "simulate_report.json")
     print(f"final consensus error: {summary['final_consensus_error']:.6e}")
     if "j" in summary:
         print(f"J: {summary['j']:.6f}")

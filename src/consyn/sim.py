@@ -1,16 +1,17 @@
-"""Closed-loop network simulation, disturbances, and run assessment.
+"""Closed-loop network simulation, disturbances, run assessment and CSV.
 
-The integrator is fixed-step classical Runge-Kutta (RK4) over the single
-closed-loop vector field :func:`closed_loop`, deterministic by construction.
-A run keeps one (T, N, n) array, its states (a row per agent), and O(T)
-series: about 8 T N n bytes. The design fixes the agent model, the graph
-and the error reference: the weighted average e_i = x_i - sum_j r_j x_j
-for leaderless and disturbance runs, the leader offset v_i = x_i - x_lead
-for tracking runs. e and the outputs z are derived where they are used.
+RK4 over the one vector field closed_loop, deterministic by construction.
+A run keeps one (T, N, n) array, its states, and O(T) series: about 8 T N
+n bytes. The design fixes the model, the graph and the error reference:
+e_i = x_i - sum_j r_j x_j for leaderless and disturbance runs, the leader
+offset v_i = x_i - x_lead for tracking runs; e and the outputs z are
+derived where used. integrate finishes the run a chunk at a time, and
+CsvWriter formats each finished chunk's rows in forked children while
+the next ones integrate, on a multi-CPU machine, with the same bytes.
 """
 from __future__ import annotations
 
-import functools
+import contextlib
 import math
 import os
 import pickle
@@ -40,6 +41,8 @@ GRID_REL = 1e-9
 # of CSV text, whose Python floats outweigh the arrays: a few MB at any size.
 CSV_BLOCK_ROWS = 256
 CSV_BLOCK_VALUES = 256 * 64
+# Values of final rows CsvWriter gives a child mid-run (a repro CSV: 61k).
+CSV_FORK_VALUES = 2 ** 18
 # The componentwise g of each nonlinearity kind: f(x) = C g(x).
 CATALOG = {
     "zero": np.zeros_like,
@@ -295,7 +298,8 @@ def closed_loop(design: ProtocolDesign,
     return f
 
 
-def integrate(scenario: Scenario) -> Trajectory:
+def integrate(scenario: Scenario,
+              on_rows: Optional[Callable] = None) -> Trajectory:
     """Fixed-step RK4 integration of the scenario.
 
     Deterministic for fixed inputs. The wave is tabulated at the grid times
@@ -303,6 +307,9 @@ def integrate(scenario: Scenario) -> Trajectory:
     grid time in the last bit. Each step updates preallocated buffers and
     is written straight into states. Aborts with BlowUpError when the state
     norm crosses BLOWUP_NORM or overflows, carrying the last valid time.
+    A chunk of CSV_BLOCK_ROWS samples is finished once its states are: its
+    reference, V, ||z||^2 and J_running, a cumsum carried on from the chunk
+    before. Then on_rows(traj, end of the chunk) is called, if given.
     """
     design, kind, dt = scenario.design, scenario.disturbance, scenario.dt
     scales, model = scenario.scales, design.model
@@ -316,45 +323,54 @@ def integrate(scenario: Scenario) -> Trajectory:
 
     states = np.empty((steps + 1, n_agents, n))
     states[0] = scenario.x0
-    h2, h6 = dt / 2, dt / 6
-    y = np.empty((n_agents, n))
-    # an overflow leaves inf or NaN states, which the norm check catches
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x = states[k]
-            k1 = f(x, wave[k])
-            k2 = f(np.add(x, np.multiply(k1, h2, out=y), out=y), w_mid[k])
-            k3 = f(np.add(x, np.multiply(k2, h2, out=y), out=y), w_mid[k])
-            k4 = f(np.add(x, np.multiply(k3, dt, out=y), out=y), w_end[k])
-            # ((k1 + 2 k2) + 2 k3) + k4, the order of the textbook sum
-            k1 += np.multiply(k2, 2, out=k2)
-            k1 += np.multiply(k3, 2, out=k3)
-            k1 += k4
-            k1 *= h6
-            np.add(x, k1, out=states[k + 1])
-            # np.linalg.norm's sqrt(x . x); NaN compares false, so NaN aborts
-            xr = states[k + 1].ravel()
-            if not math.sqrt(xr.dot(xr)) < BLOWUP_NORM:
-                t = float(times[k])
-                raise BlowUpError(f"state norm crossed {BLOWUP_NORM:.1e} at "
-                                  f"t = {t + dt:.6g}", last_valid_time=t)
-
     weights, lf = design.analysis.weights, design.analysis.leader_follower
-    ref = (np.einsum("j,tjk->tk", weights, states) if lf is None
+    ref = (np.empty((steps + 1, n)) if lf is None
            else states[:, lf.leader - 1, :])
     v, j_running, z_sq = np.zeros((3, steps + 1))
     # w is -1, 0 or 1 times the scales, so ||w||^2 is theirs or 0
     traj = Trajectory(times, states, ref, model.c_out, v, j_running, z_sq,
                       np.where(wave == 0.0, 0.0, (scales ** 2).sum()))
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
+    h2, h6 = dt / 2, dt / 6
+    y = np.empty((n_agents, n))
     for lo in range(0, steps + 1, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, steps + 1)
+        # an overflow leaves inf or NaN states, which the norm check catches
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(max(lo - 1, 0), hi - 1):
+                x = states[k]
+                k1 = f(x, wave[k])
+                k2 = f(np.add(x, np.multiply(k1, h2, out=y), out=y), w_mid[k])
+                k3 = f(np.add(x, np.multiply(k2, h2, out=y), out=y), w_mid[k])
+                k4 = f(np.add(x, np.multiply(k3, dt, out=y), out=y), w_end[k])
+                # ((k1 + 2 k2) + 2 k3) + k4, the order of the textbook sum
+                k1 += np.multiply(k2, 2, out=k2)
+                k1 += np.multiply(k3, 2, out=k3)
+                k1 += k4
+                k1 *= h6
+                np.add(x, k1, out=states[k + 1])
+                # np.linalg.norm's sqrt(x . x); a NaN norm compares false
+                xr = states[k + 1].ravel()
+                if not math.sqrt(xr.dot(xr)) < BLOWUP_NORM:
+                    t = float(times[k])
+                    raise BlowUpError(
+                        f"state norm crossed {BLOWUP_NORM:.1e} at "
+                        f"t = {t + dt:.6g}", last_valid_time=t)
         # einsum orders a lone sample's sum differently: add the one before
-        sl = slice(min(lo, steps - 1), lo + CSV_BLOCK_ROWS)
+        sl = slice(min(lo, steps - 1), hi)
+        if lf is None:
+            np.einsum("j,tjk->tk", weights, states[sl], out=ref[sl])
         e, z = traj.e_and_z(sl)
         v[sl] = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
         z_sq[sl] = (z ** 2).sum(axis=(1, 2))
-    integrand = z_sq - (design.gamma or 0.0) ** 2 * traj.w_sq
-    np.cumsum(_trapezoid_steps(integrand, times), out=j_running[1:])
+        # the steps into samples max(lo, 1)..hi - 1, added to J_running[lo - 1]
+        run = slice(max(lo, 1) - 1, hi)
+        j_running[run][1:] = _trapezoid_steps(
+            z_sq[run] - (design.gamma or 0.0) ** 2 * traj.w_sq[run],
+            times[run])
+        np.cumsum(j_running[run], out=j_running[run])
+        if on_rows is not None:
+            on_rows(traj, hi)
     return traj
 
 
@@ -434,77 +450,61 @@ def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
                   .encode("ascii"))
 
 
-def _write_part(fd: int, traj: Trajectory, rows: range, decimation: int,
-                row_fmt: str) -> None:
-    """A forked writer's task: write its rows to fd, its own file."""
-    with open(fd, "wb") as part:
-        _write_rows(traj, part, rows, decimation, row_fmt)
+@dataclass
+class _Children:
+    """The one fork helper: fork runs a task in a child, which pickles its
+    value or exception back over a pipe; reap collects, in fork order, the
+    outcome of each child that has ended (a ChildProcessError if it sent
+    none), or waits for all; kill SIGKILLs and reaps the rest. A write to
+    a page the children share copies it first (a 1.5 ms timer handler once
+    took 36 ms), so work beside them writes fresh pages, as integrate's new
+    samples and repro's consensus stage (2.6 MB) do."""
 
+    outcomes: list = field(default_factory=list)
+    running: dict = field(default_factory=dict)
 
-def _in_child(task: Callable[[], object], fd: int) -> None:
-    """Body of a forked child: write the pickled value task returns, or the
-    exception it raises, to fd, then end the process with code 0, or 1 if
-    that fails. It never returns to the caller."""
-    code = 1
-    try:
+    def fork(self, task: Callable[[], object]) -> None:
+        r, w = os.pipe()
         try:
-            outcome = task()
-        except Exception as exc:
-            outcome = exc
-        with open(fd, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
+            if (pid := os.fork()) == 0:
+                # a write then fails, not blocks, once no reader is left
+                os.close(r)
+                code = 1
+                try:
+                    try:
+                        outcome = task()
+                    except Exception as exc:
+                        outcome = exc
+                    with open(w, "wb") as out:
+                        pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+        except BaseException:
+            os.close(r)
+            raise
+        finally:
+            os.close(w)
+        self.running[pid] = (len(self.outcomes), open(r, "rb"))
+        self.outcomes.append(None)
 
+    def reap(self, wait: bool = True) -> list:
+        for pid, (index, pipe) in list(self.running.items()):
+            # a blocking read ends when the child has exited
+            data = pipe.read() if wait else b""
+            done, status = os.waitpid(pid, 0 if wait else os.WNOHANG)
+            if done:
+                del self.running[pid]
+                with pipe:
+                    data += pipe.read()
+                self.outcomes[index] = _outcome(
+                    data, os.waitstatus_to_exitcode(status))
+        return self.outcomes
 
-def _run_children(tasks: list[Callable[[], object]],
-                  meanwhile: Optional[Callable[[], object]] = None
-                  ) -> tuple[object, list]:
-    """Run each task in a forked child while this process runs meanwhile,
-    and return what meanwhile returns (None without it) and each task's
-    outcome: the value it returned or the exception it raised, pickled back
-    over a pipe, or a ChildProcessError for a child that ended without
-    reporting one. Every child is reaped before this returns, and killed
-    first if this process fails or is interrupted.
-
-    Without meanwhile, this process does no work of its own while they
-    run: every page it wrote while the children still shared its memory
-    would be copied first, which slowed all it did in that time (a 1.5 ms
-    timer handler took up to 36 ms). It waits in blocking reads of the
-    pipes, each ending when its child has exited (the handler of a signal
-    that restarts a read waits with it), and only then reaps them.
-    meanwhile may work all the same when it writes mostly into arrays it
-    allocates after the fork, which no child shares. repro's consensus
-    stage does: beside an idle child it copied about 650 pages (2.6 MB)
-    and took no longer than alone.
-    """
-    children, reads = [], []
-    try:
-        for task in tasks:
-            r, w = os.pipe()
-            reads.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    # a write then fails, not blocks, once no reader is left
-                    os.close(r)
-                    _in_child(task, w)
-            finally:
-                os.close(w)
-            children.append(pid)
-        own = meanwhile() if meanwhile is not None else None
-        payloads = [pipe.read() for pipe in reads]
-    except BaseException:
-        for pid in children:
+    def kill(self) -> None:
+        for pid in self.running:
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid in children]
-        for pipe in reads:
-            pipe.close()
-    return own, [_outcome(data, code) for data, code in zip(payloads, codes)]
+        self.reap()
 
 
 def _outcome(data: bytes, code: int):
@@ -516,77 +516,117 @@ def _outcome(data: bytes, code: int):
     return ChildProcessError(f"a forked process {how}")
 
 
-def _write_ranges(traj: Trajectory, out, ranges: list[range],
-                  decimation: int, row_fmt: str, folder: str) -> None:
-    """Write the rows of every range to out, in order.
-
-    A single range is written here. Otherwise a forked child writes each
-    range, the first straight into out and the others into temporary files
-    in folder, which are appended once every child has exited. Every child
-    is reaped and every temporary file deleted, also on failure.
-    """
-    if len(ranges) == 1:
-        _write_rows(traj, out, ranges[0], decimation, row_fmt)
-        return
-    fds, parts = [out.fileno()], []
+def _run_children(tasks: list[Callable[[], object]],
+                  meanwhile: Optional[Callable[[], object]] = None
+                  ) -> tuple[object, list]:
+    """Run each task in a forked child while this process runs meanwhile;
+    return what meanwhile returns (None without it) and the outcomes. No
+    child outlives the call: if this process fails, they are killed."""
+    children = _Children()
     try:
-        for _ in ranges[1:]:
-            fd, part = tempfile.mkstemp(suffix=".part", dir=folder)
-            fds.append(fd)
-            parts.append(part)
-        _, outcomes = _run_children([
-            functools.partial(_write_part, fd, traj, rows, decimation,
-                              row_fmt) for fd, rows in zip(fds, ranges)])
-        for rows, outcome in zip(ranges, outcomes):
+        for task in tasks:
+            children.fork(task)
+        return (meanwhile() if meanwhile else None), children.reap()
+    finally:
+        children.kill()
+
+
+class CsvWriter(contextlib.AbstractContextManager):
+    """The trajectory CSV at path, written as the run's rows become final:
+    with CsvWriter(path) as csv: csv.finish(integrate(scenario, csv)).
+
+    Header: t, x{agent}_{component}..., e{agent}_{component}...,
+    z{agent}_{component}..., V, J_running (1-based); every decimation-th
+    sample as "%.12g", the bytes of np.savetxt. The file is created at
+    once, so an unwritable path fails before the run. On two or more CPUs,
+    a forked child formats each CSV_FORK_VALUES values of final rows while
+    fewer children than CPUs but one are busy; finish splits the rest into
+    a range per CPU, a child each, and appends their part files in order.
+    On one CPU it writes every row itself. An OSError ending the block is
+    raised naming path; no child or part file outlives the block, nor the
+    CSV if it fails before finish."""
+
+    def __init__(self, path, decimation: int = 1):
+        if decimation < 1:
+            raise ValueError("decimation must be >= 1")
+        self.path, self.decimation = path, decimation
+        self._cpus, self._children = _cpu_count(), _Children()
+        self._parts, self._row_fmt, self._finishing = [], "", False
+        try:
+            self._out = open(path, "wb")
+        except OSError as exc:
+            raise OSError(f"cannot write {path}: {exc}") from exc
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self._children.kill()
+        self._out.close()
+        for _, part in self._parts:
+            os.unlink(part)
+        if kind is not None and not self._finishing:
+            os.unlink(self.path)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {self.path}: {exc}") from exc
+
+    def _next_row(self, traj: Trajectory) -> int:
+        """Write the header once, flushed out of the buffer children
+        inherit; return the first row not handed to a child yet."""
+        if not self._row_fmt:
+            n_agents, n = traj.states.shape[1:]
+            header = ["t"] + [
+                f"{name}{i + 1}_{k + 1}" for name, width in
+                (("x", n), ("e", n), ("z", traj.c_out.shape[0]))
+                for i in range(n_agents) for k in range(width)]
+            header += ["V", "J_running"]
+            self._row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+            self._out.write((",".join(header) + "\n").encode("ascii"))
+            self._out.flush()
+        return self._parts[-1][0].stop if self._parts else 0
+
+    def _fork(self, traj: Trajectory, rows: range) -> None:
+        fd, part = tempfile.mkstemp(
+            suffix=".part", dir=os.path.dirname(os.path.abspath(self.path)))
+        self._parts.append((rows, part))
+
+        def task():
+            with open(fd, "wb") as out:
+                _write_rows(traj, out, rows, self.decimation, self._row_fmt)
+        try:
+            self._children.fork(task)
+        finally:
+            os.close(fd)
+
+    def __call__(self, traj: Trajectory, stop: int) -> None:
+        """Take the samples before stop, which are final."""
+        start = self._next_row(traj)
+        batch = -(-CSV_FORK_VALUES // self._row_fmt.count("%"))
+        self._children.reap(wait=False)
+        while (-(-stop // self.decimation) - start >= batch
+               and len(self._children.running) < self._cpus - 1):
+            self._fork(traj, range(start, start + batch))
+            start += batch
+
+    def finish(self, traj: Trajectory) -> None:
+        """Write the rows not handed out and wait for every child."""
+        self._finishing = True
+        rest = range(self._next_row(traj), len(traj.times[::self.decimation]))
+        k = min(self._cpus, len(rest))
+        if k <= 1 and not self._parts:
+            _write_rows(traj, self._out, rest, self.decimation, self._row_fmt)
+        else:
+            for i in range(k):
+                self._fork(traj, rest[len(rest) * i // k:
+                                      len(rest) * (i + 1) // k])
+        for (rows, _), outcome in zip(self._parts, self._children.reap()):
             if isinstance(outcome, BaseException):
                 raise OSError(f"the process formatting rows {rows.start + 1}"
                               f"-{rows.stop} failed: {outcome}")
-        # the first child moved the file offset that out shares with it
-        out.seek(0, os.SEEK_END)
-        for part in parts:
+        for _, part in self._parts:
             with open(part, "rb") as src:
-                shutil.copyfileobj(src, out)
-    finally:
-        for fd in fds[1:]:
-            os.close(fd)
-        for part in parts:
-            os.unlink(part)
+                shutil.copyfileobj(src, self._out)
+        self._out.close()
 
 
 def write_csv(traj: Trajectory, path, decimation: int = 1) -> None:
-    """Write the trajectory as CSV.
-
-    Header: t, x{agent}_{component}..., e{agent}_{component}...,
-    z{agent}_{component}..., V, J_running. Agent and component indices are
-    1-based. decimation keeps every decimation-th sample. Values are
-    formatted "%.12g": the bytes are those np.savetxt writes for the table.
-
-    The kept rows are split into one contiguous range per CPU the process
-    may use. With one CPU this process writes them all. Otherwise a forked
-    child derives e and z and formats the rows of each range, the first
-    after the header in the output and the others into temporary files next
-    to it, appended in order once all have exited. A failure to write
-    raises OSError naming path, and no child or temporary file outlives it.
-    """
-    if decimation < 1:
-        raise ValueError("decimation must be >= 1")
-    nt = len(range(0, traj.times.shape[0], decimation))
-    n_agents, n = traj.states.shape[1:]
-    header = ["t"]
-    for name, width in (("x", n), ("e", n), ("z", traj.c_out.shape[0])):
-        header += [f"{name}{i + 1}_{k + 1}"
-                   for i in range(n_agents) for k in range(width)]
-    header += ["V", "J_running"]
-    row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
-    k = max(1, min(_cpu_count(), nt))
-    ranges = [range(nt * i // k, nt * (i + 1) // k) for i in range(k)]
-    with open(path, "wb") as out:
-        try:
-            out.write((",".join(header) + "\n").encode("ascii"))
-            # in the file before a forked child writes after it, and out of
-            # the buffer the children inherit
-            out.flush()
-            _write_ranges(traj, out, ranges, decimation, row_fmt,
-                          os.path.dirname(os.path.abspath(path)))
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
+    """Write the trajectory as CSV (see CsvWriter), every row at once."""
+    with CsvWriter(path, decimation) as csv:
+        csv.finish(traj)

@@ -750,6 +750,64 @@ def test_simulate_blow_up_exit_code(tmp_path, capsys):
     assert "last valid time" in capsys.readouterr().err
 
 
+def cycle(n: int) -> str:
+    return f"nodes {n}\n" + "".join(f"{i} {i % n + 1}\n"
+                                    for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("blocked", ["out-dir", "csv"])
+def test_simulate_unwritable_csv_exits_before_integrating(
+        tmp_path, monkeypatch, capsys, blocked):
+    """An --out-dir that is a file, or a directory in the CSV's place,
+    exits 2 naming it before any RK4 step: the CSV is opened first."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrate was called")
+    monkeypatch.setattr(cli, "integrate", no_run)
+    out = tmp_path / "out"
+    path = out / "trajectory.csv" if blocked == "csv" else out
+    if blocked == "csv":
+        path.mkdir(parents=True)
+    else:
+        path.write_text("")
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(TWO_NODE)
+    assert run(["simulate", write_json(tmp_path / "m.json", SCALAR_MODEL),
+                str(gfile), "--mode", "leaderless", "--cert",
+                write_json(tmp_path / "cert.json", WITNESS),
+                "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+def test_simulate_blow_up_after_streaming_leaves_nothing(
+        tmp_path, monkeypatch, capsys):
+    """A 64-agent run that blows up after the writer handed rows to forked
+    children exits 4 with its last valid time, and leaves no CSV, no part
+    file and no child."""
+    forks = []
+    fork = sim._Children.fork
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sim._Children, "fork",
+                        lambda self, task: (forks.append(task),
+                                            fork(self, task)))
+    gfile = tmp_path / "cycle.txt"
+    gfile.write_text(cycle(64))
+    out = tmp_path / "out"
+    code = run(["simulate", write_json(tmp_path / "m.json",
+                                       dict(SCALAR_MODEL, a=[[2.0]])),
+                str(gfile), "--mode", "leaderless", "--cert",
+                write_json(tmp_path / "cert.json",
+                           {"p": [[1.0]], "scalar": 6.0}),
+                "--t-end", "20", "--out-dir", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: state norm crossed 1.0e+09")
+    assert "last valid time" in err
+    assert forks
+    assert os.listdir(out) == []
+    assert_no_child_left()
+
+
 def test_simulate_overflow_exit_code(tmp_path):
     """A run whose arithmetic overflows exits 4 with no RuntimeWarning."""
     model = write_json(tmp_path / "m.json", SCALAR_MODEL)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import os
 import re
 import signal
@@ -619,35 +620,49 @@ BLOCK = sim.CSV_BLOCK_ROWS
        steps=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1,
                               3 * BLOCK + 17]),
        decimation=st.sampled_from([1, 10]), cpus=st.integers(1, 3),
+       fork_values=st.sampled_from([1, 400, 5000]),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_blockwise_derivation_is_the_whole_run_bit_for_bit(
         mode, n_agents, n, outputs, disturbance, steps, decimation, cpus,
-        seed):
-    """V, ||z||^2 and J_running computed a block of samples at a time, and
+        fork_values, seed):
+    """V, ||z||^2 and J_running computed a chunk of samples at a time, and
     the CSV's e and z columns derived a block at a time by one to three
     writers, equal the whole-run expressions bit for bit, for weighted-mean
-    and leader-row references, step counts below, at and across the block
-    size (one sample past it included)."""
+    and leader-row references, step counts below, at and across the chunk
+    size (one sample past it included). So does the CSV streamed while the
+    run integrates, whose batches of fork_values values here are a few
+    rows, so that children take rows at every chunk."""
     rng = np.random.default_rng(seed)
     design = random_design(rng, "sine", mode, n_agents, n, 2, 1, 1, outputs)
     scenario = Scenario(
         design=design, x0=rng.uniform(-1.0, 1.0, (n_agents, n)),
         disturbance=disturbance, scales=rng.uniform(-2.0, 2.0, (n_agents, 1)),
         t_end=steps * 1e-2, dt=1e-2)
-    traj = integrate(scenario)
-    e, z, v, z2, j_running = whole_run_derivation(scenario, traj)
-    assert traj.v_lyap.tobytes() == v.tobytes()
-    assert traj.z_sq.tobytes() == z2.tobytes()
-    assert traj.j_running.tobytes() == j_running.tobytes()
     with tempfile.TemporaryDirectory() as folder, \
-            mock.patch.object(sim, "_cpu_count", lambda: cpus):
+            mock.patch.object(sim, "_cpu_count", lambda: cpus), \
+            mock.patch.object(sim, "CSV_FORK_VALUES", fork_values):
+        traj = integrate(scenario)
         write_csv(traj, os.path.join(folder, "out.csv"), decimation)
+        with sim.CsvWriter(os.path.join(folder, "streamed.csv"),
+                           decimation) as csv:
+            streamed = integrate(scenario, csv)
+            csv.finish(streamed)
+        e, z, v, z2, j_running = whole_run_derivation(scenario, traj)
         savetxt_reference(traj, os.path.join(folder, "ref.csv"), decimation,
                           e, z)
-        with open(os.path.join(folder, "out.csv"), "rb") as out, \
-                open(os.path.join(folder, "ref.csv"), "rb") as ref:
-            assert out.read() == ref.read()
+        with open(os.path.join(folder, "ref.csv"), "rb") as ref:
+            want = ref.read()
+        for run, name in ((traj, "out.csv"), (streamed, "streamed.csv")):
+            assert run.states.tobytes() == traj.states.tobytes()
+            assert run.v_lyap.tobytes() == v.tobytes()
+            assert run.z_sq.tobytes() == z2.tobytes()
+            assert run.j_running.tobytes() == j_running.tobytes()
+            with open(os.path.join(folder, name), "rb") as out:
+                assert out.read() == want
+        assert sorted(os.listdir(folder)) == ["out.csv", "ref.csv",
+                                              "streamed.csv"]
+    assert_no_child_left()
 
 
 def test_run_memory_is_the_states_plus_a_few_blocks(tmp_path, monkeypatch):
@@ -1113,4 +1128,65 @@ def test_write_csv_other_error_cleans_up(tmp_path, monkeypatch, where):
     with pytest.raises(RuntimeError, match="no room"):
         write_csv(special_trajectory(50), tmp_path / "traj.csv")
     assert os.listdir(tmp_path) == ["traj.csv"]
+    assert_no_child_left()
+
+
+def streamed_run(path, on_rows=None):
+    """Integrate a two-agent run of 3 chunks and 17 samples while a
+    CsvWriter at path takes its rows: on_rows(csv, traj, stop) when given,
+    in place of the writer."""
+    design = witness_design(scalar_model(), two_node_graph())
+    scenario = Scenario(design=design, x0=np.array([[1.0], [-1.0]]),
+                        t_end=(3 * BLOCK + 17) * 1e-3, dt=1e-3)
+    with sim.CsvWriter(path) as csv:
+        take = csv if on_rows is None else functools.partial(on_rows, csv)
+        csv.finish(integrate(scenario, take))
+
+
+def in_children(monkeypatch, rows):
+    """Replace sim._write_rows by rows(*args) in forked children only, and
+    let the writer hand out one-row batches to two of them at a time."""
+    parent, write_rows = os.getpid(), sim._write_rows
+
+    def flaky_rows(*args):
+        if os.getpid() == parent:
+            return write_rows(*args)
+        return rows(*args)
+    monkeypatch.setattr(sim, "_write_rows", flaky_rows)
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(sim, "CSV_FORK_VALUES", 1)
+
+
+def test_streamed_worker_failure_names_the_csv(tmp_path, monkeypatch):
+    """A child that cannot write the rows it took during the run makes
+    finish raise OSError naming the CSV and the first failed rows, after
+    every child is reaped and every part file deleted."""
+    def no_room(*args):
+        raise OSError("no room")
+    in_children(monkeypatch, no_room)
+    path = tmp_path / "traj.csv"
+    with pytest.raises(OSError) as exc:
+        streamed_run(path)
+    assert str(exc.value) == (f"cannot write {path}: the process formatting "
+                              "rows 1-1 failed: no room")
+    assert os.listdir(tmp_path) == ["traj.csv"]
+    assert_no_child_left()
+
+
+def test_interrupted_run_leaves_no_child_and_no_file(tmp_path, monkeypatch):
+    """A KeyboardInterrupt during integration, while two children still
+    format the rows they took, kills and reaps them at once and removes
+    their part file and the CSV."""
+    in_children(monkeypatch, lambda *args: time.sleep(60))
+
+    def interrupt(csv, traj, stop):
+        csv(traj, stop)
+        if stop > BLOCK:
+            assert len(list(tmp_path.glob("*.part"))) == 2
+            raise KeyboardInterrupt
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        streamed_run(tmp_path / "traj.csv", interrupt)
+    assert time.monotonic() - start < 30
+    assert os.listdir(tmp_path) == []
     assert_no_child_left()
