@@ -1,4 +1,5 @@
-"""Dense real linear algebra helpers shared by the rest of the package.
+"""Dense real linear algebra helpers shared by the rest of the package,
+and format_g12, the "%.12g" text of the trajectory CSV.
 
 Matrices are plain float ndarrays. :func:`as_matrix` is the construction
 boundary: everything that enters the package through a public call is
@@ -117,3 +118,131 @@ def solve_linear(a: ArrayLike, b: ArrayLike) -> NDArray[np.float64]:
             f"(cond estimate {cond:.3e})"
         )
     return x.reshape(bm.shape)
+
+
+# format_g12 scales magnitudes in [G12_MIN, G12_MAX) by the powers
+# float("1e%d") of its exponent table; others, subnormals among them, and
+# those whose scaled 12-digit mantissa lies within G12_TIE of a
+# half-integer (the scaling errs by less than 2.3e-4) it re-derives from
+# "%.11e". It formats G12_PASS values a pass, which stay in the CPU caches.
+# Its tables span the decimal exponents G12_E0..-G12_E0 - 1.
+G12_MIN, G12_MAX, G12_TIE, G12_PASS = 1e-290, 1e290, 1e-3, 4096
+G12_E0 = -330
+
+
+def _ascii(*codes) -> NDArray[np.uint64]:
+    """Words whose byte j, counted from the low end, is codes[j]."""
+    return sum(np.asarray(c, np.uint64) << np.uint64(8 * j)
+               for j, c in enumerate(codes))
+
+
+def _words(texts, size: int) -> NDArray[np.uint64]:
+    """Each text, NUL-padded to size bytes, as size // 8 words."""
+    data = b"".join(t.ljust(size, b"\0") for t in texts)
+    return np.frombuffer(data, "<u8").astype(np.uint64).reshape(-1, size // 8)
+
+
+def _g12_tables() -> tuple:
+    """The powers of ten and e-notation tails ("e+05", none in -4..11) of
+    the exponents from G12_E0 on; the four digits of 0..9999 and their
+    trailing zeros; the sign and "0.000" heads; the 16-byte masks of the
+    first j bytes and "." at byte j, j <= 16 (none at 16)."""
+    x = np.arange(G12_E0, -G12_E0)
+    a, three = np.abs(x), np.abs(x) >= 100
+    tail = _ascii(ord("e"), np.where(x < 0, 45, 43),
+                  48 + a // 10 ** (1 + three) % 10, 48 + a // 10 ** three % 10,
+                  three * (48 + a % 10))
+    tail[-4 - G12_E0:12 - G12_E0] = 0
+    d = 48 + np.arange(10)
+    zeros = np.zeros(10000, dtype=np.intp)
+    for j in range(1, 5):
+        zeros[::10 ** j] += 1
+    heads = [sign + b"0.000"[:z + 1] if z else sign
+             for sign in (b"", b"-") for z in range(5)]
+    pow10 = np.array([float(f"1e{k}") for k in range(G12_E0, -G12_E0)])
+    quad = _ascii(d[:, None, None, None], d[:, None, None], d[:, None], d)
+    return (pow10, tail, quad.ravel(), zeros, _words(heads, 8)[:, 0],
+            *_words([b"\xff" * j for j in range(17)], 16).T,
+            *_words([b"\0" * j + b"." for j in range(16)] + [b""], 16).T)
+
+
+(_POW10, _TAIL, _QUAD, _ZEROS, _HEAD, _MASK_LO, _MASK_HI, _DOT_LO,
+ _DOT_HI) = _g12_tables()
+
+
+def format_g12(block: NDArray[np.float64]) -> bytes:
+    """The rows of a 2-D float block as "%.12g" text, byte for byte:
+    values joined by ",", each row ended by a newline.
+
+    The decimal exponent k of |x| comes from its binary exponent and one
+    comparison with a power of ten; |x| 10^(11 - k), rounded to an integer,
+    gives the 12 digits, which are looked up four at a time, shorn of
+    trailing zeros and given their point by shifts and masks on two 64-bit
+    words. A value's text is laid out in 32 NUL-padded bytes (head, digits,
+    exponent tail and separator), and the NULs are deleted. A value whose
+    rounding the scaled product cannot settle takes "%.11e" (the rounding
+    of "%.12g"); a block holding inf or NaN is formatted by "%" whole.
+    """
+    rows, cols = block.shape
+    if not np.isfinite(block).all():
+        row = ",".join(["%.12g"] * cols) + "\n"
+        return ((row * rows) % tuple(block.ravel().tolist())).encode("ascii")
+    sep = np.full(cols, ord(","), dtype=np.uint64)
+    sep[-1] = ord("\n")
+    sep <<= np.uint64(56)
+    per = max(1, G12_PASS // cols)
+    return b"".join(_format_pass(block[lo:lo + per], sep)
+                    for lo in range(0, rows, per))
+
+
+def _e11_digits(x: float) -> tuple[int, int]:
+    """The 12 digits, as one integer, and the exponent of "%.11e" % x."""
+    text = "%.11e" % x
+    return int(text[0] + text[2:13]), int(text[14:])
+
+
+def _format_pass(x: NDArray[np.float64], sep: NDArray[np.uint64]) -> bytes:
+    """format_g12 of the finite rows x, whose columns end in sep."""
+    ax = np.abs(x)
+    zero, fast = ax == 0.0, (ax >= G12_MIN) & (ax < G12_MAX)
+    # the others are formatted as 1.0, a zero's "1" then becoming "0"
+    a = np.where(fast, ax, 1.0)
+    # floor(log10 2^e2) for the binary exponent e2 of a, and its correction
+    k = ((a.view(np.int64) >> 52) - 1023) * 78913 >> 18
+    k += a >= _POW10[k + (1 - G12_E0)]
+    scaled = a * _POW10[(11 - G12_E0) - k]
+    m = np.floor(scaled)
+    frac = scaled - m
+    slow = ~(fast | zero) | (np.abs(frac - 0.5) < G12_TIE) | (m < 1e11) \
+        | (m >= 1e12)
+    m += frac > 0.5
+    m_flat, k_flat = m.reshape(-1), k.reshape(-1)
+    for i in np.flatnonzero(slow):
+        m_flat[i], k_flat[i] = _e11_digits(float(ax.flat[i]))
+    carry = m == 1e12
+    m[carry], k[carry] = 1e11, k[carry] + 1
+    # the digits in three groups of four, by divisions exact below 2^53
+    high = np.floor(m / 1e8)
+    low = m - high * 1e8
+    mid = np.floor(low / 1e4)
+    g = [high.astype(np.intp), mid.astype(np.intp),
+         (low - mid * 1e4).astype(np.intp)]
+    sig = 12 - np.where(g[2] > 0, _ZEROS[g[2]],
+                        np.where(g[1] > 0, 4 + _ZEROS[g[1]], 8 + _ZEROS[g[0]]))
+    e_form = (k < -4) | (k > 11)
+    point = np.where(e_form, 1, np.maximum(k + 1, 0))
+    keep = np.maximum(sig, point)
+    at = np.where((sig > point) & (point > 0), point, 16)
+    lo = (_QUAD[g[0]] | _QUAD[g[1]] << np.uint64(32)) & _MASK_LO[keep]
+    hi = _QUAD[g[2]] & _MASK_HI[keep]
+    # the bytes from at on move one place up, and "." takes byte at
+    lo_rest, hi_rest = lo & ~_MASK_LO[at], hi & ~_MASK_HI[at]
+    words = np.empty(x.shape + (4,), dtype="<u8")
+    words[..., 0] = _HEAD[5 * np.signbit(x)
+                          + np.where(e_form, 0, np.clip(-k, 0, 4))]
+    words[..., 1] = lo ^ lo_rest | lo_rest << np.uint64(8) | _DOT_LO[at]
+    words[..., 2] = (hi ^ hi_rest | hi_rest << np.uint64(8)
+                     | lo_rest >> np.uint64(56) | _DOT_HI[at])
+    words[..., 3] = _TAIL[k - G12_E0] | sep
+    words[zero, 1] = ord("0")
+    return words.tobytes().translate(None, b"\0")

@@ -38,7 +38,7 @@ BLOWUP_NORM = 1e9
 V_STEP_REL = 1e-10
 GRID_REL = 1e-9
 # Samples per block of integrate's V and ||z||^2 pass, and values per block
-# of CSV text, whose Python floats outweigh the arrays: a few MB at any size.
+# of CSV text: a few MB at any size.
 CSV_BLOCK_ROWS = 256
 CSV_BLOCK_VALUES = 256 * 64
 # Values of final rows CsvWriter gives a child mid-run (a repro CSV: 61k).
@@ -433,10 +433,11 @@ def _cpu_count() -> int:
 
 
 def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
-                row_fmt: str) -> None:
-    """Format the kept samples rows.start..rows.stop - 1 to the binary file
-    out, CSV_BLOCK_VALUES values a block, deriving each block's e and z."""
-    per = max(1, CSV_BLOCK_VALUES // row_fmt.count("%"))
+                cols: int) -> None:
+    """Format the kept samples rows.start..rows.stop - 1, of cols values
+    each, to the binary file out by numkit.format_g12, CSV_BLOCK_VALUES
+    values a block, deriving each block's e and z."""
+    per = max(1, CSV_BLOCK_VALUES // cols)
     for lo in range(rows.start, rows.stop, per):
         hi = min(lo + per, rows.stop)
         sl = slice(lo * decimation, (hi - 1) * decimation + 1, decimation)
@@ -446,8 +447,7 @@ def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
             [traj.times[sl, None], traj.states[sl].reshape(count, -1),
              e.reshape(count, -1), z.reshape(count, -1),
              traj.v_lyap[sl, None], traj.j_running[sl, None]], axis=1)
-        out.write(((row_fmt * count) % tuple(block.ravel().tolist()))
-                  .encode("ascii"))
+        out.write(numkit.format_g12(block))
 
 
 @dataclass
@@ -540,18 +540,20 @@ class CsvWriter(contextlib.AbstractContextManager):
     sample as "%.12g", the bytes of np.savetxt. The file is created at
     once, so an unwritable path fails before the run. On two or more CPUs,
     a forked child formats each CSV_FORK_VALUES values of final rows while
-    fewer children than CPUs but one are busy; finish splits the rest into
-    a range per CPU, a child each, and appends their part files in order.
-    On one CPU it writes every row itself. An OSError ending the block is
-    raised naming path; no child or part file outlives the block, nor the
-    CSV if it fails before finish."""
+    fewer children than CPUs but one are busy, and the part file of each
+    is appended once it and every part before it are done; finish splits
+    the rest into a range per CPU, a child each, and appends the parts
+    left. On one CPU it writes every row itself. An OSError ending the
+    block is raised naming path; no child or part file outlives the block,
+    nor the CSV if it fails before finish."""
 
     def __init__(self, path, decimation: int = 1):
         if decimation < 1:
             raise ValueError("decimation must be >= 1")
         self.path, self.decimation = path, decimation
         self._cpus, self._children = _cpu_count(), _Children()
-        self._parts, self._row_fmt, self._finishing = [], "", False
+        self._parts, self._appended, self._cols = [], 0, 0
+        self._finishing = False
         try:
             self._out = open(path, "wb")
         except OSError as exc:
@@ -560,7 +562,7 @@ class CsvWriter(contextlib.AbstractContextManager):
     def __exit__(self, kind, exc, tb) -> None:
         self._children.kill()
         self._out.close()
-        for _, part in self._parts:
+        for _, part in self._parts[self._appended:]:
             os.unlink(part)
         if kind is not None and not self._finishing:
             os.unlink(self.path)
@@ -570,14 +572,14 @@ class CsvWriter(contextlib.AbstractContextManager):
     def _next_row(self, traj: Trajectory) -> int:
         """Write the header once, flushed out of the buffer children
         inherit; return the first row not handed to a child yet."""
-        if not self._row_fmt:
+        if not self._cols:
             n_agents, n = traj.states.shape[1:]
             header = ["t"] + [
                 f"{name}{i + 1}_{k + 1}" for name, width in
                 (("x", n), ("e", n), ("z", traj.c_out.shape[0]))
                 for i in range(n_agents) for k in range(width)]
             header += ["V", "J_running"]
-            self._row_fmt = ",".join(["%.12g"] * len(header)) + "\n"
+            self._cols = len(header)
             self._out.write((",".join(header) + "\n").encode("ascii"))
             self._out.flush()
         return self._parts[-1][0].stop if self._parts else 0
@@ -589,29 +591,47 @@ class CsvWriter(contextlib.AbstractContextManager):
 
         def task():
             with open(fd, "wb") as out:
-                _write_rows(traj, out, rows, self.decimation, self._row_fmt)
+                _write_rows(traj, out, rows, self.decimation, self._cols)
         try:
             self._children.fork(task)
         finally:
             os.close(fd)
 
+    def _append(self) -> None:
+        """Append, in order, the part files of the children that have
+        ended well, up to the first one running or failed, and flush them
+        out of the buffer later children inherit."""
+        running = {index for index, _ in self._children.running.values()}
+        outcomes = self._children.outcomes
+        while (self._appended < len(self._parts)
+               and self._appended not in running
+               and not isinstance(outcomes[self._appended], BaseException)):
+            part = self._parts[self._appended][1]
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, self._out)
+            self._appended += 1
+            os.unlink(part)
+        self._out.flush()
+
     def __call__(self, traj: Trajectory, stop: int) -> None:
         """Take the samples before stop, which are final."""
         start = self._next_row(traj)
-        batch = -(-CSV_FORK_VALUES // self._row_fmt.count("%"))
+        batch = -(-CSV_FORK_VALUES // self._cols)
         self._children.reap(wait=False)
+        self._append()
         while (-(-stop // self.decimation) - start >= batch
                and len(self._children.running) < self._cpus - 1):
             self._fork(traj, range(start, start + batch))
             start += batch
 
     def finish(self, traj: Trajectory) -> None:
-        """Write the rows not handed out and wait for every child."""
+        """Write the rows not handed out, wait for every child and append
+        the parts left."""
         self._finishing = True
         rest = range(self._next_row(traj), len(traj.times[::self.decimation]))
         k = min(self._cpus, len(rest))
         if k <= 1 and not self._parts:
-            _write_rows(traj, self._out, rest, self.decimation, self._row_fmt)
+            _write_rows(traj, self._out, rest, self.decimation, self._cols)
         else:
             for i in range(k):
                 self._fork(traj, rest[len(rest) * i // k:
@@ -620,9 +640,7 @@ class CsvWriter(contextlib.AbstractContextManager):
             if isinstance(outcome, BaseException):
                 raise OSError(f"the process formatting rows {rows.start + 1}"
                               f"-{rows.stop} failed: {outcome}")
-        for _, part in self._parts:
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, self._out)
+        self._append()
         self._out.close()
 
 

@@ -1,8 +1,12 @@
+import io
 import math
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from consyn import (
@@ -11,7 +15,8 @@ from consyn import (
     solve_linear,
     sym_eigvals,
 )
-from consyn import benchmark
+from consyn import benchmark, numkit
+from consyn.numkit import format_g12
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -123,3 +128,80 @@ def test_solve_linear_residual_bound(seed, n):
     x = solve_linear(a, b)
     assert np.linalg.norm(a @ x - b) <= 1e-9 * max(np.linalg.norm(b), 1.0)
 
+
+
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def step_ulps(x: float, steps: int) -> float:
+    """The float steps places from the positive x in bit order."""
+    return float_of_bits(struct.unpack("<Q", struct.pack("<d", x))[0] + steps)
+
+
+def signed(values):
+    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+# 13-digit decimals ending in 5, at decimal exponents -300..300: the float
+# nearest lies within about 1e-4 of a tie at the 12th digit
+NEAR_TIES = signed(st.builds(lambda d, k: float(f"{d}5e{k - 12}"),
+                             st.integers(10 ** 11, 10 ** 12 - 1),
+                             st.integers(-300, 300)))
+G12_VALUES = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(float_of_bits).filter(math.isfinite),
+    NEAR_TIES,
+    # powers of ten and their neighbours, subnormal to the largest
+    signed(st.builds(lambda k, s: step_ulps(float(f"1e{k}"), s),
+                     st.integers(-323, 308), st.integers(-1, 1))),
+    # where %.12g switches between %f and %e notation
+    signed(st.builds(step_ulps, st.sampled_from([1e-5, 1e-4, 1e11, 1e12]),
+                     st.integers(-4, 4))),
+    # subnormals and zeros
+    signed(st.integers(0, 2 ** 52 - 1).map(float_of_bits)),
+)
+
+
+def percent_g12(block) -> bytes:
+    """The rows of block as "%.12g" values joined by ",", one row a line."""
+    return "".join(",".join("%.12g" % x for x in row) + "\n"
+                   for row in block.tolist()).encode("ascii")
+
+
+@given(block=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                     max_side=12),
+                        elements=G12_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_format_g12_is_percent_g12(block):
+    assert format_g12(block) == percent_g12(block)
+
+
+@given(ties=st.lists(NEAR_TIES, min_size=1, max_size=30))
+@settings(max_examples=50, deadline=None)
+def test_format_g12_settles_near_ties_by_e11(ties):
+    """Every near-tie takes the "%.11e" path, the others none."""
+    block = np.array([ties, [1.5] * len(ties)])
+    with mock.patch.object(numkit, "_e11_digits",
+                           wraps=numkit._e11_digits) as e11:
+        assert format_g12(block) == percent_g12(block)
+    assert sorted(c.args[0] for c in e11.call_args_list) == \
+        sorted(abs(x) for x in ties)
+
+
+@pytest.mark.parametrize("shape", [(700, 13), (3, 5000), (4096, 1)])
+def test_format_g12_in_several_passes(shape):
+    """Blocks of more than one pass: rows split between passes, rows of
+    more values than a pass, and a pass of whole rows."""
+    rng = np.random.default_rng(shape[1])
+    block = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, shape)
+    block[rng.random(shape) < 0.05] = 0.0
+    assert format_g12(block) == percent_g12(block)
+
+
+def test_format_g12_with_inf_or_nan_is_savetxt():
+    block = np.array([[1.0, np.inf, -0.0], [np.nan, -np.inf, 2.0 / 3.0],
+                      [1e300, 5e-324, 123456789012.5]])
+    text = io.BytesIO()
+    np.savetxt(text, block, fmt="%.12g", delimiter=",")
+    assert format_g12(block) == text.getvalue()
+    assert format_g12(block[2:]) == percent_g12(block[2:])

@@ -665,6 +665,22 @@ def test_blockwise_derivation_is_the_whole_run_bit_for_bit(
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("mode", sorted(GRAPHS))
+def test_lone_last_sample_is_the_whole_run_bit_for_bit(mode):
+    """Runs whose last chunk holds one sample: einsum sums V over a lone
+    sample of 2 agents with 2 states in another order than over several,
+    so integrate derives that sample beside the one before it."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        design = random_design(rng, "sine", mode, 2, 2, 2, 1, 1)
+        scenario = Scenario(design=design, x0=rng.uniform(-1.0, 1.0, (2, 2)),
+                            t_end=BLOCK * 1e-2, dt=1e-2)
+        traj = integrate(scenario)
+        _, _, v, z2, _ = whole_run_derivation(scenario, traj)
+        assert traj.v_lyap.tobytes() == v.tobytes()
+        assert traj.z_sq.tobytes() == z2.tobytes()
+
+
 def test_run_memory_is_the_states_plus_a_few_blocks(tmp_path, monkeypatch):
     """integrate, assess and write_csv of an N = 64 disturbed run hold no
     (T, N, .) array but the states. numpy reports its buffers to
@@ -1170,6 +1186,33 @@ def test_streamed_worker_failure_names_the_csv(tmp_path, monkeypatch):
     assert str(exc.value) == (f"cannot write {path}: the process formatting "
                               "rows 1-1 failed: no room")
     assert os.listdir(tmp_path) == ["traj.csv"]
+    assert_no_child_left()
+
+
+def test_parts_are_appended_while_the_run_integrates(tmp_path, monkeypatch):
+    """The part file of a child that has ended is appended at a later
+    chunk, before finish: the CSV grows while the run integrates, and ends
+    with the bytes one CPU writes."""
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+    streamed_run(tmp_path / "one.csv")
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(sim, "CSV_FORK_VALUES", 1)
+    path = tmp_path / "traj.csv"
+    header = len((tmp_path / "one.csv").read_text().split("\n")[0]) + 1
+    grew = []
+
+    def take(csv, traj, stop):
+        csv(traj, stop)
+        deadline = time.monotonic() + 30
+        while (stop == traj.times.size and path.stat().st_size == header
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+            csv(traj, stop)
+        grew.append(path.stat().st_size > header)
+    streamed_run(path, take)
+    assert grew[-1]
+    assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "traj.csv"]
     assert_no_child_left()
 
 
