@@ -8,6 +8,8 @@ Each numeric tolerance is a constant of the one module that reads it.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
@@ -124,16 +126,19 @@ def solve_linear(a: ArrayLike, b: ArrayLike) -> NDArray[np.float64]:
 # float("1e%d") of its exponent table; others, subnormals among them, and
 # those whose scaled 12-digit mantissa lies within G12_TIE of a
 # half-integer (the scaling errs by less than 2.3e-4) it re-derives from
-# "%.11e". It formats G12_PASS values a pass, which stay in the CPU caches.
+# "%.11e". It formats G12_PASS values a pass: its working arrays take about
+# 265 bytes a value, which for a pass stay in the CPU caches.
 # Its tables span the decimal exponents G12_E0..-G12_E0 - 1.
 G12_MIN, G12_MAX, G12_TIE, G12_PASS = 1e-290, 1e290, 1e-3, 4096
 G12_E0 = -330
 
 
 def _ascii(*codes) -> NDArray[np.uint64]:
-    """Words whose byte j, counted from the low end, is codes[j]."""
-    return sum(np.asarray(c, np.uint64) << np.uint64(8 * j)
-               for j, c in enumerate(codes))
+    """Words whose byte j, counted from the low end, is codes[j]. Only
+    uint64 operands: numpy 1.x casts a Python int and a uint64 to float."""
+    return functools.reduce(np.bitwise_or, (
+        np.asarray(c, np.uint64) << np.uint64(8 * j)
+        for j, c in enumerate(codes)))
 
 
 def _words(texts, size: int) -> NDArray[np.uint64]:
@@ -216,9 +221,10 @@ def _format_pass(x: NDArray[np.float64], sep: NDArray[np.uint64]) -> bytes:
     slow = ~(fast | zero) | (np.abs(frac - 0.5) < G12_TIE) | (m < 1e11) \
         | (m >= 1e12)
     m += frac > 0.5
-    m_flat, k_flat = m.reshape(-1), k.reshape(-1)
-    for i in np.flatnonzero(slow):
-        m_flat[i], k_flat[i] = _e11_digits(float(ax.flat[i]))
+    redo = np.nonzero(slow)
+    if redo[0].size:
+        m[redo], k[redo] = np.array([_e11_digits(v)
+                                     for v in ax[redo].tolist()]).T
     carry = m == 1e12
     m[carry], k[carry] = 1e11, k[carry] + 1
     # the digits in three groups of four, by divisions exact below 2^53

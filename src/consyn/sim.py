@@ -540,20 +540,18 @@ class CsvWriter(contextlib.AbstractContextManager):
     sample as "%.12g", the bytes of np.savetxt. The file is created at
     once, so an unwritable path fails before the run. On two or more CPUs,
     a forked child formats each CSV_FORK_VALUES values of final rows while
-    fewer children than CPUs but one are busy, and the part file of each
-    is appended once it and every part before it are done; finish splits
-    the rest into a range per CPU, a child each, and appends the parts
-    left. On one CPU it writes every row itself. An OSError ending the
-    block is raised naming path; no child or part file outlives the block,
-    nor the CSV if it fails before finish."""
+    fewer children than CPUs but one are busy; finish splits the rest into
+    a range per CPU, a child each, and appends their part files in order.
+    On one CPU it writes every row itself. An OSError ending the block is
+    raised naming path; no child or part file outlives the block, nor the
+    CSV if it fails before finish."""
 
     def __init__(self, path, decimation: int = 1):
         if decimation < 1:
             raise ValueError("decimation must be >= 1")
         self.path, self.decimation = path, decimation
         self._cpus, self._children = _cpu_count(), _Children()
-        self._parts, self._appended, self._cols = [], 0, 0
-        self._finishing = False
+        self._parts, self._cols, self._finishing = [], 0, False
         try:
             self._out = open(path, "wb")
         except OSError as exc:
@@ -562,7 +560,7 @@ class CsvWriter(contextlib.AbstractContextManager):
     def __exit__(self, kind, exc, tb) -> None:
         self._children.kill()
         self._out.close()
-        for _, part in self._parts[self._appended:]:
+        for _, part in self._parts:
             os.unlink(part)
         if kind is not None and not self._finishing:
             os.unlink(self.path)
@@ -597,36 +595,18 @@ class CsvWriter(contextlib.AbstractContextManager):
         finally:
             os.close(fd)
 
-    def _append(self) -> None:
-        """Append, in order, the part files of the children that have
-        ended well, up to the first one running or failed, and flush them
-        out of the buffer later children inherit."""
-        running = {index for index, _ in self._children.running.values()}
-        outcomes = self._children.outcomes
-        while (self._appended < len(self._parts)
-               and self._appended not in running
-               and not isinstance(outcomes[self._appended], BaseException)):
-            part = self._parts[self._appended][1]
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, self._out)
-            self._appended += 1
-            os.unlink(part)
-        self._out.flush()
-
     def __call__(self, traj: Trajectory, stop: int) -> None:
         """Take the samples before stop, which are final."""
         start = self._next_row(traj)
         batch = -(-CSV_FORK_VALUES // self._cols)
         self._children.reap(wait=False)
-        self._append()
         while (-(-stop // self.decimation) - start >= batch
                and len(self._children.running) < self._cpus - 1):
             self._fork(traj, range(start, start + batch))
             start += batch
 
     def finish(self, traj: Trajectory) -> None:
-        """Write the rows not handed out, wait for every child and append
-        the parts left."""
+        """Write the rows not handed out and wait for every child."""
         self._finishing = True
         rest = range(self._next_row(traj), len(traj.times[::self.decimation]))
         k = min(self._cpus, len(rest))
@@ -640,7 +620,9 @@ class CsvWriter(contextlib.AbstractContextManager):
             if isinstance(outcome, BaseException):
                 raise OSError(f"the process formatting rows {rows.start + 1}"
                               f"-{rows.stop} failed: {outcome}")
-        self._append()
+        for _, part in self._parts:
+            with open(part, "rb") as src:
+                shutil.copyfileobj(src, self._out)
         self._out.close()
 
 

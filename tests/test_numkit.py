@@ -174,6 +174,16 @@ def percent_g12(block) -> bytes:
 @settings(max_examples=300, deadline=None)
 def test_format_g12_is_percent_g12(block):
     assert format_g12(block) == percent_g12(block)
+    # the same values laid out column by column
+    assert format_g12(np.asfortranarray(block)) == percent_g12(block)
+
+
+def test_format_g12_tables_are_uint64():
+    """The digit and mask words stay uint64 under numpy 1.x, which casts
+    a Python int and a uint64 to float64, as under numpy 2."""
+    for table in (numkit._TAIL, numkit._QUAD, numkit._HEAD, numkit._MASK_LO,
+                  numkit._MASK_HI, numkit._DOT_LO, numkit._DOT_HI):
+        assert table.dtype == np.uint64
 
 
 @given(ties=st.lists(NEAR_TIES, min_size=1, max_size=30))

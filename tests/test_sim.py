@@ -1176,7 +1176,8 @@ def in_children(monkeypatch, rows):
 def test_streamed_worker_failure_names_the_csv(tmp_path, monkeypatch):
     """A child that cannot write the rows it took during the run makes
     finish raise OSError naming the CSV and the first failed rows, after
-    every child is reaped and every part file deleted."""
+    every child is reaped and every part file deleted; the CSV keeps its
+    header."""
     def no_room(*args):
         raise OSError("no room")
     in_children(monkeypatch, no_room)
@@ -1186,33 +1187,7 @@ def test_streamed_worker_failure_names_the_csv(tmp_path, monkeypatch):
     assert str(exc.value) == (f"cannot write {path}: the process formatting "
                               "rows 1-1 failed: no room")
     assert os.listdir(tmp_path) == ["traj.csv"]
-    assert_no_child_left()
-
-
-def test_parts_are_appended_while_the_run_integrates(tmp_path, monkeypatch):
-    """The part file of a child that has ended is appended at a later
-    chunk, before finish: the CSV grows while the run integrates, and ends
-    with the bytes one CPU writes."""
-    monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
-    streamed_run(tmp_path / "one.csv")
-    monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(sim, "CSV_FORK_VALUES", 1)
-    path = tmp_path / "traj.csv"
-    header = len((tmp_path / "one.csv").read_text().split("\n")[0]) + 1
-    grew = []
-
-    def take(csv, traj, stop):
-        csv(traj, stop)
-        deadline = time.monotonic() + 30
-        while (stop == traj.times.size and path.stat().st_size == header
-               and time.monotonic() < deadline):
-            time.sleep(0.01)
-            csv(traj, stop)
-        grew.append(path.stat().st_size > header)
-    streamed_run(path, take)
-    assert grew[-1]
-    assert path.read_bytes() == (tmp_path / "one.csv").read_bytes()
-    assert sorted(os.listdir(tmp_path)) == ["one.csv", "traj.csv"]
+    assert path.read_text() == "t,x1_1,x2_1,e1_1,e2_1,z1_1,z2_1,V,J_running\n"
     assert_no_child_left()
 
 
