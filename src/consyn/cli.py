@@ -374,8 +374,13 @@ def cmd_repro(ns) -> int:
 
         if sim._cpu_count() > 1:
             # a forked child integrates the attenuation run meanwhile
-            run_c, (traj_h,) = sim._run_children(
-                [lambda: integrate(attenuation_run)], consensus_stage)
+            children = sim._Children()
+            try:
+                children.fork(lambda: integrate(attenuation_run))
+                run_c = consensus_stage()
+                (traj_h,) = children.reap()
+            finally:
+                children.kill()
             stage = "attenuation-sim"
             if isinstance(traj_h, BaseException):
                 raise traj_h

@@ -15,14 +15,15 @@ the performance output and the disturbance input channel at a given gamma:
      [D2^T,                                     0,  0, -gamma^2 I]]
 
 At each scalar the solver seeds P from the equivalent Riccati equation
-(Gahinet and Apkarian 1994) and takes damped Newton steps to the analytic
-centre, where the log-det barrier is smallest. The scalar is laddered
-up until a centre exists, then descended geometrically while one does; the
-smallest visited scalar whose verified margin meets the relative rule
-margin >= MARGIN_REL * (1 + ||assembled||_F) is returned. That rule caps
-the scalar from above (the requirement grows with the scalar while the
-achievable margin saturates), so the feasible-with-margin region is a window
-and a plain bisection would fail.
+(Gahinet and Apkarian 1994), solved with numpy alone through the matrix sign
+function of its Hamiltonian (Roberts 1980; Byers 1987), and takes damped
+Newton steps to the analytic centre, where the log-det barrier is smallest.
+The scalar is laddered up until a centre exists, then descended
+geometrically while one does; the smallest visited scalar whose verified
+margin meets the relative rule margin >= MARGIN_REL * (1 + ||assembled||_F)
+is returned. That rule caps the scalar from above (the requirement grows
+with the scalar while the achievable margin saturates), so the
+feasible-with-margin region is a window and a plain bisection would fail.
 
 Infeasibility is reported, never certified: exhausting the scalar ladder
 raises InfeasibleError carrying the search's trace.
@@ -251,6 +252,51 @@ def _barrier_derivatives(stacker: _Stacker, v, scalar: float):
     return np.trace(g, axis1=1, axis2=2), flat @ flat.T
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _care(a, b, q, r_diag):
+    """Stabilising X of A^T X + X A - X B R^-1 B^T X + Q = 0, R = diag(r_diag)
+    and possibly indefinite, from the matrix sign function of the
+    Hamiltonian H = [[A, -B R^-1 B^T], [-Q, -A^T]] (Roberts 1980; Byers
+    1987). Newton steps Z <- (Z / mu + mu Z^-1) / 2 from Z = H, scaled by
+    mu = |det Z|^(1/2n) while a step moves Z by more than 1%, converge to
+    S = sign(H); the stable subspace [I; X] is the null space of S + I, so
+    X is the least-squares solution of [S12; S22 + I] X = -[S11 + I; S21].
+
+    Raises LinAlgError without a stabilising solution: a singular step, no
+    convergence in 100 steps, or a residual above 1e-6 of the equation's
+    largest term, which is what rounding leaves of eigenvalues of H on the
+    imaginary axis (solvable random draws leave below 1e-7). Raises
+    FloatingPointError where a value overflows, never a RuntimeWarning.
+    """
+    n = a.shape[0]
+    g = (b / r_diag) @ b.T
+    z = np.block([[a, -g], [-q, -a.T]])
+    scale = True
+    for _ in range(100):
+        z_inv = np.linalg.inv(z)
+        if scale:
+            # the log keeps det Z from overflowing at large n or entries
+            mu = np.exp(np.linalg.slogdet(z)[1] / (2 * n))
+            z_next = 0.5 * (z / mu + mu * z_inv)
+        else:
+            z_next = 0.5 * (z + z_inv)
+        step = np.abs(z_next - z).max() / np.abs(z_next).max()
+        z = z_next
+        if step <= 1e-7:
+            break
+        scale = step > 1e-2
+    else:
+        raise np.linalg.LinAlgError("the sign function did not converge")
+    w = z + np.eye(2 * n)
+    x = np.linalg.lstsq(w[:, n:], -w[:, :n], rcond=None)[0]
+    x = (x + x.T) / 2.0
+    terms = (a.T @ x + x @ a, x @ g @ x, q)
+    residual = np.abs(terms[0] - terms[1] + terms[2]).max()
+    if not residual <= 1e-6 * max(np.abs(t).max() for t in terms):
+        raise np.linalg.LinAlgError("no stabilising Riccati solution")
+    return x
+
+
 def _center(stacker: _Stacker, scalar: float):
     """Analytic centre of the strictly feasible p at a fixed scalar.
 
@@ -262,26 +308,20 @@ def _center(stacker: _Stacker, scalar: float):
     singular Hessian or an infeasible step keeps the current point. Returns
     (p, Newton steps), or None without a strictly feasible seed.
     """
-    # here, not at import: only a certificate search loads scipy
-    from scipy.linalg import block_diag, solve_continuous_are
     problem, m = stacker.problem, stacker.problem.model
-    cols, r = [m.b], [np.eye(m.b.shape[1]) / scalar]
+    cols, r = [m.b], [np.full(m.b.shape[1], 1.0 / scalar)]
     # an alpha^2 whose inverse overflows weighs nothing: solve as alpha = 0
     if m.alpha ** 2 > 1.0 / np.finfo(float).max:
         cols.append(m.d1)
-        r.append(-np.eye(m.d1.shape[1]) / m.alpha ** 2)
+        r.append(np.full(m.d1.shape[1], -1.0 / m.alpha ** 2))
     q = 1.01 * np.eye(stacker.n)
     if problem.kind == LmiKind.HINF:
         cols.append(m.d2)
-        r.append(-problem.gamma ** 2 * np.eye(m.d2.shape[1]))
+        r.append(np.full(m.d2.shape[1], -problem.gamma ** 2))
         q = q + m.c_out.T @ m.c_out
     try:
-        # an underflowing B R^-1 B^T (scipy casts a NaN) or a subnormal A
-        # (its balancing overflows) leaves no seed, and no RuntimeWarning
-        with np.errstate(invalid="raise", over="raise"):
-            p0 = np.linalg.inv(solve_continuous_are(m.a, np.hstack(cols), q,
-                                                    block_diag(*r)))
-    except (np.linalg.LinAlgError, ValueError, FloatingPointError):
+        p0 = np.linalg.inv(_care(m.a, np.hstack(cols), q, np.concatenate(r)))
+    except (np.linalg.LinAlgError, FloatingPointError):
         return None
     v, steps = stacker.vech((p0 + p0.T) / 2.0), 0
     derivs = _barrier_derivatives(stacker, v, scalar)

@@ -516,21 +516,6 @@ def _outcome(data: bytes, code: int):
     return ChildProcessError(f"a forked process {how}")
 
 
-def _run_children(tasks: list[Callable[[], object]],
-                  meanwhile: Optional[Callable[[], object]] = None
-                  ) -> tuple[object, list]:
-    """Run each task in a forked child while this process runs meanwhile;
-    return what meanwhile returns (None without it) and the outcomes. No
-    child outlives the call: if this process fails, they are killed."""
-    children = _Children()
-    try:
-        for task in tasks:
-            children.fork(task)
-        return (meanwhile() if meanwhile else None), children.reap()
-    finally:
-        children.kill()
-
-
 class CsvWriter(contextlib.AbstractContextManager):
     """The trajectory CSV at path, written as the run's rows become final:
     with CsvWriter(path) as csv: csv.finish(integrate(scenario, csv)).

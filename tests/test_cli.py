@@ -563,38 +563,42 @@ def test_alpha_below_off_axis_lipschitz_constant_exit_code(tmp_path, capsys):
     assert not (tmp_path / "simulate_report.json").exists()
 
 
-def test_cli_loads_scipy_only_for_a_certificate_search(tmp_path):
-    """Only the certificate search uses scipy, whose import costs about
-    0.3 s: importing the CLI, and a graph or a certified simulate run in
-    a fresh process, load no scipy module; a search loads scipy.linalg."""
+def test_no_command_loads_scipy(tmp_path):
+    """numpy is the only runtime dependency: importing consyn, and a graph,
+    a certified simulate, a feasible and an infeasible synth and a short
+    repro run, each in a fresh process, load no scipy module."""
     src = str(Path(cli.__file__).resolve().parents[1])
     model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    # no rung of the scalar ladder has a feasible point: exit 3
+    bad = write_json(tmp_path / "bad.json",
+                     {"a": [[1.0]], "b": [[0.0]], "d1": [[1.0]]})
     cert = write_json(tmp_path / "cert.json", WITNESS)
     gfile = tmp_path / "g.txt"
     gfile.write_text(TWO_NODE)
     out = ["--out-dir", str(tmp_path)]
-    runs = {"import": [], "graph": ["graph", str(gfile)] + out,
-            "simulate --cert": ["simulate", model, str(gfile), "--mode",
-                                "leaderless", "--cert", cert, "--t-end",
-                                "0.5"] + out,
-            "synth": ["synth", model, str(gfile), "--mode", "leaderless"]
-            + out}
-    loaded = {}
-    for name, argv in runs.items():
-        loaded[name] = json.loads(subprocess.run(
+    runs = {"import": ([], 0), "graph": (["graph", str(gfile)] + out, 0),
+            "simulate --cert": (["simulate", model, str(gfile), "--mode",
+                                 "leaderless", "--cert", cert, "--t-end",
+                                 "0.5"] + out, 0),
+            "synth": (["synth", model, str(gfile), "--mode", "leaderless"]
+                      + out, 0),
+            "infeasible synth": (["synth", bad, str(gfile), "--mode",
+                                  "leaderless"] + out, 3),
+            "repro": (["repro", "--t-end", "0.5"] + out, 0)}
+    for name, (argv, code) in runs.items():
+        loaded = json.loads(subprocess.run(
             [sys.executable, "-c",
              "import json, sys; from consyn import cli\n"
-             "if sys.argv[1:]: assert cli.main(sys.argv[1:]) == 0\n"
+             "code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+             "assert code == int(sys.argv[1]), code\n"
              "print(json.dumps(sorted(m for m in sys.modules\n"
              "                        if m.split('.')[0] == 'scipy')))",
-             *argv],
+             str(code), *argv],
             env=dict(os.environ, PYTHONPATH=src), check=True,
             capture_output=True, text=True,
             # the last line, after the command's own output
             timeout=120).stdout.splitlines()[-1])
-    assert loaded["import"] == loaded["graph"] == []
-    assert loaded["simulate --cert"] == []
-    assert "scipy.linalg" in loaded["synth"]
+        assert loaded == [], name
 
 
 # an empty b would reach the Riccati solver as a 1x0 input matrix

@@ -1,15 +1,18 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_continuous_are
 
 from consyn import (AgentModel, InfeasibleError, LmiCertificate, Nonlinearity,
                     assemble, solve, verify)
 from consyn import benchmark
 from consyn.lmi import (MAX_LADDER, LmiKind, LmiProblem,
-                        _barrier_derivatives, _center, _margin_and_req,
-                        _Stacker)
+                        _barrier_derivatives, _care, _center,
+                        _margin_and_req, _Stacker)
 
 from conftest import scalar_model
 
@@ -254,6 +257,105 @@ def test_center_is_none_on_uncontrollable_scalar_model():
     stacker = _Stacker(problem, 1e-6)
     for s in (1.0, 1e3, 1e6):
         assert _center(stacker, s) is None
+
+
+@pytest.mark.parametrize("model, scalars", [
+    # H has eigenvalues +-i: an undamped oscillator with no input
+    (AgentModel(a=[[0.0, 1.0], [-1.0, 0.0]], b=[[0.0], [0.0]],
+                d1=[[0.0], [0.0]]), (1.0, 1e3, 1e6)),
+    # X ~ 2e41 solves the equation, and p = X^-1 is far below delta_p
+    (AgentModel(a=[[-2.225073858507203e-309]], b=[[1.401298464324817e-45]],
+                d1=[[0.0]]), tuple(10.0 ** k for k in range(1, 8))),
+    # B R^-1 B^T underflows to zero, and H = [[0, 0], [-1.01, 0]]
+    (AgentModel(a=[[0.0]], b=[[4.2e-279]], d1=[[0.0]]),
+     tuple(10.0 ** k for k in range(1, 8))),
+    # |det H| ~ 1e900 overflows as a product, and the fourth state, with no
+    # input and a disturbance, puts +-1.005i in H
+    (AgentModel(a=np.zeros((4, 4)), b=np.eye(4, 3), d1=np.eye(4)[:, 3:],
+                alpha=1.0), (1e300,)),
+], ids=["imaginary-axis", "subnormal-a", "underflowing-g", "overflowing-det"])
+def test_center_gives_no_seed_and_no_warning(model, scalars):
+    stacker = _Stacker(LmiProblem(LmiKind.CONSENSUS, model), 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in scalars:
+            assert _center(stacker, s) is None
+
+
+@pytest.mark.parametrize("a, b, r", [
+    # H has eigenvalues +-i, and the first sign step is exactly zero
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 1)), np.ones(1)),
+    # H = [[1, 1], [-1.01, -1]] has eigenvalues +-0.1i; the sign steps
+    # converge to a split that rounding made, whose X leaves a residual
+    (np.eye(1), np.eye(1), -np.ones(1)),
+], ids=["singular-step", "residual"])
+def test_care_raises_without_a_stabilising_solution(a, b, r):
+    with pytest.raises(np.linalg.LinAlgError):
+        _care(a, b, 1.01 * np.eye(len(a)), r)
+
+
+def test_care_scales_a_hamiltonian_whose_determinant_overflows():
+    # |det H| = prod(a_i^2 + 1) ~ 1e901; each decoupled scalar equation
+    # 2 a x - x^2 + 1 = 0 has the stabilising root x = a + sqrt(a^2 + 1)
+    a = np.diag([1e150, 2e150, 3e150])
+    x = _care(a, np.eye(3), np.eye(3), np.ones(3))
+    expected = 2.0 * a
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_care_matches_scipy_where_well_conditioned(seed, n, hinf):
+    """On random stabilisable (A, B) with Q = 1.01 I + C^T C and R > 0, or
+    in the hinf form with one negative weight in R, _care agrees with
+    scipy's Schur-based solver to 1e-8 relative wherever scipy's X is well
+    conditioned: a residual below 1e-10 of Q, a closed loop stable by 1e-3
+    of its norm, and cond(X) <= 1e8."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    r = np.full(b.shape[1], rng.uniform(0.1, 10.0))
+    if hinf:
+        b = np.hstack([b, rng.standard_normal((n, 1))])
+        r = np.append(r, -rng.uniform(1.0, 100.0))
+    c = rng.standard_normal((n, n))
+    q = 1.01 * np.eye(n) + c.T @ c
+    try:
+        expected = solve_continuous_are(a, b, q, np.diag(r))
+    except np.linalg.LinAlgError:
+        assume(False)
+    g = (b / r) @ b.T
+    closed = a - g @ expected
+    residual = a.T @ expected + expected @ a - expected @ g @ expected + q
+    assume(np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(q))
+    assume(np.linalg.eigvals(closed).real.max()
+           <= -1e-3 * np.linalg.norm(closed))
+    assume(np.linalg.cond(expected) <= 1e8)
+    x = _care(a, b, q, r)
+    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+# The probes of repro's two searches and of the design workload's
+# manipulator case (hinf at gamma = 3), as the scipy-seeded solver found
+# them: a change to the Riccati seed that moves a rung fails here.
+CONSENSUS_PROBES = [48341.126, 4834.1126, 483.41126, 48.341126, 4.8341126,
+                    0.48341126, 0.048341126, 0.15286806281718476]
+HINF_PROBES = [48341.126, 4834.1126, 483.41126, 48.341126, 4.8341126,
+               0.48341126, 1.5286806281718477]
+
+
+@pytest.mark.parametrize("kind, gamma, scalars, centred", [
+    (LmiKind.CONSENSUS, None, CONSENSUS_PROBES, [True] * 6 + [False] * 2),
+    (LmiKind.HINF, benchmark.GAMMA, HINF_PROBES, [True] * 5 + [False, True]),
+    (LmiKind.HINF, 3.0, HINF_PROBES, [True] * 5 + [False, True]),
+], ids=["consensus", "hinf-repro", "hinf-gamma-3"])
+def test_manipulator_ladders_are_pinned(bench_model, kind, gamma, scalars,
+                                        centred):
+    trace = solve(LmiProblem(kind, bench_model, gamma=gamma)).trace
+    assert trace.stop == "descent_infeasible"
+    assert [r.scalar for r in trace.probes] == pytest.approx(scalars,
+                                                             rel=1e-12)
+    assert [not np.isnan(r.margin) for r in trace.probes] == centred
 
 
 def test_solve_manipulator_scalars_are_pinned(consensus_design, hinf_design):

@@ -1011,18 +1011,21 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_run_children_returns_each_outcome():
+def test_children_returns_each_outcome():
     """The forked tasks' values, the exceptions they raise with their
     attributes, and a ChildProcessError for a child that ends without
-    reporting, next to what this process ran meanwhile."""
+    reporting, in fork order."""
     def blow_up():
         raise BlowUpError("too large", last_valid_time=0.25)
 
-    own, outcomes = sim._run_children(
-        [lambda: np.arange(3.0), blow_up, lambda: os._exit(3),
-         lambda: os.kill(os.getpid(), signal.SIGKILL)],
-        lambda: os.getpid())
-    assert own == os.getpid()
+    children = sim._Children()
+    try:
+        for task in [lambda: np.arange(3.0), blow_up, lambda: os._exit(3),
+                     lambda: os.kill(os.getpid(), signal.SIGKILL)]:
+            children.fork(task)
+        outcomes = children.reap()
+    finally:
+        children.kill()
     assert outcomes[0].tolist() == [0.0, 1.0, 2.0]
     assert isinstance(outcomes[1], BlowUpError)
     assert (str(outcomes[1]), outcomes[1].last_valid_time) == \
@@ -1043,7 +1046,7 @@ def running(pid: int) -> bool:
         return False
 
 
-def test_run_children_child_ends_when_its_parent_is_killed(tmp_path):
+def test_children_child_ends_when_its_parent_is_killed(tmp_path):
     """A child whose parent was killed ends once it has a result to send,
     rather than blocking on a pipe that no process reads."""
     pid_file = tmp_path / "child.pid"
@@ -1062,7 +1065,8 @@ def test_run_children_child_ends_when_its_parent_is_killed(tmp_path):
                 time.sleep(0.01)
             os.kill(os.getpid(), signal.SIGKILL)
 
-        sim._run_children([task], die)
+        sim._Children().fork(task)
+        die()
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(sim.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], timeout=60,
