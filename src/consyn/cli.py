@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -139,19 +140,15 @@ def load_certificate(path) -> tuple[np.ndarray, float]:
     return p, scalar
 
 
-def _config_hash(parts: list) -> str:
-    payload = json.dumps(parts, sort_keys=True, default=str).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def _provenance(args_dict, extra_parts=()) -> dict:
+    # func, the subcommand function, prints with a memory address
+    parts = [{k: v for k, v in args_dict.items() if k != "func"},
+             list(extra_parts)]
+    payload = json.dumps(parts, sort_keys=True, default=str).encode()
     return {
         "tool": "consyn",
         "version": __version__,
-        # func, the subcommand function, prints with a memory address
-        "config_hash": _config_hash([
-            {k: v for k, v in args_dict.items() if k != "func"},
-            list(extra_parts)]),
+        "config_hash": hashlib.sha256(payload).hexdigest()[:16],
         "seed": args_dict.get("seed"),
     }
 
@@ -455,6 +452,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built once per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="consyn",

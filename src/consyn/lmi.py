@@ -16,8 +16,9 @@ the performance output and the disturbance input channel at a given gamma:
 
 At each scalar the solver seeds P from the equivalent Riccati equation
 (Gahinet and Apkarian 1994), solved with numpy alone through the matrix sign
-function of its Hamiltonian (Roberts 1980; Byers 1987), and takes damped
-Newton steps to the analytic centre, where the log-det barrier is smallest.
+function of its Hamiltonian (Roberts 1980; Byers 1987), then takes Newton
+steps sized by an exact line search (Vandenberghe, Boyd and Wu 1998) to the
+analytic centre, where the log-det barrier is smallest.
 The scalar is laddered up until a centre exists, then descended
 geometrically while one does; the smallest visited scalar whose verified
 margin meets the relative rule margin >= MARGIN_REL * (1 + ||assembled||_F)
@@ -125,34 +126,34 @@ class MarginReport:
 
 
 def assemble(problem: LmiProblem, p, scalar: float) -> NDArray[np.float64]:
-    """Assemble the block matrix of the inequality at (p, scalar).
+    """Assemble the block matrix of the inequality at (p, scalar); a stack
+    of p, shape (..., n, n), gives the stack of block matrices.
 
     Raises ValueError when a block overflows the float range.
     """
     m = problem.model
     a, b, d1 = m.a, m.b, m.d1
     n = a.shape[0]
-    pm = numkit.as_matrix(p, "p")
-    if pm.shape != (n, n):
+    pm = numkit.as_matrix(p, "p") if np.ndim(p) <= 2 else np.asarray(p, float)
+    if pm.shape[-2:] != (n, n):
         raise ValueError(f"p must be {n}x{n}, got {pm.shape}")
+    # the consensus kind is the hinf block without its last two borders
+    hinf = problem.kind == LmiKind.HINF
+    c, d2 = (m.c_out, m.d2) if hinf else (np.zeros((0, n)), np.zeros((n, 0)))
+    j, k = 2 * n, 2 * n + len(c)
+    dim = k + d2.shape[1]
+    out = np.zeros(pm.shape[:-2] + (dim, dim))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            b11 = (a @ pm + pm @ a.T - scalar * (b @ b.T)
-                   + m.alpha ** 2 * (d1 @ d1.T))
-            eye = np.eye(n)
-            if problem.kind == LmiKind.CONSENSUS:
-                return np.block([[b11, pm], [pm, -eye]])
-            d2, c = m.d2, m.c_out
-            m2 = c.shape[0]
-            m1 = d2.shape[1]
-            gamma = float(problem.gamma)
-            return np.block([
-                [b11, pm, pm @ c.T, d2],
-                [pm, -eye, np.zeros((n, m2)), np.zeros((n, m1))],
-                [c @ pm, np.zeros((m2, n)), -np.eye(m2), np.zeros((m2, m1))],
-                [d2.T, np.zeros((m1, n)), np.zeros((m1, m2)),
-                 -gamma ** 2 * np.eye(m1)],
-            ])
+            out[..., :n, :n] = (a @ pm + pm @ a.T - scalar * (b @ b.T)
+                                + m.alpha ** 2 * (d1 @ d1.T))
+            out[..., :n, n:j] = out[..., n:j, :n] = pm
+            out[..., :n, j:k], out[..., j:k, :n] = pm @ c.T, c @ pm
+            out[..., :n, k:], out[..., k:, :n] = d2, d2.T
+            weight = float(problem.gamma) ** 2 if hinf else 1.0
+            for lo, hi, w in ((n, j, 1.0), (j, k, 1.0), (k, dim, weight)):
+                out[..., lo:hi, lo:hi] = -w * np.eye(hi - lo)
+            return out
     except FloatingPointError as exc:
         raise ValueError(
             f"the inequality overflows at scalar {scalar:.3e} and a p of "
@@ -180,14 +181,9 @@ def verify(problem: LmiProblem, cert: LmiCertificate) -> MarginReport:
                                   "the assembled inequality")
     p_margin, lmi_margin = float(p_values[0]), -float(m_values[-1])
     p_floor, lmi_floor = _floor(p_values), _floor(m_values)
-    return MarginReport(
-        p_margin=p_margin,
-        lmi_margin=lmi_margin,
-        p_floor=p_floor,
-        lmi_floor=lmi_floor,
-        passed=bool(cert.scalar > 0 and p_margin > p_floor
-                    and lmi_margin > lmi_floor),
-    )
+    return MarginReport(p_margin, lmi_margin, p_floor, lmi_floor,
+                        passed=bool(cert.scalar > 0 and p_margin > p_floor
+                                    and lmi_margin > lmi_floor))
 
 
 class _Stacker:
@@ -207,41 +203,42 @@ class _Stacker:
         self.rows = np.concatenate([diag, iu])
         self.cols = np.concatenate([diag, ju])
         self.delta_p = delta_p
-        zero_p = np.zeros((self.n, self.n))
-        self.m_zero = self._stack(zero_p, 0.0)
-        self.m_scalar = self._stack(zero_p, 1.0) - self.m_zero
-        self.dim = self.m_zero.shape[0]
-        self.m_flat = np.array([
-            (self._stack(self.unvech(e), 0.0) - self.m_zero).ravel()
-            for e in np.eye(len(self.rows))])
-        self.basis = self.m_flat.reshape(-1, self.dim, self.dim)
+        # one stack: the zero p, then the unit p of each vech coordinate
+        k = len(self.rows)
+        units = self._stack(self.unvech(np.eye(k + 1, k, -1)), 0.0)
+        self.m_zero = units[0]
+        self.m_scalar = (self._stack(np.zeros((self.n, self.n)), 1.0)
+                         - self.m_zero)
+        self.basis = units[1:] - self.m_zero
+        self.m_flat = self.basis.reshape(k, -1)
 
     def vech(self, p):
         return p[self.rows, self.cols]
 
     def unvech(self, v):
-        p = np.zeros((self.n, self.n))
-        p[self.rows, self.cols] = v
-        p[self.cols, self.rows] = v
+        p = np.zeros(np.shape(v)[:-1] + (self.n, self.n))
+        p[..., self.rows, self.cols] = v
+        p[..., self.cols, self.rows] = v
         return p
 
     def _stack(self, p, scalar):
         m = assemble(self.problem, p, scalar)
-        k = m.shape[0]
-        out = np.zeros((k + self.n, k + self.n))
-        out[:k, :k] = m
-        out[k:, k:] = -p + self.delta_p * np.eye(self.n)
+        k = m.shape[-1]
+        out = np.zeros(m.shape[:-2] + (k + self.n, k + self.n))
+        out[..., :k, :k] = m
+        out[..., k:, k:] = -p + self.delta_p * np.eye(self.n)
         return out
 
     def at(self, v, scalar):
         return (self.m_zero + scalar * self.m_scalar
-                + (v @ self.m_flat).reshape(self.dim, self.dim))
+                + (v @ self.m_flat).reshape(self.m_zero.shape))
 
 
 def _barrier_derivatives(stacker: _Stacker, v, scalar: float):
     """Gradient tr(W E_i) and Hessian tr(W E_i W E_j) of -log det(-S(v)),
     S = stacker.at(v, scalar), W = (-S)^-1, through G_i = L^-1 E_i L^-T with
-    -S = L L^T. None unless S is strictly negative definite."""
+    -S = L L^T, and the rows vec(G_i). None unless S is strictly negative
+    definite."""
     try:
         chol = np.linalg.cholesky(-stacker.at(v, scalar))
     except np.linalg.LinAlgError:
@@ -249,7 +246,26 @@ def _barrier_derivatives(stacker: _Stacker, v, scalar: float):
     c_inv = np.linalg.inv(chol)
     g = c_inv @ stacker.basis @ c_inv.T
     flat = g.reshape(len(g), -1)
-    return np.trace(g, axis1=1, axis2=2), flat @ flat.T
+    return np.trace(g, axis1=1, axis2=2), flat @ flat.T, flat
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _line_search(mu, t: float) -> float:
+    """The t in [0, 1 / mu[-1]) minimising -sum log(1 - t mu), the change of
+    the barrier along a Newton step dv, mu the sorted eigenvalues of sum
+    dv_i G_i: Newton iterations from t, bisecting where one leaves bounds."""
+    if mu[-1] <= 0:
+        return t
+    lo, hi = 0.0, 1.0 / mu[-1]
+    for _ in range(8):
+        r = mu / (1.0 - t * mu)
+        slope, curvature = r.sum(), r @ r
+        if slope * slope <= 1e-8 * curvature:
+            break
+        lo, hi = (t, hi) if slope < 0 else (lo, t)
+        t_next = t - slope / curvature
+        t = t_next if lo < t_next < hi else 0.5 * (lo + hi)
+    return t
 
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
@@ -274,12 +290,9 @@ def _care(a, b, q, r_diag):
     scale = True
     for _ in range(100):
         z_inv = np.linalg.inv(z)
-        if scale:
-            # the log keeps det Z from overflowing at large n or entries
-            mu = np.exp(np.linalg.slogdet(z)[1] / (2 * n))
-            z_next = 0.5 * (z / mu + mu * z_inv)
-        else:
-            z_next = 0.5 * (z + z_inv)
+        # the log keeps det Z from overflowing at large n or entries
+        mu = np.exp(np.linalg.slogdet(z)[1] / (2 * n)) if scale else 1.0
+        z_next = 0.5 * (z / mu + mu * z_inv)
         step = np.abs(z_next - z).max() / np.abs(z_next).max()
         z = z_next
         if step <= 1e-7:
@@ -303,8 +316,10 @@ def _center(stacker: _Stacker, scalar: float):
     Seed: with Y = P^-1 the Schur complement of the consensus block is
     Y A + A^T Y - s Y B B^T Y + alpha^2 Y D1 D1^T Y + I (hinf adds C^T C +
     gamma^-2 Y D2 D2^T Y); the Riccati equation (indefinite R) sets it to
-    -0.01 I. Then damped Newton: step 1 / (1 + lambda) while the decrement
-    lambda >= 1/4, full steps after, until lambda < 1e-7 or 60 steps; a
+    -0.01 I. Then Newton steps until the decrement lambda < 1e-7 or 60
+    steps: full below lambda = 1/4; above it, of the length _line_search
+    finds, or of the damped 1 / (1 + lambda) (Boyd and Vandenberghe, Convex
+    Optimization, 9.6) where rounding leaves that point infeasible. A
     singular Hessian or an infeasible step keeps the current point. Returns
     (p, Newton steps), or None without a strictly feasible seed.
     """
@@ -328,7 +343,7 @@ def _center(stacker: _Stacker, scalar: float):
     if derivs is None:
         return None
     while steps < 60:
-        grad, hess = derivs
+        grad, hess, flat = derivs
         try:
             dv = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -336,11 +351,18 @@ def _center(stacker: _Stacker, scalar: float):
         dec = float(np.sqrt(max(-grad @ dv, 0.0)))
         if not 1e-7 <= dec < np.inf:
             break
-        v_next = v + (1.0 / (1.0 + dec) if dec >= 0.25 else 1.0) * dv
-        derivs = _barrier_derivatives(stacker, v_next, scalar)
+        damped = 1.0 / (1.0 + dec) if dec >= 0.25 else 1.0
+        lengths = [damped]
+        if dec >= 0.25:
+            mu = np.linalg.eigvalsh((dv @ flat).reshape(stacker.m_zero.shape))
+            lengths = [_line_search(mu, damped), damped]
+        for t in lengths:
+            derivs = _barrier_derivatives(stacker, v + t * dv, scalar)
+            if derivs is not None:
+                break
         if derivs is None:
             break
-        v, steps = v_next, steps + 1
+        v, steps = v + t * dv, steps + 1
     return stacker.unvech(v), steps
 
 
