@@ -318,9 +318,9 @@ def _center(stacker: _Stacker, scalar: float):
     gamma^-2 Y D2 D2^T Y); the Riccati equation (indefinite R) sets it to
     -0.01 I. Then Newton steps until the decrement lambda < 1e-7 or 60
     steps: full below lambda = 1/4; above it, of the length _line_search
-    finds, or of the damped 1 / (1 + lambda) (Boyd and Vandenberghe, Convex
-    Optimization, 9.6) where rounding leaves that point infeasible. A
-    singular Hessian or an infeasible step keeps the current point. Returns
+    finds from the damped 1 / (1 + lambda) (Boyd and Vandenberghe, Convex
+    Optimization, 9.6). A singular Hessian or a step to a point that fails
+    its factorisation ends the iteration at the current point. Returns
     (p, Newton steps), or None without a strictly feasible seed.
     """
     problem, m = stacker.problem, stacker.problem.model
@@ -351,15 +351,11 @@ def _center(stacker: _Stacker, scalar: float):
         dec = float(np.sqrt(max(-grad @ dv, 0.0)))
         if not 1e-7 <= dec < np.inf:
             break
-        damped = 1.0 / (1.0 + dec) if dec >= 0.25 else 1.0
-        lengths = [damped]
+        t = 1.0
         if dec >= 0.25:
             mu = np.linalg.eigvalsh((dv @ flat).reshape(stacker.m_zero.shape))
-            lengths = [_line_search(mu, damped), damped]
-        for t in lengths:
-            derivs = _barrier_derivatives(stacker, v + t * dv, scalar)
-            if derivs is not None:
-                break
+            t = _line_search(mu, 1.0 / (1.0 + dec))
+        derivs = _barrier_derivatives(stacker, v + t * dv, scalar)
         if derivs is None:
             break
         v, steps = v + t * dv, steps + 1

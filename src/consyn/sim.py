@@ -179,8 +179,9 @@ class Disturbance(str, Enum):
 def square_wave(t, kind: str = "bipolar") -> NDArray[np.float64]:
     """The wave of a disturbance kind at the times t, an array of t's
     shape: bipolar is 1 on [0, 1) and -1 on [1, 2), unipolar 1 on [0, 2),
-    both 0 elsewhere; none is 0 throughout."""
-    t = np.asarray(t, dtype=float)
+    both 0 elsewhere; none is 0 throughout. An unknown kind is a
+    ValueError."""
+    t, kind = np.asarray(t, dtype=float), Disturbance(kind)
     if kind == "none":
         return np.zeros_like(t)
     return np.where((0.0 <= t) & (t < 2.0),
@@ -525,11 +526,12 @@ class CsvWriter(contextlib.AbstractContextManager):
     sample as "%.12g", the bytes of np.savetxt. The file is created at
     once, so an unwritable path fails before the run. On two or more CPUs,
     a forked child formats each CSV_FORK_VALUES values of final rows while
-    fewer children than CPUs but one are busy; finish splits the rest into
-    a range per CPU, a child each, and appends their part files in order.
-    On one CPU it writes every row itself. An OSError ending the block is
-    raised naming path; no child or part file outlives the block, nor the
-    CSV if it fails before finish."""
+    fewer children than CPUs but one are busy; finish then splits the rest
+    into a range per CPU, a child each, and appends their part files in
+    order. Where no child took rows, finish writes every row itself: for a
+    finished run, forking costs more than it saves. An OSError ending the
+    block is raised naming path; no child or part file outlives the block,
+    nor the CSV if it fails before finish."""
 
     def __init__(self, path, decimation: int = 1):
         if decimation < 1:
@@ -594,10 +596,10 @@ class CsvWriter(contextlib.AbstractContextManager):
         """Write the rows not handed out and wait for every child."""
         self._finishing = True
         rest = range(self._next_row(traj), len(traj.times[::self.decimation]))
-        k = min(self._cpus, len(rest))
-        if k <= 1 and not self._parts:
+        if not self._parts:
             _write_rows(traj, self._out, rest, self.decimation, self._cols)
         else:
+            k = min(self._cpus, len(rest))
             for i in range(k):
                 self._fork(traj, rest[len(rest) * i // k:
                                       len(rest) * (i + 1) // k])
@@ -612,6 +614,6 @@ class CsvWriter(contextlib.AbstractContextManager):
 
 
 def write_csv(traj: Trajectory, path, decimation: int = 1) -> None:
-    """Write the trajectory as CSV (see CsvWriter), every row at once."""
+    """Write the trajectory as CSV (see CsvWriter) in this process."""
     with CsvWriter(path, decimation) as csv:
         csv.finish(traj)

@@ -157,6 +157,10 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
         divisor = analysis.lambda2_sym if hinf else analysis.a_of_l
     cert = _certify(problem, cert)
     threshold = cert.scalar / divisor
+    if not np.isfinite(threshold * c_multiplier):
+        raise PreconditionError(
+            f"c_multiplier = {c_multiplier:g} times the threshold "
+            f"{threshold:.6g} overflows the coupling c")
     return ProtocolDesign(
         k=-0.5 * numkit.solve_linear(cert.p, model.b).T,
         c=threshold * c_multiplier,

@@ -601,18 +601,88 @@ def test_no_command_loads_scipy(tmp_path):
         assert loaded == [], name
 
 
-# an empty b would reach the Riccati solver as a 1x0 input matrix
-@pytest.mark.parametrize("data", [
-    [1], {"a": [[1]], "b": [[1]], "d1": [[1]], "f": []},
-    dict(SCALAR_MODEL, b=[])], ids=["list", "f-list", "empty-b"])
-def test_malformed_model_file_exit_code(tmp_path, capsys, data):
+# an empty b would reach the Riccati solver as a 1x0 input matrix; int()
+# would read the term index 1.5 as 1
+@pytest.mark.parametrize("data, named", [
+    ([1], "the model must be a JSON object"),
+    ({"a": [[1]], "b": [[1]], "d1": [[1]], "f": []},
+     "f must be a JSON object"),
+    (dict(SCALAR_MODEL, b=[]), "b is empty"),
+    (dict(SCALAR_MODEL, a=[[-1.0, 0.0]]), "a must be square"),
+    (dict(SCALAR_MODEL, b=[[1.0], [1.0]]),
+     "b and d1 must have as many rows as a"),
+    (dict(SCALAR_MODEL, d1=[[1.0], [1.0]]),
+     "b and d1 must have as many rows as a"),
+    (dict(SCALAR_MODEL, d2=[[1.0], [1.0]]), "d2 must have as many rows as a"),
+    (dict(SCALAR_MODEL, c=[[1.0, 1.0]]),
+     "c_out must have as many columns as a"),
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[1.5, 1, 0.5]]}),
+     "nonlinearity term indices must be integers"),
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[1, float("inf"), 0.5]]}),
+     "nonlinearity term indices must be integers"),
+], ids=["list", "f-list", "empty-b", "a-not-square", "b-rows", "d1-rows",
+        "d2-rows", "c-columns", "term-index-1.5", "term-index-inf"])
+def test_malformed_model_file_exit_code(tmp_path, capsys, data, named):
     model = write_json(tmp_path / "m.json", data)
     gfile = tmp_path / "g.txt"
     gfile.write_text(TWO_NODE)
     code = run(["synth", model, str(gfile), "--mode", "leaderless",
                 "--out-dir", str(tmp_path)])
     assert code == 2
-    assert "malformed model file" in capsys.readouterr().err
+    assert f"malformed model file: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "synth_report.json").exists()
+
+
+def test_integral_term_index_loads_as_its_integer():
+    """A term index written 1.0 is the index 1, as it is written 1."""
+    terms = {"kind": "sine", "terms": [[1.0, 1, 0.5]]}
+    model, _ = cli.model_from_dict(dict(SCALAR_MODEL, alpha=1.0, f=terms))
+    assert model.f.terms == ((0, 0, 0.5),)
+
+
+@pytest.mark.parametrize("graph, cert, named", [
+    ("nodes 2.5\n1 2\n2 1\n", json.dumps(WITNESS),
+     "line 1: node count is not an integer"),
+    ('{"adjacency": [[0, 1]]}', json.dumps(WITNESS),
+     "adjacency must be square"),
+    (TWO_NODE, '{"p": [[1.0]], "scalar": 1e999}',
+     "the certificate scalar must be finite, got scalar = inf"),
+], ids=["nodes-2.5", "adjacency-not-square", "scalar-1e999"])
+def test_malformed_graph_or_certificate_exit_code(tmp_path, capsys, graph,
+                                                  cert, named):
+    """A graph file or an injected certificate that cannot be used exits 2
+    with a message naming the fault, and writes no report."""
+    model = write_json(tmp_path / "m.json", SCALAR_MODEL)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(graph)
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(cert)
+    code = run(["synth", model, str(gfile), "--mode", "leaderless",
+                "--cert", str(cfile), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "synth_report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+def test_infinite_coupling_exit_code(tmp_path, capsys, command):
+    """A c_multiplier that takes the published design's coupling past the
+    float range exits 2 naming it, before any report or run."""
+    model = write_json(tmp_path / "m.json", MANIPULATOR)
+    cert = write_json(tmp_path / "cert.json",
+                      {"p": benchmark.REFERENCE_P.tolist(),
+                       "scalar": benchmark.REFERENCE_EPSILON})
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(BENCH_GRAPH)
+    code = run([command, model, str(gfile), "--mode", "hinf", "--gamma", "2",
+                "--cert", cert, "--c-multiplier", "1e307",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "c_multiplier = 1e+307 times the threshold 36.4481 overflows the " \
+        "coupling c" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cert.json", "g.txt", "m.json"]
 
 
 @pytest.mark.parametrize("kind", ["model", "graph", "certificate"])

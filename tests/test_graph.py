@@ -418,6 +418,12 @@ def test_leader_follower_rejects_leader_with_inputs(bench_graph):
         leader_follower_data(bench_graph, 1)
 
 
+@pytest.mark.parametrize("leader", [0, 4])
+def test_leader_follower_rejects_leader_outside_the_nodes(leader):
+    with pytest.raises(ValueError, match=f"leader {leader} outside 1..3"):
+        leader_follower_data(path_graph(), leader)
+
+
 def test_leader_follower_rejects_unreachable_follower():
     g = DiGraph.from_edges(3, [(1, 2), (3, 2)])
     with pytest.raises(PreconditionError):

@@ -422,6 +422,30 @@ def test_center_is_none_on_uncontrollable_scalar_model():
         assert _center(stacker, s) is None
 
 
+def test_step_to_a_failing_point_ends_center_at_the_current_point(
+        bench_model, monkeypatch):
+    """A line-searched step whose point fails its factorisation ends the
+    centring at the point it stands on, here the seed: no other length of
+    the step is tried."""
+    norm_a = float(np.linalg.norm(bench_model.a))
+    stacker = _Stacker(LmiProblem(LmiKind.CONSENSUS, bench_model),
+                       1e-6 * (1.0 + norm_a))
+    points = []
+
+    def seed_only(stacker, v, scalar):
+        points.append(v)
+        return _barrier_derivatives(stacker, v, scalar) \
+            if len(points) == 1 else None
+    monkeypatch.setattr(lmi, "_barrier_derivatives", seed_only)
+    p, steps = _center(stacker, 10.0 * norm_a ** 2)
+    assert (steps, len(points)) == (0, 2)
+    assert p.tobytes() == stacker.unvech(points[0]).tobytes()
+    # the step was line-searched: the seed's decrement is at least 1/4
+    grad, hess, _ = _barrier_derivatives(stacker, points[0],
+                                         10.0 * norm_a ** 2)
+    assert grad @ np.linalg.solve(hess, grad) >= 0.25 ** 2
+
+
 @pytest.mark.parametrize("model, scalars", [
     # H has eigenvalues +-i: an undamped oscillator with no input
     (AgentModel(a=[[0.0, 1.0], [-1.0, 0.0]], b=[[0.0], [0.0]],

@@ -183,6 +183,11 @@ def test_square_wave_unipolar():
     assert square_wave(0.5, "none") == 0.0
 
 
+def test_square_wave_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="'unipolr' is not a valid"):
+        square_wave([0.5, 1.5], "unipolr")
+
+
 @given(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
 @settings(max_examples=50, deadline=None)
 def test_square_wave_range(t):
@@ -681,12 +686,12 @@ def test_lone_last_sample_is_the_whole_run_bit_for_bit(mode):
         assert traj.z_sq.tobytes() == z2.tobytes()
 
 
-def test_run_memory_is_the_states_plus_a_few_blocks(tmp_path, monkeypatch):
+def test_run_memory_is_the_states_plus_a_few_blocks(tmp_path):
     """integrate, assess and write_csv of an N = 64 disturbed run hold no
     (T, N, .) array but the states. numpy reports its buffers to
-    tracemalloc; the workers format the CSV, so the traced peak is this
-    process's arrays: the states, T-long series and a few blocks."""
-    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    tracemalloc; write_csv formats the CSV in this process a block at a
+    time, so the traced peak is the states, T-long series and a few
+    blocks."""
     rng = np.random.default_rng(64)
     design = dataclasses.replace(synthesize(
         benchmark.manipulator_model(), random_balanced_sc_digraph(rng, 64),
@@ -1101,28 +1106,29 @@ def test_write_csv_matches_savetxt_bytes(tmp_path, monkeypatch, cpus,
 
 
 def fail_in(where: str, how: str, monkeypatch):
-    """Make writing fail in the forked workers ("child": sim._write_rows
-    there), in the calling process's own rows ("parent": sim._write_rows on
-    one CPU) or in its appending of the workers' files ("append"), by
-    raising OSError or RuntimeError, or by the worker killing itself."""
-    parent, write_rows = os.getpid(), sim._write_rows
+    """Make writing the CSV fail in the calling process's own rows
+    ("parent": sim._write_rows there), in the forked workers ("child":
+    sim._write_rows there) or in its appending of the workers' files
+    ("append"), by raising OSError or RuntimeError, or by the worker
+    killing itself. Return the writing that then fails, given the CSV's
+    path: write_csv, which forks no worker, for "parent", and for the
+    others a streamed run whose workers take one-row batches."""
     error = {"oserror": OSError, "error": RuntimeError, "kill": None}[how]
 
-    def flaky_rows(*args):
-        if (os.getpid() == parent) == (where == "parent"):
-            if how == "kill":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise error("no room")
-        write_rows(*args)
-
-    def flaky_copy(*args):
+    def fail(*args):
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
         raise error("no room")
-    if where == "append":
-        monkeypatch.setattr(sim.shutil, "copyfileobj", flaky_copy)
-    else:
-        monkeypatch.setattr(sim, "_write_rows", flaky_rows)
-    monkeypatch.setattr(sim, "_cpu_count",
-                        lambda: 1 if where == "parent" else 3)
+    if where != "parent":
+        in_children(monkeypatch, fail if where == "child" else sim._write_rows)
+        if where == "append":
+            monkeypatch.setattr(sim.shutil, "copyfileobj", fail)
+        return streamed_run
+    parent, write_rows = os.getpid(), sim._write_rows
+    monkeypatch.setattr(sim, "_write_rows", lambda *args: fail() if
+                        os.getpid() == parent else write_rows(*args))
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 3)
+    return lambda path: write_csv(special_trajectory(50), path)
 
 
 @pytest.mark.parametrize("where, how", [
@@ -1132,10 +1138,10 @@ def fail_in(where: str, how: str, monkeypatch):
 def test_write_csv_failure_names_the_path(tmp_path, monkeypatch, where, how):
     """A worker, or the calling process, that cannot write its rows raises
     OSError naming the CSV, and leaves no child and no temporary file."""
-    fail_in(where, how, monkeypatch)
+    write = fail_in(where, how, monkeypatch)
     path = tmp_path / "traj.csv"
     with pytest.raises(OSError, match=re.escape(str(path))):
-        write_csv(special_trajectory(50), path)
+        write(path)
     assert os.listdir(tmp_path) == ["traj.csv"]
     assert_no_child_left()
 
@@ -1144,11 +1150,35 @@ def test_write_csv_failure_names_the_path(tmp_path, monkeypatch, where, how):
 def test_write_csv_other_error_cleans_up(tmp_path, monkeypatch, where):
     """An error that is not an OSError in the calling process propagates
     as itself, after the workers are reaped and their files deleted."""
-    fail_in(where, "error", monkeypatch)
+    write = fail_in(where, "error", monkeypatch)
     with pytest.raises(RuntimeError, match="no room"):
-        write_csv(special_trajectory(50), tmp_path / "traj.csv")
+        write(tmp_path / "traj.csv")
     assert os.listdir(tmp_path) == ["traj.csv"]
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_csv_without_streamed_rows_forks_no_child(tmp_path, monkeypatch,
+                                                  cpus):
+    """write_csv, and a CsvWriter whose run handed no child a batch, write
+    every row in the calling process on any CPU count: with forking made
+    to fail, both still give the np.savetxt bytes."""
+    def no_fork(children, task):
+        raise AssertionError("forked a child")
+    monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim._Children, "fork", no_fork)
+    runs = {"finished": special_trajectory(2 * BLOCK * 10 + 3)}
+    write_csv(runs["finished"], tmp_path / "finished.csv")
+
+    def take(csv, traj, stop):
+        runs["streamed"] = traj
+        csv(traj, stop)
+    streamed_run(tmp_path / "streamed.csv", take)
+    for name, traj in runs.items():
+        savetxt_reference(traj, tmp_path / f"{name}-ref.csv", 1,
+                          *traj.e_and_z())
+        assert (tmp_path / f"{name}.csv").read_bytes() == \
+            (tmp_path / f"{name}-ref.csv").read_bytes()
 
 
 def streamed_run(path, on_rows=None):

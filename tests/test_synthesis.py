@@ -87,6 +87,15 @@ def test_multiplier_inflates_c_only():
                    c_multiplier=0.5)
 
 
+def test_infinite_coupling_is_a_precondition_error(bench_model, bench_graph):
+    """A multiplier that takes the coupling past the float range is
+    refused: the design would carry c = inf."""
+    with pytest.raises(PreconditionError, match="overflows the coupling c"):
+        synthesize(bench_model, bench_graph, "hinf", gamma=benchmark.GAMMA,
+                   cert=(benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON),
+                   c_multiplier=1e307)
+
+
 def test_threshold_scales_with_certificate_scalar():
     model = scalar_model()
     g = two_node_graph()
