@@ -56,12 +56,9 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
         fdesc = d.get("f", {"kind": "zero", "terms": []})
         if not isinstance(fdesc, dict):
             raise TypeError("f must be a JSON object")
-        terms = fdesc.get("terms", [])
-        if not all(float(x).is_integer() for t in terms for x in t[:2]):
-            raise ValueError("nonlinearity term indices must be integers")
-        terms = tuple((int(o) - 1, int(i) - 1, float(c))
-                      for (o, i, c) in terms)
-        f = Nonlinearity(kind=fdesc.get("kind", "zero"), terms=terms)
+        # Nonlinearity checks the file's 1-based indices, then they shift
+        f = Nonlinearity(fdesc.get("kind", "zero"), fdesc.get("terms", ()))
+        f = Nonlinearity(f.kind, [(o - 1, i - 1, c) for (o, i, c) in f.terms])
         model = AgentModel(
             a=np.asarray(d["a"], dtype=float),
             b=np.asarray(d["b"], dtype=float),

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import pickle
 import shutil
 import signal
+import struct
 import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,11 +45,22 @@ CSV_BLOCK_ROWS = 256
 CSV_BLOCK_VALUES = 256 * 64
 # Values of final rows CsvWriter gives a child mid-run (a repro CSV: 61k).
 CSV_FORK_VALUES = 2 ** 18
-# The componentwise g of each nonlinearity kind: f(x) = C g(x).
+
+
+def _zero(x, out=None):
+    """0 of x's shape, also where x is inf or NaN."""
+    if out is None:
+        return np.zeros_like(x)
+    out.fill(0.0)
+    return out
+
+
+# The componentwise g of each nonlinearity kind, f(x) = C g(x), each a
+# call g(x, out=None) like a ufunc's.
 CATALOG = {
-    "zero": np.zeros_like,
+    "zero": _zero,
     "sine": np.sin,
-    "saturation": lambda x: np.clip(x, -1.0, 1.0),
+    "saturation": lambda x, out=None: np.clip(x, -1.0, 1.0, out=out),
     "tanh": np.tanh,
 }
 
@@ -57,7 +70,8 @@ class Nonlinearity:
     """Agent nonlinearity from a closed catalog of componentwise forms.
 
     kind is one of zero, sine, saturation, tanh. terms is a tuple of
-    (out_index, in_index, coefficient) triples, 0-based: each adds
+    (out_index, in_index, coefficient) triples, 0-based, whose indices must
+    be whole numbers (a bool is not one): each adds
     coefficient * g(x[in_index]) to component out_index of the output,
     where g is the catalog function. The closed catalog keeps models
     serializable and their Lipschitz constant closed-form.
@@ -71,6 +85,12 @@ class Nonlinearity:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "zero" and self.terms:
             raise ValueError("zero nonlinearity takes no terms")
+        for k, (o, i, _) in enumerate(self.terms):
+            # a bool is an int, and np.bool_ no Real
+            if not all(isinstance(j, numbers.Real) and not isinstance(j, bool)
+                       and float(j).is_integer() for j in (o, i)):
+                raise ValueError("nonlinearity term indices must be integers "
+                                 f"(term {k + 1})")
         norm = tuple((int(o), int(i), float(c)) for (o, i, c) in self.terms)
         object.__setattr__(self, "terms", norm)
 
@@ -266,35 +286,47 @@ class Trajectory:
 def closed_loop(design: ProtocolDesign,
                 scales: Optional[NDArray[np.float64]] = None
                 ) -> Callable[..., NDArray[np.float64]]:
-    """Closed-loop vector field f(x, w=0.0) of a design on (N, n) states,
-    where w is the value of the shared wave.
+    """Closed-loop vector field f(x, w=0.0, out=None) of a design on (N, n)
+    states, where w is the value of the shared wave.
 
     The protocol feeds back relative states only: u_i = c K sum_j a_ij
     (x_i - x_j), which is row i of c K L x, so
 
-        dx = x A^T + g(x) C^T D1^T + c (L x) (B K)^T (+ w S D2^T)
+        dx = ((x A^T + g(x) C^T D1^T) + c (L x) (B K)^T) (+ w S D2^T)
 
     with the model and L read from the design, f(x) = C g(x) the agent
     nonlinearity and S the (N, m1) per-agent scales, a Scenario's; without
-    scales f ignores w. Every matrix is formed once, F = S D2^T among
-    them; w is 1, -1 or 0, so w F equals (w S) D2^T bit for bit. A
-    tracking design's leader has in-degree 0, so its Laplacian row is zero
-    and it evolves open loop.
+    scales f ignores w. Every matrix, F = S D2^T among them, and c, as a
+    0-d array (numpy takes a Python number by a slower path), are formed
+    once; w F once per bit pattern of w, and at the wave's 1, -1 and 0 it
+    is (w S) D2^T bit for bit. f writes dx into out, which must not
+    overlap x, or into a fresh array, through scratch arrays of its own,
+    so one f is not thread-safe. A tracking design's leader has in-degree
+    0, so its Laplacian row is zero and it evolves open loop.
     """
     model, lap = design.model, design.analysis.laplacian
     a_t, d1_t = model.a.T, model.d1.T
     g = CATALOG[model.f.kind]
     coef_t = model.f.matrix(model.n, model.d1.shape[1]).T
     coupling_t = (model.b @ design.k).T
-    c = design.c
+    c = np.array(design.c, dtype=float)
     forcing = None if scales is None else scales @ model.d2.T
+    shape = (lap.shape[0], model.n)
+    gx, term, lx = np.empty((3,) + shape)
+    gc = np.empty((shape[0], model.d1.shape[1]))
+    products = {}
 
     # ndarray.dot reaches the same BLAS call as @ at less dispatch cost
-    def f(x, w=0.0):
-        dx = (x.dot(a_t) + g(x).dot(coef_t).dot(d1_t)
-              + (c * lap.dot(x)).dot(coupling_t))
+    def f(x, w=0.0, out=None):
+        dx = x.dot(a_t, out=np.empty(shape) if out is None else out)
+        dx += g(x, out=gx).dot(coef_t, out=gc).dot(d1_t, out=term)
+        dx += np.multiply(c, lap.dot(x, out=lx), out=lx).dot(
+            coupling_t, out=term)
         if forcing is not None:
-            dx += w * forcing
+            key = struct.pack("d", w)
+            if (product := products.get(key)) is None:
+                product = products[key] = float(w) * forcing
+            dx += product
         return dx
     return f
 
@@ -305,10 +337,13 @@ def integrate(scenario: Scenario,
 
     Deterministic for fixed inputs. The wave is tabulated at the grid times
     and at each step's t + dt/2 and t + dt, which may differ from the next
-    grid time in the last bit. Each step updates preallocated buffers and
-    is written straight into states. Aborts with BlowUpError when the state
-    norm crosses BLOWUP_NORM or overflows, carrying the last valid time.
-    A chunk of CSV_BLOCK_ROWS samples is finished once its states are: its
+    grid time in the last bit. Each step takes the textbook sum's
+    operations in its order through preallocated arrays and 0-d constants,
+    and is written straight into states. Aborts with BlowUpError when the
+    state norm crosses BLOWUP_NORM or overflows, carrying the last valid
+    time: a chunk of CSV_BLOCK_ROWS samples is checked row by row only if
+    one of its values reaches BLOWUP_NORM / (2 sqrt(N n)), and the steps
+    after a crossing are dropped. Each chunk is then finished: its
     reference, V, ||z||^2 and J_running, a cumsum carried on from the chunk
     before. Then on_rows(traj, end of the chunk) is called, if given.
     """
@@ -332,31 +367,36 @@ def integrate(scenario: Scenario,
     traj = Trajectory(times, states, ref, model.c_out, v, j_running, z_sq,
                       np.where(wave == 0.0, 0.0, (scales ** 2).sum()))
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
-    h2, h6 = dt / 2, dt / 6
-    y = np.empty((n_agents, n))
+    h2, h, h6, two = (np.array(a) for a in (dt / 2, dt, dt / 6, 2.0))
+    y, k1, k2, k3, k4 = np.empty((5, n_agents, n))
+    # ||x|| <= sqrt(N n) max |x_ij|; the factor 2 covers the rounding
+    peak = BLOWUP_NORM / 2 / math.sqrt(n_agents * n)
     for lo in range(0, steps + 1, CSV_BLOCK_ROWS):
         hi = min(lo + CSV_BLOCK_ROWS, steps + 1)
         # an overflow leaves inf or NaN states, which the norm check catches
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(max(lo - 1, 0), hi - 1):
                 x = states[k]
-                k1 = f(x, wave[k])
-                k2 = f(np.add(x, np.multiply(k1, h2, out=y), out=y), w_mid[k])
-                k3 = f(np.add(x, np.multiply(k2, h2, out=y), out=y), w_mid[k])
-                k4 = f(np.add(x, np.multiply(k3, dt, out=y), out=y), w_end[k])
+                f(x, wave[k], k1)
+                f(np.add(x, np.multiply(h2, k1, out=y), out=y), w_mid[k], k2)
+                f(np.add(x, np.multiply(h2, k2, out=y), out=y), w_mid[k], k3)
+                f(np.add(x, np.multiply(h, k3, out=y), out=y), w_end[k], k4)
                 # ((k1 + 2 k2) + 2 k3) + k4, the order of the textbook sum
-                k1 += np.multiply(k2, 2, out=k2)
-                k1 += np.multiply(k3, 2, out=k3)
+                k1 += np.multiply(two, k2, out=k2)
+                k1 += np.multiply(two, k3, out=k3)
                 k1 += k4
-                k1 *= h6
-                np.add(x, k1, out=states[k + 1])
-                # np.linalg.norm's sqrt(x . x); a NaN norm compares false
-                xr = states[k + 1].ravel()
-                if not math.sqrt(xr.dot(xr)) < BLOWUP_NORM:
-                    t = float(times[k])
-                    raise BlowUpError(
-                        f"state norm crossed {BLOWUP_NORM:.1e} at "
-                        f"t = {t + dt:.6g}", last_valid_time=t)
+                np.add(x, np.multiply(h6, k1, out=k1), out=states[k + 1])
+            new = states[max(lo, 1):hi]
+            # a NaN compares false, so its chunk is checked row by row
+            if not (-peak < new.min() and new.max() < peak):
+                for r in range(max(lo, 1), hi):
+                    # np.linalg.norm's sqrt(x . x)
+                    xr = states[r].ravel()
+                    if not math.sqrt(xr.dot(xr)) < BLOWUP_NORM:
+                        t = float(times[r - 1])
+                        raise BlowUpError(
+                            f"state norm crossed {BLOWUP_NORM:.1e} at "
+                            f"t = {t + dt:.6g}", last_valid_time=t)
         # einsum orders a lone sample's sum differently: add the one before
         sl = slice(min(lo, steps - 1), hi)
         if lf is None:

@@ -602,7 +602,7 @@ def test_no_command_loads_scipy(tmp_path):
 
 
 # an empty b would reach the Riccati solver as a 1x0 input matrix; int()
-# would read the term index 1.5 as 1
+# would read the term index 1.5 as 1, and JSON's true as 1
 @pytest.mark.parametrize("data, named", [
     ([1], "the model must be a JSON object"),
     ({"a": [[1]], "b": [[1]], "d1": [[1]], "f": []},
@@ -622,8 +622,12 @@ def test_no_command_loads_scipy(tmp_path):
     (dict(SCALAR_MODEL, alpha=1.0,
           f={"kind": "sine", "terms": [[1, float("inf"), 0.5]]}),
      "nonlinearity term indices must be integers"),
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[True, 1, 0.5]]}),
+     "nonlinearity term indices must be integers"),
 ], ids=["list", "f-list", "empty-b", "a-not-square", "b-rows", "d1-rows",
-        "d2-rows", "c-columns", "term-index-1.5", "term-index-inf"])
+        "d2-rows", "c-columns", "term-index-1.5", "term-index-inf",
+        "term-index-true"])
 def test_malformed_model_file_exit_code(tmp_path, capsys, data, named):
     model = write_json(tmp_path / "m.json", data)
     gfile = tmp_path / "g.txt"

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import math
 import os
 import re
 import signal
@@ -151,6 +152,14 @@ def test_agent_model_rejects_bad_term_indices():
         with pytest.raises(ValueError, match="index"):
             AgentModel(a=np.eye(2), b=np.ones((2, 1)), d1=np.eye(2),
                        alpha=1.0, f=Nonlinearity.sine([term]))
+    # int() would read 0.5 as 0 and True as 1: Nonlinearity refuses them
+    for index in (0.5, float("inf"), float("nan"), True, np.True_, "1"):
+        for term in ((index, 0, 1.0), (0, index, 1.0)):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                Nonlinearity.sine([term])
+    # a whole number of any numeric type is its int
+    terms = Nonlinearity.sine([(1.0, np.int64(0), 1)]).terms
+    assert terms == ((1, 0, 1.0),) and type(terms[0][0]) is int
 
 
 def test_check_lipschitz_benchmark(bench_model):
@@ -309,6 +318,63 @@ def test_rhs_disturbed_zero_state(bench_model, hinf_design):
     assert_allclose(dx, scales @ bench_model.d2.T, atol=1e-15)
 
 
+def textbook_rhs(design, scales):
+    """f(x, w) as written: fresh arrays, @ products, Python-number operands."""
+    model, lap = design.model, design.analysis.laplacian
+    coef_t = model.f.matrix(model.n, model.d1.shape[1]).T
+    forcing = scales @ model.d2.T
+
+    def f(x, w):
+        return (x @ model.a.T + CATALOG[model.f.kind](x) @ coef_t @ model.d1.T
+                + design.c * (lap @ x) @ (model.b @ design.k).T) + w * forcing
+    return f
+
+
+def test_rhs_is_the_textbook_expression_for_any_w(bench_model, hinf_design):
+    """f(x) and f(x, w) have the textbook expression's bytes (so the sign of
+    a zero counts) for w of every type a caller may pass, one f serving
+    every call, and a w seen before served from f's cached w F."""
+    scales = benchmark.DISTURBANCE_SCALES
+    rng = np.random.default_rng(6)
+    for model in (bench_model, dataclasses.replace(
+            bench_model, f=Nonlinearity("saturation", [(3, 0, -0.2)]))):
+        design = dataclasses.replace(hinf_design, model=model)
+        f, want = closed_loop(design, scales), textbook_rhs(design, scales)
+        x = rng.standard_normal((6, 4))
+        assert f(x).tobytes() == want(x, 0.0).tobytes()
+        for w in (1.0, np.float64(-1.0), np.array(1.0), -0.0, 0.0,
+                  np.array(-0.0), 0.3, 1, -1.0, 0.3):
+            assert f(x, w).tobytes() == want(x, w).tobytes(), repr(w)
+    # without scales f ignores w
+    f = closed_loop(hinf_design)
+    x = rng.standard_normal((6, 4))
+    assert f(x, 1.0).tobytes() == f(x).tobytes() == textbook_rhs(
+        hinf_design, np.zeros((6, 1)))(x, 0.0).tobytes()
+
+
+def test_rhs_returns_a_fresh_array_or_out(hinf_design):
+    """Each call returns a new array, or out when given; later calls leave
+    earlier results alone, and no result shares memory with what f keeps
+    between calls (its matrices, scratch arrays and cached w F)."""
+    f = closed_loop(hinf_design, benchmark.DISTURBANCE_SCALES)
+    x1, x2 = np.random.default_rng(7).standard_normal((2, 6, 4))
+    first = f(x1, 1.0)
+    kept = first.copy()
+    second = f(x2, -1.0)
+    assert second is not first and not np.shares_memory(first, second)
+    buf = np.empty((6, 4))
+    assert f(x2, 1.0, out=buf) is buf
+    assert buf.tobytes() == f(x2, 1.0).tobytes()
+    assert first.tobytes() == kept.tobytes()
+    held = [cell.cell_contents for cell in f.__closure__]
+    held = [a for v in held
+            for a in (v.values() if isinstance(v, dict) else (v,))
+            if isinstance(a, np.ndarray)]
+    assert len(held) > 5
+    assert not any(np.shares_memory(r, a)
+                   for r in (first, second) for a in held)
+
+
 def test_rhs_leader_follower_requires_source_leader(bench_model, bench_graph):
     # every node of the benchmark ring has inputs, so none can lead
     with pytest.raises(PreconditionError):
@@ -455,6 +521,43 @@ def test_integrate_overflow_raises_blow_up(c):
     assert type(exc.value.last_valid_time) is float
     assert str(exc.value) == "state norm crossed 1.0e+09 at t = 0.001"
     assert_same_outcome(scenario)
+
+
+@pytest.mark.parametrize("step", [1, 255, 256, 257, 700])
+def test_blow_up_at_each_side_of_a_chunk_boundary(step):
+    """Norms are checked a chunk of CSV_BLOCK_ROWS rows at a time; the
+    first crossing is still found at its own row, here the first new row,
+    the last row of the first chunk, the first two of the second, and a row
+    inside the third, with the textbook loop's message and time."""
+    assert sim.CSV_BLOCK_ROWS == 256
+    a, dt = 2.0, 1e-3
+    design = witness_design(scalar_model(a=a), two_node_graph(), p=1.0,
+                            scalar=6.0)
+    # equal agents: L x = 0, so the norm is sqrt(2) |x0| e^(a t) to RK4's
+    # order, and reaches BLOWUP_NORM half a step before row step
+    x0 = BLOWUP_NORM / math.sqrt(2) / math.exp(a * dt * (step - 0.5))
+    scenario = Scenario(design=design, x0=np.full((2, 1), x0),
+                        t_end=(step + 300) * dt, dt=dt)
+    with pytest.raises(BlowUpError) as exc:
+        integrate(scenario)
+    assert exc.value.last_valid_time == (step - 1) * dt
+    assert str(exc.value) == (f"state norm crossed 1.0e+09 at "
+                              f"t = {step * dt:.6g}")
+    assert_same_outcome(scenario)
+
+
+def test_states_just_below_the_blow_up_norm_complete():
+    """States whose largest value is above the chunk check's BLOWUP_NORM /
+    2 / sqrt(N n), so every row is checked, but whose norm stays below
+    BLOWUP_NORM, complete as the textbook loop does, bit for bit."""
+    design = witness_design(scalar_model(a=-0.1), two_node_graph())
+    x0 = np.array([[0.7], [0.69]]) * BLOWUP_NORM
+    scenario = Scenario(design=design, x0=x0, t_end=0.8, dt=1e-3)
+    states = integrate(scenario).states
+    norms = np.sqrt((states ** 2).sum(axis=(1, 2)))
+    assert norms.max() < BLOWUP_NORM
+    assert np.abs(states).max(axis=(1, 2)).min() > BLOWUP_NORM / 2 / 2 ** 0.5
+    assert np.array_equal(states, textbook_rk4(scenario))
 
 
 def reference_rk4(scenario):
