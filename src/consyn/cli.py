@@ -46,6 +46,28 @@ def _listify(a):
     return np.asarray(a, dtype=float).tolist()
 
 
+def _numbers(value, slot: str, scalar: bool = False):
+    """The number, or unless scalar nested lists of numbers, that a file
+    holds in a slot, as floats. Any other entry, JSON's true and false
+    among them (Python's json reads them as ints), is a ValueError that
+    names the slot and the entry's 1-based place in it."""
+    todo = [((), value)]
+    while todo:
+        at, v = todo.pop()
+        if isinstance(v, list) and not scalar:
+            # a list of plain numbers, such as a row, needs no deeper look
+            if not all(type(w) in (int, float) for w in v):
+                todo += reversed([((*at, k), w) for k, w in enumerate(v, 1)])
+        elif isinstance(v, bool) or not isinstance(v, (int, float)):
+            where = f"entry {at} of {slot}" if at else slot
+            raise ValueError(f"{where} is {json.dumps(v)}, not a number")
+    try:
+        return float(value) if scalar else np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{slot} holds an integer beyond the float range") \
+            from exc
+
+
 def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
     """Model and gamma of a model file's JSON. A well-formed model whose
     alpha understates f's Lipschitz constant raises AgentModel's
@@ -56,20 +78,30 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
         fdesc = d.get("f", {"kind": "zero", "terms": []})
         if not isinstance(fdesc, dict):
             raise TypeError("f must be a JSON object")
-        # Nonlinearity checks the file's 1-based indices, then they shift
-        f = Nonlinearity(fdesc.get("kind", "zero"), fdesc.get("terms", ()))
-        f = Nonlinearity(f.kind, [(o - 1, i - 1, c) for (o, i, c) in f.terms])
+        # Nonlinearity checks that the terms are triples of whole indices
+        terms = fdesc.get("terms", ())
+        f = Nonlinearity(fdesc.get("kind", "zero"), terms)
         model = AgentModel(
-            a=np.asarray(d["a"], dtype=float),
-            b=np.asarray(d["b"], dtype=float),
-            d1=np.asarray(d["d1"], dtype=float),
-            d2=np.asarray(d["d2"], dtype=float) if "d2" in d else None,
-            c_out=np.asarray(d["c"], dtype=float) if "c" in d else None,
-            alpha=float(d.get("alpha", 0.0)),
-            f=f,
-        )
-        gamma = d.get("gamma")
-        gamma = float(gamma) if gamma is not None else None
+            a=_numbers(d["a"], "a"), b=_numbers(d["b"], "b"),
+            d1=_numbers(d["d1"], "d1"),
+            d2=_numbers(d["d2"], "d2") if "d2" in d else None,
+            c_out=_numbers(d["c"], "c") if "c" in d else None,
+            alpha=_numbers(d.get("alpha", 0.0), "alpha", scalar=True))
+        shifted = []
+        # the file's indices, 1-based, are checked before they shift
+        for k, ((o, i, _), term) in enumerate(zip(f.terms, terms), 1):
+            if not 1 <= o <= model.d1.shape[1]:
+                raise ValueError(f"nonlinearity term {k}: output index {o} "
+                                 f"outside 1..{model.d1.shape[1]}, the "
+                                 "columns of d1")
+            if not 1 <= i <= model.n:
+                raise ValueError(f"nonlinearity term {k}: input index {i} "
+                                 f"outside 1..{model.n}, the states")
+            shifted.append((o - 1, i - 1, _numbers(
+                term[2], f"the coefficient of nonlinearity term {k}", True)))
+        model = dataclasses.replace(model, f=Nonlinearity(f.kind, shifted))
+        gamma = None if d.get("gamma") is None else \
+            _numbers(d["gamma"], "gamma", scalar=True)
     except PreconditionError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -79,7 +111,7 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
 
 def _adjacency_graph(value, path) -> DiGraph:
     try:
-        return digraph_from_adjacency(np.asarray(value, dtype=float))
+        return digraph_from_adjacency(_numbers(value, "adjacency"))
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"{path}: malformed adjacency: {exc}") from exc
 
@@ -132,8 +164,8 @@ def load_certificate(path) -> tuple[np.ndarray, float]:
     """Load a certificate file; returns its (p, scalar) pair."""
     data = _read_json(path, "certificate")
     try:
-        p = np.asarray(data["p"], dtype=float)
-        scalar = float(data["scalar"])
+        p = _numbers(data["p"], "p")
+        scalar = _numbers(data["scalar"], "scalar", scalar=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(
             f"{path}: malformed certificate file: {exc}") from exc

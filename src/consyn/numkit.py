@@ -122,15 +122,15 @@ def solve_linear(a: ArrayLike, b: ArrayLike) -> NDArray[np.float64]:
     return x.reshape(bm.shape)
 
 
-# format_g12 scales magnitudes in [G12_MIN, G12_MAX) by the powers
-# float("1e%d") of its exponent table; others, subnormals among them, and
-# those whose scaled 12-digit mantissa lies within G12_TIE of a
-# half-integer (the scaling errs by less than 2.3e-4) it re-derives from
-# "%.11e". It formats G12_PASS values a pass: its working arrays take about
-# 265 bytes a value, which for a pass stay in the CPU caches.
-# Its tables span the decimal exponents G12_E0..-G12_E0 - 1.
-G12_MIN, G12_MAX, G12_TIE, G12_PASS = 1e-290, 1e290, 1e-3, 4096
-G12_E0 = -330
+# format_g12 takes the decimal exponent k of a finite x, by its sign and
+# binary exponent, from floor(log10 2^e) and the next power of ten in the
+# binades of [2^-G12_E2, 2^G12_E2), about [1.6e-290, 7.9e289]. |x| 10^(11-k)
+# is within 2.3e-4 of its exact value, so rounds as that does unless within
+# G12_TIE of a half-integer; such values, and other binades' (scaled below
+# 1e11), take "%.11e". A G12_PASS-value pass keeps its arrays (about 210
+# bytes a value) in the CPU caches. k spans G12_E0..-G12_E0 - 1.
+G12_E2, G12_TIE, G12_PASS, G12_E0 = 963, 1e-3, 4096, -330
+_NEG, _U8, _U56 = -2 * G12_E0, np.uint64(8), np.uint64(56)
 
 
 def _ascii(*codes) -> NDArray[np.uint64]:
@@ -148,55 +148,67 @@ def _words(texts, size: int) -> NDArray[np.uint64]:
 
 
 def _g12_tables() -> tuple:
-    """The powers of ten and e-notation tails ("e+05", none in -4..11) of
-    the exponents from G12_E0 on; the four digits of 0..9999 and their
-    trailing zeros; the sign and "0.000" heads; the 16-byte masks of the
-    first j bytes and "." at byte j, j <= 16 (none at 16)."""
+    """By x.view(int64) >> 52: k's exponent index and 10^(k + 1). By that
+    index: 10^(11 - k), the sign and "0.000" head, the "e+05" tail, 13 times
+    the digits before the point. 0..9999 as four digits, also shifted 32
+    bits, and how many of 12 digits they leave. By 13 point + digits left:
+    the digit bytes that stay, those that move up past the point, the point."""
     x = np.arange(G12_E0, -G12_E0)
     a, three = np.abs(x), np.abs(x) >= 100
     tail = _ascii(ord("e"), np.where(x < 0, 45, 43),
                   48 + a // 10 ** (1 + three) % 10, 48 + a // 10 ** three % 10,
                   three * (48 + a % 10))
     tail[-4 - G12_E0:12 - G12_E0] = 0
-    d = 48 + np.arange(10)
-    zeros = np.zeros(10000, dtype=np.intp)
-    for j in range(1, 5):
-        zeros[::10 ** j] += 1
-    heads = [sign + b"0.000"[:z + 1] if z else sign
-             for sign in (b"", b"-") for z in range(5)]
+    point = np.where((x < -4) | (x > 11), 1, np.maximum(x + 1, 0))
+    z = np.where((x < 0) & (x > -5), -x, 0)
+    heads = _words([sign + b"0.000"[:n + 1] if n else sign
+                    for sign in (b"", b"-") for n in range(5)], 8)[:, 0]
     pow10 = np.array([float(f"1e{k}") for k in range(G12_E0, -G12_E0)])
-    quad = _ascii(d[:, None, None, None], d[:, None, None], d[:, None], d)
-    return (pow10, tail, quad.ravel(), zeros, _words(heads, 8)[:, 0],
-            *_words([b"\xff" * j for j in range(17)], 16).T,
-            *_words([b"\0" * j + b"." for j in range(16)] + [b""], 16).T)
+    e2 = np.arange(2048) - 1023
+    fast, low = (e2 >= -G12_E2) & (e2 < G12_E2), e2 * 78913 >> 18
+    # other binades: k = 0 scales |x| below 1e-279, k = 311 into 7.9e-11..1.8e8
+    k = np.where(fast, low, np.where(e2 < 0, 0, 311)) - G12_E0
+    quad = _ascii(*np.ix_(*[48 + np.arange(10)] * 4)).ravel()
+    left = np.full(10000, 12, dtype=np.intp)
+    for j in range(1, 5):
+        left[::10 ** j] -= 1
+    p, s = np.divmod(np.arange(13 * 13), 13)
+    keep = np.maximum(p, s).tolist()
+    at = np.where((s > p) & (p > 0), p, 16).tolist()
+    return (np.concatenate([k, k + _NEG]).astype(np.intp),
+            np.tile(np.where(fast, pow10[low + 1 - G12_E0], np.inf), 2),
+            np.tile(pow10[np.minimum(11 - x - G12_E0, x.size - 1)], 2),
+            heads[np.concatenate([z, z + 5])],
+            np.tile(tail, 2), np.tile(13 * point, 2).astype(np.intp), quad,
+            quad << np.uint64(32), left,
+            *(_words(texts, 16).T.copy() for texts in (
+                [b"\xff" * min(c, n) for c, n in zip(at, keep)],
+                [b"\0" * c + b"\xff" * (n - c) for c, n in zip(at, keep)],
+                [(b"\0" * c + b".")[:16] for c in at])))
 
 
-(_POW10, _TAIL, _QUAD, _ZEROS, _HEAD, _MASK_LO, _MASK_HI, _DOT_LO,
- _DOT_HI) = _g12_tables()
+(_BIN_K, _BIN_AFTER, _SCALE, _HEAD, _TAIL, _POINT13, _QUAD, _QUAD32, _LEFT,
+ (_STAY_LO, _STAY_HI), (_MOVE_LO, _MOVE_HI), (_DOT_LO, _DOT_HI)) = \
+    _g12_tables()
 
 
 def format_g12(block: NDArray[np.float64]) -> bytes:
     """The rows of a 2-D float block as "%.12g" text, byte for byte:
     values joined by ",", each row ended by a newline.
 
-    The decimal exponent k of |x| comes from its binary exponent and one
-    comparison with a power of ten; |x| 10^(11 - k), rounded to an integer,
-    gives the 12 digits, which are looked up four at a time, shorn of
-    trailing zeros and given their point by shifts and masks on two 64-bit
-    words. A value's text is laid out in 32 NUL-padded bytes (head, digits,
-    exponent tail and separator), and the NULs are deleted. A value whose
-    rounding the scaled product cannot settle takes "%.11e" (the rounding
-    of "%.12g"); a block holding inf or NaN is formatted by "%" whole.
+    Each value takes 32 NUL-padded bytes, whose NULs are then deleted: a
+    head and tail by its exponent, and its 12 digits, looked up four at a
+    time, cut after the last nonzero one and given their point by masks. A
+    block holding inf or NaN is formatted by "%" whole.
     """
     rows, cols = block.shape
     if not np.isfinite(block).all():
         row = ",".join(["%.12g"] * cols) + "\n"
         return ((row * rows) % tuple(block.ravel().tolist())).encode("ascii")
-    sep = np.full(cols, ord(","), dtype=np.uint64)
-    sep[-1] = ord("\n")
-    sep <<= np.uint64(56)
-    per = max(1, G12_PASS // cols)
-    return b"".join(_format_pass(block[lo:lo + per], sep)
+    block, per = np.ascontiguousarray(block), max(1, G12_PASS // cols)
+    sep = np.full((min(per, rows), cols), ord(",") << 56, dtype=np.uint64)
+    sep[:, -1] = ord("\n") << 56
+    return b"".join(_format_pass(block[lo:lo + per].ravel(), sep.ravel())
                     for lo in range(0, rows, per))
 
 
@@ -207,48 +219,36 @@ def _e11_digits(x: float) -> tuple[int, int]:
 
 
 def _format_pass(x: NDArray[np.float64], sep: NDArray[np.uint64]) -> bytes:
-    """format_g12 of the finite rows x, whose columns end in sep."""
-    ax = np.abs(x)
-    zero, fast = ax == 0.0, (ax >= G12_MIN) & (ax < G12_MAX)
-    # the others are formatted as 1.0, a zero's "1" then becoming "0"
-    a = np.where(fast, ax, 1.0)
-    # floor(log10 2^e2) for the binary exponent e2 of a, and its correction
-    k = ((a.view(np.int64) >> 52) - 1023) * 78913 >> 18
-    k += a >= _POW10[k + (1 - G12_E0)]
-    scaled = a * _POW10[(11 - G12_E0) - k]
-    m = np.floor(scaled)
-    frac = scaled - m
-    slow = ~(fast | zero) | (np.abs(frac - 0.5) < G12_TIE) | (m < 1e11) \
-        | (m >= 1e12)
-    m += frac > 0.5
-    redo = np.nonzero(slow)
-    if redo[0].size:
-        m[redo], k[redo] = np.array([_e11_digits(v)
-                                     for v in ax[redo].tolist()]).T
-    carry = m == 1e12
-    m[carry], k[carry] = 1e11, k[carry] + 1
-    # the digits in three groups of four, by divisions exact below 2^53
-    high = np.floor(m / 1e8)
-    low = m - high * 1e8
-    mid = np.floor(low / 1e4)
-    g = [high.astype(np.intp), mid.astype(np.intp),
-         (low - mid * 1e4).astype(np.intp)]
-    sig = 12 - np.where(g[2] > 0, _ZEROS[g[2]],
-                        np.where(g[1] > 0, 4 + _ZEROS[g[1]], 8 + _ZEROS[g[0]]))
-    e_form = (k < -4) | (k > 11)
-    point = np.where(e_form, 1, np.maximum(k + 1, 0))
-    keep = np.maximum(sig, point)
-    at = np.where((sig > point) & (point > 0), point, 16)
-    lo = (_QUAD[g[0]] | _QUAD[g[1]] << np.uint64(32)) & _MASK_LO[keep]
-    hi = _QUAD[g[2]] & _MASK_HI[keep]
-    # the bytes from at on move one place up, and "." takes byte at
-    lo_rest, hi_rest = lo & ~_MASK_LO[at], hi & ~_MASK_HI[at]
-    words = np.empty(x.shape + (4,), dtype="<u8")
-    words[..., 0] = _HEAD[5 * np.signbit(x)
-                          + np.where(e_form, 0, np.clip(-k, 0, 4))]
-    words[..., 1] = lo ^ lo_rest | lo_rest << np.uint64(8) | _DOT_LO[at]
-    words[..., 2] = (hi ^ hi_rest | hi_rest << np.uint64(8)
-                     | lo_rest >> np.uint64(56) | _DOT_HI[at])
-    words[..., 3] = _TAIL[k - G12_E0] | sep
-    words[zero, 1] = ord("0")
+    """format_g12 of the finite values x, whole rows, with their seps."""
+    ax, e = np.abs(x), x.view(np.int64) >> 52
+    kk = _BIN_K[e] + (ax >= _BIN_AFTER[e])
+    scaled = ax * _SCALE[kk]
+    m = np.rint(scaled)
+    redo = np.flatnonzero((np.abs(scaled - m) > 0.5 - G12_TIE) | (m < 1e11))
+    redo = redo[ax[redo] != 0.0]
+    if redo.size:
+        m[redo], k = np.array([_e11_digits(v) for v in ax[redo].tolist()]).T
+        kk[redo] = k - G12_E0 + _NEG * (x[redo] < 0.0)
+    g2 = m.astype(np.intp)
+    g0, g1 = g2 // 100000000, g2 // 10000
+    g2 -= g1 * 10000
+    g1 -= g0 * 10000
+    left = _LEFT[g2]
+    z = np.flatnonzero(g2 == 0)
+    if z.size:
+        # 1e12, the carry of 999999999999.5, is 1e11 at k + 1; the digits
+        # left end in g1 or g0 (none of a zero)
+        carry = z[g0[z] == 10000]
+        g0[carry], kk[carry] = 1000, kk[carry] + 1
+        left[z] = np.where(g1[z] > 0, _LEFT[g1[z]] - 4, _LEFT[g0[z]] - 8)
+    j = _POINT13[kk] + left
+    lo, hi = _QUAD[g0] | _QUAD32[g1], _QUAD[g2]
+    moved = lo & _MOVE_LO[j]
+    words = np.empty((x.size, 4), dtype="<u8")
+    words[:, 0] = _HEAD[kk]
+    np.bitwise_or(lo & _STAY_LO[j] | _DOT_LO[j], moved << _U8,
+                  out=words[:, 1])
+    np.bitwise_or(hi & _STAY_HI[j] | _DOT_HI[j] | moved >> _U56,
+                  (hi & _MOVE_HI[j]) << _U8, out=words[:, 2])
+    np.bitwise_or(_TAIL[kk], sep[:x.size], out=words[:, 3])
     return words.tobytes().translate(None, b"\0")

@@ -217,7 +217,49 @@ MUTATED_MODEL = st.builds(
                     st.one_of(JSON_VALUE, ANY_MATRIX), max_size=2))
 
 
-@given(st.one_of(JSON_VALUE, VALID_MODEL, MUTATED_MODEL),
+def holds_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(holds_bool, value)))
+
+
+def put_bool(value, path, flag):
+    """value with the entry at path (list indices, wrapped) set to flag."""
+    if not path or not isinstance(value, list) or not value:
+        return flag
+    head = path[0] % len(value)
+    return [put_bool(v, path[1:], flag) if k == head else v
+            for k, v in enumerate(value)]
+
+
+NUMERIC_SLOTS = ("a", "b", "d1", "d2", "c", "alpha", "gamma", "terms")
+
+
+def with_a_bool(model, slot, path, flag):
+    """model with true or false in one numeric slot: a matrix entry, alpha,
+    gamma, or (slot "terms") a term's index or coefficient."""
+    if slot == "terms":
+        terms = put_bool([[1, 1, 0.5]], [0] + path, flag)
+        return model | {"alpha": 2.0, "f": {"kind": "sine", "terms": terms}}
+    return model | {slot: put_bool(model.get(slot, [[1.0]]), path, flag)}
+
+
+BOOL_MODEL = st.builds(with_a_bool, VALID_MODEL,
+                       st.sampled_from(NUMERIC_SLOTS),
+                       st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                       st.booleans())
+
+
+def bool_in_a_number(model) -> bool:
+    """Whether a model file's JSON holds true or false where a number goes."""
+    if not isinstance(model, dict):
+        return False
+    f = model.get("f")
+    terms = f.get("terms") if isinstance(f, dict) else None
+    return any(holds_bool(model.get(k)) for k in NUMERIC_SLOTS) or \
+        holds_bool(terms)
+
+
+@given(st.one_of(JSON_VALUE, VALID_MODEL, MUTATED_MODEL, BOOL_MODEL),
        st.sampled_from(["leaderless", "hinf"]))
 @example([1], "leaderless")
 # B R^-1 B^T underflows in the Riccati seed
@@ -228,12 +270,14 @@ MUTATED_MODEL = st.builds(
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_model_file_fuzz_exit_codes(tmp_path, model, mode):
-    """Any model file JSON ends in exit 0, 2 or 3, never a traceback."""
+    """Any model file JSON ends in exit 0, 2 or 3, never a traceback; 2
+    when it holds true or false where a number goes."""
     mfile = write_json(tmp_path / "m.json", model)
     gfile = tmp_path / "g.txt"
     gfile.write_text(TWO_NODE)
-    assert run(["synth", mfile, str(gfile), "--mode", mode,
-                "--out-dir", str(tmp_path)]) in (0, 2, 3)
+    code = run(["synth", mfile, str(gfile), "--mode", mode,
+                "--out-dir", str(tmp_path)])
+    assert code == 2 if bool_in_a_number(model) else code in (0, 2, 3)
 
 
 @given(st.one_of(
@@ -241,18 +285,30 @@ def test_model_file_fuzz_exit_codes(tmp_path, model, mode):
     st.fixed_dictionaries({"p": matrix(1, 1), "scalar": FINITE}),
     st.fixed_dictionaries({}, optional={
         "p": st.one_of(JSON_VALUE, ANY_MATRIX),
-        "scalar": st.one_of(JSON_VALUE, FINITE)})))
+        "scalar": st.one_of(JSON_VALUE, FINITE)}),
+    # true or false in p or as the scalar
+    st.builds(lambda p, path, flag, where: {
+        "p": put_bool(p, path, flag) if where else p,
+        "scalar": 1.0 if where else flag},
+        matrix(1, 1), st.lists(st.integers(0, 1), min_size=2, max_size=2),
+        st.booleans(), st.booleans())))
 @example({"p": [[1.0]], "scalar": 1.0})
+@example({"p": [[True]], "scalar": 1.0})
+@example({"p": [[1.0]], "scalar": False})
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_certificate_file_fuzz_exit_codes(tmp_path, cert):
-    """Any certificate file JSON ends in exit 0, 2 or 3, never a traceback."""
+    """Any certificate file JSON ends in exit 0, 2 or 3, never a traceback;
+    2 when p or the scalar holds true or false."""
     mfile = write_json(tmp_path / "m.json", SCALAR_MODEL)
     cfile = write_json(tmp_path / "cert.json", cert)
     gfile = tmp_path / "g.txt"
     gfile.write_text(TWO_NODE)
-    assert run(["synth", mfile, str(gfile), "--mode", "leaderless",
-                "--cert", cfile, "--out-dir", str(tmp_path)]) in (0, 2, 3)
+    code = run(["synth", mfile, str(gfile), "--mode", "leaderless",
+                "--cert", cfile, "--out-dir", str(tmp_path)])
+    booled = isinstance(cert, dict) and (
+        holds_bool(cert.get("p")) or holds_bool(cert.get("scalar")))
+    assert code == 2 if booled else code in (0, 2, 3)
 
 
 def test_synth_scalar_witness(tmp_path, capsys):
@@ -625,9 +681,32 @@ def test_no_command_loads_scipy(tmp_path):
     (dict(SCALAR_MODEL, alpha=1.0,
           f={"kind": "sine", "terms": [[True, 1, 0.5]]}),
      "nonlinearity term indices must be integers"),
+    # the file's own 1-based indices, not the 0-based ones they become
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[0, 1, 0.5]]}),
+     "nonlinearity term 1: output index 0 outside 1..1, the columns of d1"),
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[1, 1, 0.5], [1, 2, 0.5]]}),
+     "nonlinearity term 2: input index 2 outside 1..1, the states"),
+    # JSON's true and false are not numbers, though Python reads them as ints
+    (dict(SCALAR_MODEL, a=[[True]]),
+     "entry (1, 1) of a is true, not a number"),
+    (dict(SCALAR_MODEL, d1=[[1.0, False]]),
+     "entry (1, 2) of d1 is false, not a number"),
+    (dict(SCALAR_MODEL, alpha=True), "alpha is true, not a number"),
+    (dict(SCALAR_MODEL, gamma=False), "gamma is false, not a number"),
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[1, 1, True]]}),
+     "the coefficient of nonlinearity term 1 is true, not a number"),
+    (dict(SCALAR_MODEL, b=[["1.0"]]),
+     'entry (1, 1) of b is "1.0", not a number'),
+    (dict(SCALAR_MODEL, c=[[10 ** 400]]),
+     "c holds an integer beyond the float range"),
 ], ids=["list", "f-list", "empty-b", "a-not-square", "b-rows", "d1-rows",
         "d2-rows", "c-columns", "term-index-1.5", "term-index-inf",
-        "term-index-true"])
+        "term-index-true", "term-output-0", "term-input-2", "a-true",
+        "d1-false", "alpha-true", "gamma-false", "coefficient-true",
+        "b-string", "c-huge-integer"])
 def test_malformed_model_file_exit_code(tmp_path, capsys, data, named):
     model = write_json(tmp_path / "m.json", data)
     gfile = tmp_path / "g.txt"
@@ -653,7 +732,16 @@ def test_integral_term_index_loads_as_its_integer():
      "adjacency must be square"),
     (TWO_NODE, '{"p": [[1.0]], "scalar": 1e999}',
      "the certificate scalar must be finite, got scalar = inf"),
-], ids=["nodes-2.5", "adjacency-not-square", "scalar-1e999"])
+    ('{"adjacency": [[0, true], [1, 0]]}', json.dumps(WITNESS),
+     "entry (1, 2) of adjacency is true, not a number"),
+    (TWO_NODE, '{"p": [[true]], "scalar": 1.0}',
+     "malformed certificate file: entry (1, 1) of p is true, not a number"),
+    (TWO_NODE, '{"p": [[1.0]], "scalar": true}',
+     "malformed certificate file: scalar is true, not a number"),
+    (TWO_NODE, '{"p": [[1.0]], "scalar": [1.0]}',
+     "malformed certificate file: scalar is [1.0], not a number"),
+], ids=["nodes-2.5", "adjacency-not-square", "scalar-1e999",
+        "adjacency-true", "p-true", "scalar-true", "scalar-list"])
 def test_malformed_graph_or_certificate_exit_code(tmp_path, capsys, graph,
                                                   cert, named):
     """A graph file or an injected certificate that cannot be used exits 2

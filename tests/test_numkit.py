@@ -1,6 +1,7 @@
 import io
 import math
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -180,10 +181,43 @@ def test_format_g12_is_percent_g12(block):
 
 def test_format_g12_tables_are_uint64():
     """The digit and mask words stay uint64 under numpy 1.x, which casts
-    a Python int and a uint64 to float64, as under numpy 2."""
-    for table in (numkit._TAIL, numkit._QUAD, numkit._HEAD, numkit._MASK_LO,
-                  numkit._MASK_HI, numkit._DOT_LO, numkit._DOT_HI):
+    a Python int and a uint64 to float64, as under numpy 2; the index
+    tables are intp and the powers of ten float64."""
+    for table in (numkit._TAIL, numkit._QUAD, numkit._QUAD32, numkit._HEAD,
+                  numkit._STAY_LO, numkit._STAY_HI, numkit._MOVE_LO,
+                  numkit._MOVE_HI, numkit._DOT_LO, numkit._DOT_HI):
         assert table.dtype == np.uint64
+    for table in (numkit._BIN_K, numkit._POINT13, numkit._LEFT):
+        assert table.dtype == np.intp
+    for table in (numkit._BIN_AFTER, numkit._SCALE):
+        assert table.dtype == np.float64
+
+
+def test_format_g12_binade_exponents():
+    """Each fast binade [2^e, 2^(e + 1)) lies in [10^k, 10^(k + 2)) for its
+    table's k, with 10^(k + 1) the power to compare with; any other binade
+    is scaled wholly below 1e11. Negative x index the same k, offset."""
+    for e in range(-1023, 1024):
+        index = numkit._BIN_K[e + 1023]
+        assert numkit._BIN_K[e + 1023 - 2048] == index + numkit._NEG
+        k = int(index) + numkit.G12_E0
+        low, high = Fraction(2) ** e, Fraction(2) ** (e + 1)
+        if -numkit.G12_E2 <= e < numkit.G12_E2:
+            assert Fraction(10) ** k <= low and high < Fraction(10) ** (k + 2)
+            assert numkit._BIN_AFTER[e + 1023] == float(f"1e{k + 1}")
+        else:
+            assert numkit._BIN_AFTER[e + 1023] == math.inf
+            assert high * Fraction(10) ** (11 - k) < 1e11
+
+
+def test_format_g12_at_the_binade_edges():
+    """The first and last floats of every binade, and their neighbours,
+    inside the fast range and outside it."""
+    edges = [step_ulps(2.0 ** e, s) for e in range(-1022, 1024)
+             for s in (-1, 0, 1)]
+    edges += [5e-324, 2.0 ** -1022 - 5e-324, 1.7976931348623157e308]
+    block = np.array(edges + [-v for v in edges]).reshape(-1, 6)
+    assert format_g12(block) == percent_g12(block)
 
 
 @given(ties=st.lists(NEAR_TIES, min_size=1, max_size=30))
@@ -205,6 +239,58 @@ def test_format_g12_in_several_passes(shape):
     rng = np.random.default_rng(shape[1])
     block = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, shape)
     block[rng.random(shape) < 0.05] = 0.0
+    assert format_g12(block) == percent_g12(block)
+
+
+def test_format_g12_with_short_mantissas():
+    """Mantissas whose last four digits are 0 (zeros, a time column, short
+    decimals, the carry of 999999999999.5 to 1e12) are formatted on their
+    own subset, and a block with none of them skips that subset."""
+    short = np.array([[0.0, -0.0, 0.5, 1.0, -2.25, 10.0, 1e11, 1e12],
+                      [999999999999.5, -999999999999.5, 99999999.99995, 1e-5,
+                       12345678.0, 0.001, 1e22, -7e-300]])
+    with mock.patch.object(numkit, "_e11_digits",
+                           wraps=numkit._e11_digits) as e11:
+        assert format_g12(short) == percent_g12(short)
+    # zeros, though in no fast binade, take no "%.11e"
+    assert 7e-300 in [c.args[0] for c in e11.call_args_list]
+    assert 0.0 not in [c.args[0] for c in e11.call_args_list]
+    none = np.array([[1.0 / 3.0, -2.0 / 3.0, 123456789.012345, 1e-7 / 3.0]])
+    assert not any(("%.11e" % x)[9:13] == "0000" for x in none.ravel())
+    assert format_g12(none) == percent_g12(none)
+
+
+def test_format_g12_signed_zeros_and_carries_across_passes():
+    """Zeros of both signs and the 999999999999.5 carry, scattered over a
+    block of several passes, in the rows of each."""
+    rng = np.random.default_rng(7)
+    block = rng.normal(size=(600, 21))
+    for value in (0.0, -0.0, 999999999999.5, -9.999999999995e-5):
+        block[rng.random(block.shape) < 0.02] = value
+    assert format_g12(block) == percent_g12(block)
+
+
+def test_format_g12_seeded_sweep():
+    """About 200k mixed values: bit patterns, scaled normals, decimals
+    rounded to a few digits, near-ties, zeros and subnormals."""
+    rng = np.random.default_rng(20260)
+    n = 25_000
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, n, dtype=np.int64)
+    parts = [
+        bits.view(np.float64)[np.isfinite(bits.view(np.float64))],
+        rng.normal(size=n) * 10.0 ** rng.integers(-30, 31, n),
+        np.round(rng.normal(size=n) * 1e4) / 10.0 ** rng.integers(0, 6, n),
+        rng.integers(-10 ** 6, 10 ** 6, n) / 2.0 ** rng.integers(0, 12, n),
+        (rng.integers(10 ** 11, 10 ** 12, n) * 10 + 5)
+        * 10.0 ** rng.integers(-40, 40, n) / 1e12,
+        rng.uniform(-1.0, 1.0, n) * 1e-310,
+        np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        rng.uniform(-1e3, 1e3, n),
+    ]
+    values = np.concatenate(parts)
+    rng.shuffle(values)
+    block = values[:values.size // 16 * 16].reshape(-1, 16)
+    assert block.size > 190_000
     assert format_g12(block) == percent_g12(block)
 
 
