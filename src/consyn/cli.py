@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, benchmark, sim
+from . import __version__, benchmark, numkit, sim
 from .errors import BlowUpError, InfeasibleError, PreconditionError
 from .graph import (DiGraph, GraphAnalysis, analyze, digraph_from_adjacency,
                     parse_edge_list)
@@ -46,28 +46,6 @@ def _listify(a):
     return np.asarray(a, dtype=float).tolist()
 
 
-def _numbers(value, slot: str, scalar: bool = False):
-    """The number, or unless scalar nested lists of numbers, that a file
-    holds in a slot, as floats. Any other entry, JSON's true and false
-    among them (Python's json reads them as ints), is a ValueError that
-    names the slot and the entry's 1-based place in it."""
-    todo = [((), value)]
-    while todo:
-        at, v = todo.pop()
-        if isinstance(v, list) and not scalar:
-            # a list of plain numbers, such as a row, needs no deeper look
-            if not all(type(w) in (int, float) for w in v):
-                todo += reversed([((*at, k), w) for k, w in enumerate(v, 1)])
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            where = f"entry {at} of {slot}" if at else slot
-            raise ValueError(f"{where} is {json.dumps(v)}, not a number")
-    try:
-        return float(value) if scalar else np.asarray(value, dtype=float)
-    except OverflowError as exc:
-        raise ValueError(f"{slot} holds an integer beyond the float range") \
-            from exc
-
-
 def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
     """Model and gamma of a model file's JSON. A well-formed model whose
     alpha understates f's Lipschitz constant raises AgentModel's
@@ -79,29 +57,28 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
         if not isinstance(fdesc, dict):
             raise TypeError("f must be a JSON object")
         # Nonlinearity checks that the terms are triples of whole indices
-        terms = fdesc.get("terms", ())
-        f = Nonlinearity(fdesc.get("kind", "zero"), terms)
-        model = AgentModel(
-            a=_numbers(d["a"], "a"), b=_numbers(d["b"], "b"),
-            d1=_numbers(d["d1"], "d1"),
-            d2=_numbers(d["d2"], "d2") if "d2" in d else None,
-            c_out=_numbers(d["c"], "c") if "c" in d else None,
-            alpha=_numbers(d.get("alpha", 0.0), "alpha", scalar=True))
-        shifted = []
-        # the file's indices, 1-based, are checked before they shift
-        for k, ((o, i, _), term) in enumerate(zip(f.terms, terms), 1):
-            if not 1 <= o <= model.d1.shape[1]:
+        # and numbers; the indices, 1-based as the file writes them, are
+        # checked against the columns of d1 and the states before they
+        # shift, unless a or d1 has a shape AgentModel refuses
+        f = Nonlinearity(fdesc.get("kind", "zero"), fdesc.get("terms", ()))
+        a, d1 = numkit.as_matrix(d["a"], "a"), numkit.as_matrix(d["d1"], "d1")
+        n, outs = a.shape[0], d1.shape[1]
+        checked = f.terms if a.shape == (n, n) and len(d1) == n else ()
+        for k, (o, i, _) in enumerate(checked, 1):
+            if not 1 <= o <= outs:
                 raise ValueError(f"nonlinearity term {k}: output index {o} "
-                                 f"outside 1..{model.d1.shape[1]}, the "
-                                 "columns of d1")
-            if not 1 <= i <= model.n:
+                                 f"outside 1..{outs}, the columns of d1")
+            if not 1 <= i <= n:
                 raise ValueError(f"nonlinearity term {k}: input index {i} "
-                                 f"outside 1..{model.n}, the states")
-            shifted.append((o - 1, i - 1, _numbers(
-                term[2], f"the coefficient of nonlinearity term {k}", True)))
-        model = dataclasses.replace(model, f=Nonlinearity(f.kind, shifted))
+                                 f"outside 1..{n}, the states")
+        model = AgentModel(  # a d2 or c written null is malformed, not absent
+            a=a, b=d["b"], d1=d1,
+            d2=numkit.as_numbers(d["d2"], "d2") if "d2" in d else None,
+            c_out=numkit.as_numbers(d["c"], "c") if "c" in d else None,
+            alpha=d.get("alpha", 0.0),
+            f=Nonlinearity(f.kind, [(o - 1, i - 1, c) for o, i, c in f.terms]))
         gamma = None if d.get("gamma") is None else \
-            _numbers(d["gamma"], "gamma", scalar=True)
+            numkit.as_numbers(d["gamma"], "gamma", scalar=True)
     except PreconditionError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -111,7 +88,7 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
 
 def _adjacency_graph(value, path) -> DiGraph:
     try:
-        return digraph_from_adjacency(_numbers(value, "adjacency"))
+        return digraph_from_adjacency(value)
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"{path}: malformed adjacency: {exc}") from exc
 
@@ -164,8 +141,8 @@ def load_certificate(path) -> tuple[np.ndarray, float]:
     """Load a certificate file; returns its (p, scalar) pair."""
     data = _read_json(path, "certificate")
     try:
-        p = _numbers(data["p"], "p")
-        scalar = _numbers(data["scalar"], "scalar", scalar=True)
+        p = numkit.as_numbers(data["p"], "p")
+        scalar = numkit.as_numbers(data["scalar"], "scalar", scalar=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(
             f"{path}: malformed certificate file: {exc}") from exc

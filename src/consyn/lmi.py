@@ -16,15 +16,15 @@ the performance output and the disturbance input channel at a given gamma:
 
 At each scalar the solver seeds P from the equivalent Riccati equation
 (Gahinet and Apkarian 1994), solved with numpy alone through the matrix sign
-function of its Hamiltonian (Roberts 1980; Byers 1987), then takes Newton
-steps sized by an exact line search (Vandenberghe, Boyd and Wu 1998) to the
-analytic centre, where the log-det barrier is smallest.
-The scalar is laddered up until a centre exists, then descended
-geometrically while one does; the smallest visited scalar whose verified
-margin meets the relative rule margin >= MARGIN_REL * (1 + ||assembled||_F)
-is returned. That rule caps the scalar from above (the requirement grows
-with the scalar while the achievable margin saturates), so the
-feasible-with-margin region is a window and a plain bisection would fail.
+function of its Hamiltonian (Roberts 1980; Byers 1987); a Cholesky factor
+says if the seed is strictly feasible. The scalar is laddered up until it
+is, then descended while it is. The feasible rungs are then centred, by
+Newton steps sized by an exact line search (Vandenberghe, Boyd and Wu 1998)
+to the analytic centre of the log-det barrier, in ascending order up to the
+first whose margin meets margin >= MARGIN_REL * (1 + ||assembled||_F). That
+rule caps the scalar from above (the requirement grows with the scalar
+while the achievable margin saturates), so the feasible-with-margin region
+is a window and a plain bisection would fail.
 
 Infeasibility is reported, never certified: exhausting the scalar ladder
 raises InfeasibleError carrying the search's trace.
@@ -32,7 +32,7 @@ raises InfeasibleError carrying the search's trace.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, TYPE_CHECKING
 
@@ -79,9 +79,12 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class ProbeRecord:
-    """One scalar tried; an infeasible probe has NaN margins and p_min."""
+    """One scalar tried, and whether its Riccati seed was strictly feasible.
+    A probe not centred (infeasible, or feasible above a lower rung that met
+    the margin rule first) has NaN margins and p_min and 0 Newton steps."""
 
     scalar: float
+    feasible: bool
     margin: float
     required: float
     p_min: float
@@ -91,8 +94,8 @@ class ProbeRecord:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """The probes of one solve, in order, and why the search stopped:
-    "ladder_exhausted", "descent_infeasible" or "descent_budget"."""
+    """The probes of one solve, in the order tried, and why the ladder
+    stopped: "ladder_exhausted", "descent_infeasible" or "descent_budget"."""
 
     probes: tuple[ProbeRecord, ...]
     stop: str
@@ -310,19 +313,12 @@ def _care(a, b, q, r_diag):
     return x
 
 
-def _center(stacker: _Stacker, scalar: float):
-    """Analytic centre of the strictly feasible p at a fixed scalar.
-
-    Seed: with Y = P^-1 the Schur complement of the consensus block is
-    Y A + A^T Y - s Y B B^T Y + alpha^2 Y D1 D1^T Y + I (hinf adds C^T C +
-    gamma^-2 Y D2 D2^T Y); the Riccati equation (indefinite R) sets it to
-    -0.01 I. Then Newton steps until the decrement lambda < 1e-7 or 60
-    steps: full below lambda = 1/4; above it, of the length _line_search
-    finds from the damped 1 / (1 + lambda) (Boyd and Vandenberghe, Convex
-    Optimization, 9.6). A singular Hessian or a step to a point that fails
-    its factorisation ends the iteration at the current point. Returns
-    (p, Newton steps), or None without a strictly feasible seed.
-    """
+def _seed(stacker: _Stacker, scalar: float):
+    """vech of the Riccati seed of p at a fixed scalar, None unless strictly
+    feasible (-stacker.at(seed, scalar) has a Cholesky factor). With Y =
+    P^-1 the consensus block's Schur complement is Y A + A^T Y - s Y B B^T Y
+    + alpha^2 Y D1 D1^T Y + I (hinf adds C^T C + gamma^-2 Y D2 D2^T Y); the
+    Riccati equation (indefinite R) sets it to -0.01 I."""
     problem, m = stacker.problem, stacker.problem.model
     cols, r = [m.b], [np.full(m.b.shape[1], 1.0 / scalar)]
     # an alpha^2 whose inverse overflows weighs nothing: solve as alpha = 0
@@ -336,13 +332,23 @@ def _center(stacker: _Stacker, scalar: float):
         q = q + m.c_out.T @ m.c_out
     try:
         p0 = np.linalg.inv(_care(m.a, np.hstack(cols), q, np.concatenate(r)))
+        v = stacker.vech((p0 + p0.T) / 2.0)
+        np.linalg.cholesky(-stacker.at(v, scalar))
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
-    v, steps = stacker.vech((p0 + p0.T) / 2.0), 0
-    derivs = _barrier_derivatives(stacker, v, scalar)
-    if derivs is None:
-        return None
-    while steps < 60:
+    return v
+
+
+def _center(stacker: _Stacker, v, scalar: float):
+    """(p, Newton steps): the analytic centre at a fixed scalar, from a
+    strictly feasible v = vech(p) such as _seed's, by Newton steps until
+    the decrement lambda < 1e-7 or 60 steps: full below lambda = 1/4;
+    above it, of the length _line_search finds from the damped
+    1 / (1 + lambda) (Boyd and Vandenberghe, Convex Optimization, 9.6). A
+    singular Hessian or a step to a point that fails its factorisation
+    ends the iteration at the current point."""
+    steps, derivs = 0, _barrier_derivatives(stacker, v, scalar)
+    while derivs is not None and steps < 60:
         grad, hess, flat = derivs
         try:
             dv = -np.linalg.solve(hess, grad)
@@ -356,52 +362,47 @@ def _center(stacker: _Stacker, scalar: float):
             mu = np.linalg.eigvalsh((dv @ flat).reshape(stacker.m_zero.shape))
             t = _line_search(mu, 1.0 / (1.0 + dec))
         derivs = _barrier_derivatives(stacker, v + t * dv, scalar)
-        if derivs is None:
-            break
-        v, steps = v + t * dv, steps + 1
+        if derivs is not None:
+            v, steps = v + t * dv, steps + 1
     return stacker.unvech(v), steps
-
-
-def _margin_and_req(problem: LmiProblem, p, scalar):
-    """Margin and its requirement MARGIN_REL * (1 + ||assembled||_F)."""
-    m = assemble(problem, p, scalar)
-    margin = -float(np.linalg.eigvalsh(m)[-1])
-    return margin, MARGIN_REL * (1.0 + float(np.linalg.norm(m, "fro")))
 
 
 def solve(problem: LmiProblem) -> LmiCertificate:
     """Search for a strictly feasible (p, scalar) pair.
 
     Deterministic: the scalar starts at 10 ||A||_F^2, is laddered up tenfold
-    until the centre exists (-s B B^T grows the feasible set with s), then
-    descended tenfold while it exists and refined once by sqrt(10). With no
-    feasible rung it raises InfeasibleError with the trace. The margin is
-    the one recorded at the chosen probe; synthesize replaces it with the
-    margin lmi.verify measures.
+    until the Riccati seed is strictly feasible (-s B B^T grows the feasible
+    set with s), then descended tenfold while it is; with no feasible rung
+    it raises InfeasibleError with the trace. A centre depends on its scalar
+    alone, so the feasible rungs are centred in ascending order up to the
+    first whose margin meets the rule, which is refined once by sqrt(10).
+    synthesize replaces the margin recorded there with lmi.verify's.
 
-    When no probe meets the margin rule, the probe with the widest margin
-    is returned, feasible when that margin is positive. The branch is
-    rare but live: a model can have a single feasible rung whose margin
-    stays under its requirement.
+    When no rung meets the rule, all are centred and the widest margin is
+    returned, feasible when positive: rare but live, as a model can have a
+    single feasible rung whose margin stays under its requirement.
     """
     norm_a = max(1.0, float(np.linalg.norm(problem.model.a, "fro")))
     stacker = _Stacker(problem, 1e-6 * (1.0 + norm_a))
-    records, points = [], {}
+    records, seeds, points = [], {}, {}
 
     def probe(s):
-        """Centre p at scalar s and record the probe; True when p exists."""
-        start = time.perf_counter()
-        p, steps = _center(stacker, s) or (None, 0)
-        margin = req = pmin = np.nan
-        if p is not None:
-            points[s] = p
-            margin, req = _margin_and_req(problem, p, s)
-            pmin = float(np.linalg.eigvalsh(p)[0])
-        records.append(ProbeRecord(s, margin, req, pmin, steps,
-                                   time.perf_counter() - start))
-        return p is not None
+        # seed p at s and record the probe; True when the seed is feasible
+        start, seeds[s] = time.perf_counter(), _seed(stacker, s)
+        records.append(ProbeRecord(s, seeds[s] is not None, np.nan, np.nan,
+                                   np.nan, 0, time.perf_counter() - start))
+        return seeds[s] is not None
 
-    def meets_rule(r):
+    def centre(k):
+        # centre feasible probe k and record it; True when it meets the rule
+        start, r = time.perf_counter(), records[k]
+        p, steps = _center(stacker, seeds[r.scalar], r.scalar)
+        points[r.scalar], m = p, assemble(problem, p, r.scalar)
+        records[k] = r = replace(
+            r, margin=-float(np.linalg.eigvalsh(m)[-1]), newton_steps=steps,
+            required=MARGIN_REL * (1.0 + float(np.linalg.norm(m, "fro"))),
+            p_min=float(np.linalg.eigvalsh(p)[0]),
+            seconds=r.seconds + time.perf_counter() - start)
         return r.margin >= r.required and r.p_min > 0
 
     s = 10.0 * norm_a ** 2
@@ -421,14 +422,14 @@ def solve(problem: LmiProblem) -> LmiCertificate:
             stop = "descent_infeasible"
             break
 
-    ok = [r for r in records if meets_rule(r)]
-    if ok:
-        chosen = min(ok, key=lambda r: r.scalar)
-        if probe(chosen.scalar / np.sqrt(10.0)) and meets_rule(records[-1]):
-            chosen = records[-1]
-    else:
-        # No probe meets the rule: return the widest margin recorded.
-        chosen = records[int(np.nanargmax([r.margin for r in records]))]
-    return LmiCertificate(p=points[chosen.scalar], scalar=float(chosen.scalar),
-                          margin=chosen.margin, feasible=chosen.margin > 0,
+    # the feasible rungs, ascending: the last of the climb and the descent's
+    rungs = [k for k, r in enumerate(records) if r.feasible][::-1]
+    chosen = next((k for k in rungs if centre(k)), None)
+    if chosen is None:  # all are centred: the widest margin
+        chosen = int(np.nanargmax([r.margin for r in records]))
+    elif probe(records[chosen].scalar / np.sqrt(10.0)) and centre(-1):
+        chosen = len(records) - 1
+    c = records[chosen]
+    return LmiCertificate(p=points[c.scalar], scalar=float(c.scalar),
+                          margin=c.margin, feasible=c.margin > 0,
                           trace=SolveTrace(tuple(records), stop))

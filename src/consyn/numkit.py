@@ -9,6 +9,8 @@ Each numeric tolerance is a constant of the one module that reads it.
 from __future__ import annotations
 
 import functools
+import json
+import numbers
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -28,12 +30,37 @@ SOLVE_RESID = 1e-9
 MODEL_MAX = 1e12
 
 
+def as_numbers(value, name: str, scalar: bool = False):
+    """The number, or unless scalar the nested sequences of numbers, that
+    value holds, as a float or a float ndarray. Any other entry, a bool
+    among them (a bool is an int, and JSON's true and false load as bools),
+    is a ValueError that names name and the entry's 1-based place in it."""
+    todo = [((), value)]
+    while todo:
+        at, v = todo.pop()
+        if scalar or not isinstance(v, (list, tuple, np.ndarray)):
+            # np.bool_ is no Real
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                where = f"entry {at} of {name}" if at else name
+                raise ValueError(f"{where} is {json.dumps(v, default=repr)}, "
+                                 "not a number")
+        # an array of numbers, or a list of plain ones, needs no deeper look
+        elif not (v.dtype.kind in "iuf" if isinstance(v, np.ndarray)
+                  else all(type(w) in (int, float) for w in v)):
+            todo += reversed([((*at, k), w) for k, w in enumerate(v, 1)])
+    try:
+        return float(value) if scalar else np.asarray(value, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"{name} holds an integer beyond the float range") \
+            from exc
+
+
 def as_matrix(a: ArrayLike, name: str = "matrix") -> NDArray[np.float64]:
     """Validate and return ``a`` as a 2-D float array.
 
-    Raises ValueError for non-2-D or empty input or non-finite entries.
-    """
-    m = np.asarray(a, dtype=float)
+    Raises ValueError for an entry that is no number (see as_numbers),
+    non-2-D or empty input, or non-finite entries."""
+    m = as_numbers(a, name)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if m.ndim != 2:

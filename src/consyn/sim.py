@@ -71,7 +71,7 @@ class Nonlinearity:
 
     kind is one of zero, sine, saturation, tanh. terms is a tuple of
     (out_index, in_index, coefficient) triples, 0-based, whose indices must
-    be whole numbers (a bool is not one): each adds
+    be whole numbers and coefficients numbers (a bool is neither): each adds
     coefficient * g(x[in_index]) to component out_index of the output,
     where g is the catalog function. The closed catalog keeps models
     serializable and their Lipschitz constant closed-form.
@@ -85,14 +85,16 @@ class Nonlinearity:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         if self.kind == "zero" and self.terms:
             raise ValueError("zero nonlinearity takes no terms")
-        for k, (o, i, _) in enumerate(self.terms):
+        norm = []
+        for k, (o, i, c) in enumerate(self.terms, 1):
             # a bool is an int, and np.bool_ no Real
             if not all(isinstance(j, numbers.Real) and not isinstance(j, bool)
                        and float(j).is_integer() for j in (o, i)):
                 raise ValueError("nonlinearity term indices must be integers "
-                                 f"(term {k + 1})")
-        norm = tuple((int(o), int(i), float(c)) for (o, i, c) in self.terms)
-        object.__setattr__(self, "terms", norm)
+                                 f"(term {k})")
+            norm.append((int(o), int(i), numkit.as_numbers(
+                c, f"the coefficient of nonlinearity term {k}", scalar=True)))
+        object.__setattr__(self, "terms", tuple(norm))
 
     @staticmethod
     def zero() -> "Nonlinearity":
@@ -162,21 +164,21 @@ class AgentModel:
             raise ValueError("d2 must have as many rows as a")
         if c_out.shape[1] != n:
             raise ValueError("c_out must have as many columns as a")
-        if not 0 <= self.alpha < np.inf:
+        alpha = numkit.as_numbers(self.alpha, "alpha", scalar=True)
+        if not 0 <= alpha < np.inf:
             raise ValueError(
-                f"alpha must be finite and >= 0, got alpha = {self.alpha}")
+                f"alpha must be finite and >= 0, got alpha = {alpha}")
         for name, val in (("a", a), ("b", b), ("d1", d1), ("d2", d2),
-                          ("c_out", c_out), ("alpha", self.alpha)):
+                          ("c_out", c_out), ("alpha", alpha)):
             numkit.check_model_numbers(val, name)
         lip = self.f.lipschitz_constant(n, d1.shape[1])
-        if self.alpha + LIPSCHITZ_SLACK < lip:
+        if alpha + LIPSCHITZ_SLACK < lip:
             raise PreconditionError(
                 f"nonlinearity f has Lipschitz constant {lip}, above the "
-                f"declared alpha = {self.alpha}")
+                f"declared alpha = {alpha}")
         for name, val in (("a", a), ("b", b), ("d1", d1), ("d2", d2),
-                          ("c_out", c_out)):
+                          ("c_out", c_out), ("alpha", alpha)):
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def n(self) -> int:

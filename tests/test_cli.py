@@ -702,11 +702,22 @@ def test_no_command_loads_scipy(tmp_path):
      'entry (1, 1) of b is "1.0", not a number'),
     (dict(SCALAR_MODEL, c=[[10 ** 400]]),
      "c holds an integer beyond the float range"),
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[1, 1, 10 ** 400]]}),
+     "the coefficient of nonlinearity term 1 holds an integer beyond the "
+     "float range"),
+    (dict(SCALAR_MODEL, alpha=1.0,
+          f={"kind": "sine", "terms": [[1, 1, None]]}),
+     "the coefficient of nonlinearity term 1 is null, not a number"),
+    # a of the wrong shape is named, not the term it leaves out of range
+    (dict(SCALAR_MODEL, a=[[-1.0, 0.0]], alpha=1.0,
+          f={"kind": "sine", "terms": [[1, 2, 0.5]]}), "a must be square"),
 ], ids=["list", "f-list", "empty-b", "a-not-square", "b-rows", "d1-rows",
         "d2-rows", "c-columns", "term-index-1.5", "term-index-inf",
         "term-index-true", "term-output-0", "term-input-2", "a-true",
         "d1-false", "alpha-true", "gamma-false", "coefficient-true",
-        "b-string", "c-huge-integer"])
+        "b-string", "c-huge-integer", "coefficient-huge-integer",
+        "coefficient-null", "a-not-square-term-input-2"])
 def test_malformed_model_file_exit_code(tmp_path, capsys, data, named):
     model = write_json(tmp_path / "m.json", data)
     gfile = tmp_path / "g.txt"
@@ -716,6 +727,21 @@ def test_malformed_model_file_exit_code(tmp_path, capsys, data, named):
     assert code == 2
     assert f"malformed model file: {named}" in capsys.readouterr().err
     assert not (tmp_path / "synth_report.json").exists()
+
+
+def test_model_file_builds_its_model_once(monkeypatch):
+    """A model file's matrices are checked, and f's Lipschitz constant
+    taken, once per load."""
+    calls = []
+    lipschitz = sim.Nonlinearity.lipschitz_constant
+
+    def counted(f, n, out_dim):
+        calls.append(f.terms)
+        return lipschitz(f, n, out_dim)
+    monkeypatch.setattr(sim.Nonlinearity, "lipschitz_constant", counted)
+    terms = {"kind": "sine", "terms": [[1, 1, 0.5]]}
+    model, _ = cli.model_from_dict(dict(SCALAR_MODEL, alpha=1.0, f=terms))
+    assert calls == [((0, 0, 0.5),)] and model.f.terms == calls[0]
 
 
 def test_integral_term_index_loads_as_its_integer():

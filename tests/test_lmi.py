@@ -10,11 +10,27 @@ from scipy.linalg import solve_continuous_are
 from consyn import (AgentModel, InfeasibleError, LmiCertificate, Nonlinearity,
                     assemble, solve, verify)
 from consyn import benchmark, lmi
-from consyn.lmi import (MAX_LADDER, LmiKind, LmiProblem,
+from consyn.lmi import (MARGIN_REL, MAX_DESCENTS, MAX_LADDER, LmiKind,
+                        LmiProblem, ProbeRecord, SolveTrace,
                         _barrier_derivatives, _care, _center, _line_search,
-                        _margin_and_req, _Stacker)
+                        _seed, _Stacker)
 
 from conftest import scalar_model
+
+
+def center(stacker: _Stacker, scalar: float):
+    """The centre solve takes at scalar, from the Riccati seed: (p, Newton
+    steps), or None without a strictly feasible seed."""
+    v = _seed(stacker, scalar)
+    return None if v is None else _center(stacker, v, scalar)
+
+
+def margin_and_req(problem: LmiProblem, p, scalar: float):
+    """The margin of (p, scalar) and the rule's requirement of it,
+    MARGIN_REL * (1 + ||assembled||_F)."""
+    m = assemble(problem, p, scalar)
+    return (-float(np.linalg.eigvalsh(m)[-1]),
+            MARGIN_REL * (1.0 + float(np.linalg.norm(m, "fro"))))
 
 
 def witness_cert(p, scalar, problem):
@@ -139,7 +155,7 @@ def test_solve_scalar_feasible():
     assert cert.feasible
     assert cert.scalar > 0
     assert verify(problem, cert).passed
-    margin, req = _margin_and_req(problem, cert.p, cert.scalar)
+    margin, req = margin_and_req(problem, cert.p, cert.scalar)
     assert margin >= req
 
 
@@ -171,7 +187,7 @@ def test_solve_benchmark_consensus_certificate(consensus_design):
     assert cert.feasible
     report = verify(problem, cert)
     assert report.passed
-    margin, req = _margin_and_req(problem, cert.p, cert.scalar)
+    margin, req = margin_and_req(problem, cert.p, cert.scalar)
     assert margin >= req
     assert_chosen_probe_in_trace(cert)
 
@@ -181,7 +197,7 @@ def test_solve_benchmark_hinf_certificate(hinf_design, bench_model):
     problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
     assert cert.feasible
     assert verify(problem, cert).passed
-    margin, req = _margin_and_req(problem, cert.p, cert.scalar)
+    margin, req = margin_and_req(problem, cert.p, cert.scalar)
     assert margin >= req
     assert_chosen_probe_in_trace(cert)
 
@@ -200,6 +216,7 @@ def test_solve_returns_widest_margin_when_no_probe_meets_the_rule():
     assert cert.scalar == 15420.0 and cert.feasible
     assert cert.margin == centred[0].margin
     assert verify(problem, cert).passed
+    assert_lazy_is_eager(problem)
 
 
 def assert_same_solve(problem):
@@ -246,7 +263,7 @@ def test_barrier_derivatives_match_central_difference(bench_model):
     stacker = _Stacker(problem, 1e-3)
     # the centre at s is strictly feasible at 3 s too, and not central there
     s = benchmark.REFERENCE_EPSILON
-    p, _ = _center(stacker, s)
+    p, _ = center(stacker, s)
     v, s = stacker.vech(p), 3.0 * s
     grad, hess, _ = _barrier_derivatives(stacker, v, s)
 
@@ -270,7 +287,7 @@ def test_line_search_minimises_the_barrier_along_the_newton_step(bench_model):
     problem = LmiProblem(LmiKind.HINF, bench_model, gamma=benchmark.GAMMA)
     stacker = _Stacker(problem, 1e-3)
     s = benchmark.REFERENCE_EPSILON
-    p, _ = _center(stacker, s)
+    p, _ = center(stacker, s)
     v, s = stacker.vech(p), 3.0 * s
     grad, hess, flat = _barrier_derivatives(stacker, v, s)
     dv = -np.linalg.solve(hess, grad)
@@ -313,17 +330,11 @@ def riccati_seed(problem: LmiProblem, scalar: float):
     return (p0 + p0.T) / 2.0
 
 
-def damped_center(stacker: _Stacker, scalar: float):
+def damped_center(stacker: _Stacker, v, scalar: float):
     """The centring before the exact line search, as the reference: damped
     Newton steps 1 / (1 + lambda) while lambda >= 1/4, full steps after,
-    until lambda < 1e-7 or 60 steps, from the same Riccati seed."""
-    try:
-        v, steps = stacker.vech(riccati_seed(stacker.problem, scalar)), 0
-    except (np.linalg.LinAlgError, FloatingPointError):
-        return None
-    derivs = _barrier_derivatives(stacker, v, scalar)
-    if derivs is None:
-        return None
+    until lambda < 1e-7 or 60 steps, from the same strictly feasible v."""
+    steps, derivs = 0, _barrier_derivatives(stacker, v, scalar)
     while steps < 60:
         grad, hess, _ = derivs
         try:
@@ -354,6 +365,19 @@ def decrement(stacker: _Stacker, p, scalar: float) -> float:
     return float(np.sqrt(max(grad @ np.linalg.solve(hess, grad), 0.0)))
 
 
+def random_problem(rng: np.random.Generator, n: int, hinf: bool):
+    """A random n-state problem of either kind, with alpha > 0."""
+    model = AgentModel(
+        a=rng.standard_normal((n, n)),
+        b=rng.standard_normal((n, int(rng.integers(1, n + 1)))),
+        d1=0.3 * rng.standard_normal((n, 1)),
+        alpha=float(rng.uniform(0.05, 0.5)),
+        d2=rng.standard_normal((n, 1)) if hinf else None,
+        c_out=rng.standard_normal((1, n)) if hinf else None)
+    return LmiProblem(LmiKind.HINF if hinf else LmiKind.CONSENSUS, model,
+                      gamma=float(rng.uniform(2.0, 10.0)))
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_center_is_the_damped_reference_centre(seed, n, hinf):
@@ -364,22 +388,15 @@ def test_center_is_the_damped_reference_centre(seed, n, hinf):
     sweep), and so are those where the damped iteration does not converge
     or ends where the Hessian is numerically singular (4 of 2,400)."""
     rng = np.random.default_rng(seed)
-    model = AgentModel(
-        a=rng.standard_normal((n, n)),
-        b=rng.standard_normal((n, int(rng.integers(1, n + 1)))),
-        d1=0.3 * rng.standard_normal((n, 1)),
-        alpha=float(rng.uniform(0.05, 0.5)),
-        d2=rng.standard_normal((n, 1)) if hinf else None,
-        c_out=rng.standard_normal((1, n)) if hinf else None)
-    problem = LmiProblem(LmiKind.HINF if hinf else LmiKind.CONSENSUS, model,
-                         gamma=float(rng.uniform(2.0, 10.0)))
-    norm_a = max(1.0, float(np.linalg.norm(model.a)))
+    problem = random_problem(rng, n, hinf)
+    norm_a = max(1.0, float(np.linalg.norm(problem.model.a)))
     stacker = _Stacker(problem, 1e-6 * (1.0 + norm_a))
     centred = [(s, c) for s in 10.0 * norm_a ** 2 * 10.0 ** np.arange(-3, 4)
-               if (c := _center(stacker, s)) is not None]
+               if (c := center(stacker, s)) is not None]
     assume(centred)
     s, (p, steps) = centred[int(rng.integers(len(centred)))]
-    p_ref, steps_ref = damped_center(stacker, s)
+    p_ref, steps_ref = damped_center(
+        stacker, stacker.vech(riccati_seed(problem, s)), s)
     assume(decrement(stacker, p_ref, s) < 1e-7)
     assert decrement(stacker, p, s) < 1e-7
     assert np.linalg.eigvalsh(p)[0] > 0
@@ -394,8 +411,18 @@ def test_solve_walks_the_damped_reference_ladder(bench_model, monkeypatch,
                                                  kind, gamma):
     problem = LmiProblem(kind, bench_model, gamma=gamma)
     cert = solve(problem)
-    monkeypatch.setattr(lmi, "_center", damped_center)
+    damped = []
+
+    def patched(stacker, v, scalar):
+        damped.append(scalar)
+        return damped_center(stacker, v, scalar)
+    monkeypatch.setattr(lmi, "_center", patched)
     ref = solve(problem)
+    # the reference centred every probe solve centred, and no other
+    centred = [[r.scalar for r in c.trace.probes if not np.isnan(r.margin)]
+               for c in (cert, ref)]
+    assert centred[0] and sorted(damped) == sorted(centred[1]) == \
+        sorted(centred[0])
     assert [r.scalar for r in cert.trace.probes] == \
         [r.scalar for r in ref.trace.probes]
     assert cert.trace.stop == ref.trace.stop
@@ -403,6 +430,87 @@ def test_solve_walks_the_damped_reference_ladder(bench_model, monkeypatch,
     assert np.linalg.norm(cert.p - ref.p) <= 1e-6 * np.linalg.norm(ref.p)
     steps = [sum(r.newton_steps for r in c.trace.probes) for c in (cert, ref)]
     assert steps[0] < steps[1] / 2
+
+
+def eager_solve(problem: LmiProblem) -> LmiCertificate:
+    """The reference: solve as it was when every feasible probe was centred
+    as it was tried, and the smallest scalar whose margin meets the rule,
+    refined once, or else the widest margin, was returned."""
+    norm_a = max(1.0, float(np.linalg.norm(problem.model.a, "fro")))
+    stacker = _Stacker(problem, 1e-6 * (1.0 + norm_a))
+    records, points = [], {}
+
+    def probe(s):
+        p, steps = center(stacker, s) or (None, 0)
+        margin = req = p_min = np.nan
+        if p is not None:
+            points[s] = p
+            margin, req = margin_and_req(problem, p, s)
+            p_min = float(np.linalg.eigvalsh(p)[0])
+        records.append(ProbeRecord(s, p is not None, margin, req, p_min,
+                                   steps, 0.0))
+        return p is not None
+
+    def meets_rule(r):
+        return r.margin >= r.required and r.p_min > 0
+
+    s = 10.0 * norm_a ** 2
+    while not probe(s):
+        if len(records) >= MAX_LADDER:
+            raise InfeasibleError(
+                "", trace=SolveTrace(tuple(records), "ladder_exhausted"))
+        s *= 10.0
+    stop = "descent_budget"
+    for _ in range(MAX_DESCENTS):
+        s /= 10.0
+        if not probe(s):
+            stop = "descent_infeasible"
+            break
+    ok = [r for r in records if meets_rule(r)]
+    if ok:
+        chosen = min(ok, key=lambda r: r.scalar)
+        if probe(chosen.scalar / np.sqrt(10.0)) and meets_rule(records[-1]):
+            chosen = records[-1]
+    else:
+        chosen = records[int(np.nanargmax([r.margin for r in records]))]
+    return LmiCertificate(points[chosen.scalar], float(chosen.scalar),
+                          chosen.margin, chosen.margin > 0,
+                          SolveTrace(tuple(records), stop))
+
+
+def assert_lazy_is_eager(problem: LmiProblem):
+    """solve and eager_solve give the same bits of p, the same scalar,
+    margin and verdict, the same probes, feasibility and stop, and the same
+    record at every probe that both centred; solve centres no probe the
+    reference did not."""
+    try:
+        ref = eager_solve(problem)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as info:
+            solve(problem)
+        lazy, ref = info.value.trace, exc.trace
+    else:
+        cert = solve(problem)
+        assert np.array_equal(cert.p, ref.p)
+        assert (cert.scalar, cert.margin, cert.feasible) == \
+            (ref.scalar, ref.margin, ref.feasible)
+        lazy, ref = cert.trace, ref.trace
+    assert lazy.stop == ref.stop
+    assert [(r.scalar, r.feasible) for r in lazy.probes] == \
+        [(r.scalar, r.feasible) for r in ref.probes]
+    for r, e in zip(lazy.probes, ref.probes):
+        if not np.isnan(r.margin):
+            assert dataclasses.replace(r, seconds=0.0) == e
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lazy_solve_is_the_eager_solve(seed, n, hinf):
+    """Centring only the rungs that can decide the certificate changes no
+    bit of it, on random models of both kinds; the single-rung model of
+    the widest-margin test checks the branch where no rung meets the rule."""
+    assert_lazy_is_eager(random_problem(np.random.default_rng(seed), n,
+                                        hinf))
 
 
 def test_alpha_whose_square_underflows_solves_as_alpha_zero():
@@ -419,7 +527,7 @@ def test_center_is_none_on_uncontrollable_scalar_model():
         LmiKind.CONSENSUS, scalar_model(a=1.0, b=0.0, d1=1.0, alpha=1.0))
     stacker = _Stacker(problem, 1e-6)
     for s in (1.0, 1e3, 1e6):
-        assert _center(stacker, s) is None
+        assert _seed(stacker, s) is None
 
 
 def test_step_to_a_failing_point_ends_center_at_the_current_point(
@@ -437,12 +545,12 @@ def test_step_to_a_failing_point_ends_center_at_the_current_point(
         return _barrier_derivatives(stacker, v, scalar) \
             if len(points) == 1 else None
     monkeypatch.setattr(lmi, "_barrier_derivatives", seed_only)
-    p, steps = _center(stacker, 10.0 * norm_a ** 2)
+    s = 10.0 * norm_a ** 2
+    p, steps = _center(stacker, _seed(stacker, s), s)
     assert (steps, len(points)) == (0, 2)
     assert p.tobytes() == stacker.unvech(points[0]).tobytes()
     # the step was line-searched: the seed's decrement is at least 1/4
-    grad, hess, _ = _barrier_derivatives(stacker, points[0],
-                                         10.0 * norm_a ** 2)
+    grad, hess, _ = _barrier_derivatives(stacker, points[0], s)
     assert grad @ np.linalg.solve(hess, grad) >= 0.25 ** 2
 
 
@@ -466,7 +574,7 @@ def test_center_gives_no_seed_and_no_warning(model, scalars):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for s in scalars:
-            assert _center(stacker, s) is None
+            assert _seed(stacker, s) is None
 
 
 @pytest.mark.parametrize("a, b, r", [
@@ -531,18 +639,30 @@ HINF_PROBES = [48341.126, 4834.1126, 483.41126, 48.341126, 4.8341126,
                0.48341126, 1.5286806281718477]
 
 
-@pytest.mark.parametrize("kind, gamma, scalars, centred", [
-    (LmiKind.CONSENSUS, None, CONSENSUS_PROBES, [True] * 6 + [False] * 2),
-    (LmiKind.HINF, benchmark.GAMMA, HINF_PROBES, [True] * 5 + [False, True]),
-    (LmiKind.HINF, 3.0, HINF_PROBES, [True] * 5 + [False, True]),
+# Which probes are feasible, and which of them are centred: the lowest
+# feasible rung of the descent and the refine probe when it is feasible.
+CONSENSUS_FEASIBLE = [True] * 6 + [False] * 2
+HINF_FEASIBLE = [True] * 5 + [False, True]
+
+
+@pytest.mark.parametrize("kind, gamma, scalars, feasible, centred", [
+    (LmiKind.CONSENSUS, None, CONSENSUS_PROBES, CONSENSUS_FEASIBLE,
+     [False] * 5 + [True] + [False] * 2),
+    (LmiKind.HINF, benchmark.GAMMA, HINF_PROBES, HINF_FEASIBLE,
+     [False] * 4 + [True, False, True]),
+    (LmiKind.HINF, 3.0, HINF_PROBES, HINF_FEASIBLE,
+     [False] * 4 + [True, False, True]),
 ], ids=["consensus", "hinf-repro", "hinf-gamma-3"])
 def test_manipulator_ladders_are_pinned(bench_model, kind, gamma, scalars,
-                                        centred):
+                                        feasible, centred):
     trace = solve(LmiProblem(kind, bench_model, gamma=gamma)).trace
     assert trace.stop == "descent_infeasible"
     assert [r.scalar for r in trace.probes] == pytest.approx(scalars,
                                                              rel=1e-12)
+    assert [r.feasible for r in trace.probes] == feasible
     assert [not np.isnan(r.margin) for r in trace.probes] == centred
+    assert all((r.newton_steps > 0) == c for r, c in zip(trace.probes,
+                                                         centred))
 
 
 def test_solve_manipulator_scalars_are_pinned(consensus_design, hinf_design):

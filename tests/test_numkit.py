@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import struct
 from fractions import Fraction
 from unittest import mock
@@ -25,6 +26,37 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([[1.0, np.nan]])
     with pytest.raises(ValueError):
         as_matrix([[np.inf]])
+
+
+def test_as_numbers_names_the_first_entry_that_is_not_a_number():
+    # a bool is an int, and np.bool_ an array's element, but neither a number
+    for value, named in [
+            ([[1.0, True]], "entry (1, 2) of m is true, not a number"),
+            (np.array([[1, 0], [0, 1]], dtype=bool),
+             'entry (1, 1) of m is "np.True_", not a number'),
+            ((1.0, [2.0, None]), "entry (2, 2) of m is null, not a number"),
+            ("1.0", 'm is "1.0", not a number')]:
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            numkit.as_numbers(value, "m")
+    for value, named in [(False, "s is false"), ([1.0], "s is [1.0]")]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            numkit.as_numbers(value, "s", scalar=True)
+    # numbers of any numeric type, arrays of them among them, are floats
+    rows = [np.array([1, 2]), [np.int64(3), np.float32(4.0)]]
+    assert numkit.as_numbers(rows, "m").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert numkit.as_numbers(np.int64(7), "s", scalar=True) == 7.0
+    # a float array passes whole, with its bits
+    x = np.array([[0.1, -2.5e-300]])
+    assert numkit.as_numbers(x, "m") is x
+    with pytest.raises(ValueError, match="beyond the float range"):
+        numkit.as_numbers([[10 ** 400]], "m")
+
+
+def test_as_matrix_rejects_a_bool():
+    with pytest.raises(ValueError, match="entry \\(1, 1\\) of a is true"):
+        as_matrix([[True]], "a")
+    with pytest.raises(ValueError, match="not a number"):
+        as_matrix(np.ones((2, 2), dtype=bool), "a")
 
 
 def test_as_matrix_rejects_empty():

@@ -162,6 +162,29 @@ def test_agent_model_rejects_bad_term_indices():
     assert terms == ((1, 0, 1.0),) and type(terms[0][0]) is int
 
 
+def test_library_refuses_a_bool_as_a_number():
+    """A bool is no number for library callers either, as for the CLI's
+    file reader: in a model matrix, as alpha, or as a term coefficient."""
+    with pytest.raises(ValueError, match="^the coefficient of nonlinearity "
+                       "term 1 is true, not a number$"):
+        Nonlinearity("sine", [(0, 0, True)])
+    with pytest.raises(ValueError, match="not a number"):
+        Nonlinearity.sine([(0, 0, 1.0), (0, 0, np.True_)])
+    for kw in ({"a": [[True]]}, {"b": np.array([[True]])},
+               {"d1": [[1.0, False]]}, {"d2": [[True]]},
+               {"c_out": [[True]]}, {"alpha": True}):
+        model = dict({"a": [[-1.0]], "b": [[1.0]], "d1": [[1.0]]}, **kw)
+        with pytest.raises(ValueError, match="is (true|false|\"np.True_\"), "
+                           "not a number"):
+            AgentModel(**model)
+    # a number of any numeric type still is one
+    model = AgentModel(a=[[np.int64(-1)]], b=[[1]], d1=[[1.0]],
+                       alpha=np.float32(1.5),
+                       f=Nonlinearity.sine([(0, 0, np.int64(-1))]))
+    assert model.alpha == 1.5 and type(model.alpha) is float
+    assert model.f.terms == ((0, 0, -1.0),) and model.a.dtype == float
+
+
 def test_check_lipschitz_benchmark(bench_model):
     lip = bench_model.f.lipschitz_constant(bench_model.n,
                                            bench_model.d1.shape[1])
