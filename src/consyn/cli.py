@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -47,8 +48,9 @@ def _listify(a):
 
 
 def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
-    """Model and gamma of a model file's JSON. A well-formed model whose
-    alpha understates f's Lipschitz constant raises AgentModel's
+    """Model and gamma of a model file's JSON, whose term indices count
+    from 1. A well-formed model whose alpha understates f's Lipschitz
+    constant, or whose numbers are too large, raises AgentModel's
     PreconditionError; any other bad entry is a malformed model file."""
     try:
         if not isinstance(d, dict):
@@ -56,23 +58,11 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
         fdesc = d.get("f", {"kind": "zero", "terms": []})
         if not isinstance(fdesc, dict):
             raise TypeError("f must be a JSON object")
-        # Nonlinearity checks that the terms are triples of whole indices
-        # and numbers; the indices, 1-based as the file writes them, are
-        # checked against the columns of d1 and the states before they
-        # shift, unless a or d1 has a shape AgentModel refuses
+        # Nonlinearity checks that the indices are whole numbers before
+        # they shift to 0-based; AgentModel checks them against its shapes
         f = Nonlinearity(fdesc.get("kind", "zero"), fdesc.get("terms", ()))
-        a, d1 = numkit.as_matrix(d["a"], "a"), numkit.as_matrix(d["d1"], "d1")
-        n, outs = a.shape[0], d1.shape[1]
-        checked = f.terms if a.shape == (n, n) and len(d1) == n else ()
-        for k, (o, i, _) in enumerate(checked, 1):
-            if not 1 <= o <= outs:
-                raise ValueError(f"nonlinearity term {k}: output index {o} "
-                                 f"outside 1..{outs}, the columns of d1")
-            if not 1 <= i <= n:
-                raise ValueError(f"nonlinearity term {k}: input index {i} "
-                                 f"outside 1..{n}, the states")
         model = AgentModel(  # a d2 or c written null is malformed, not absent
-            a=a, b=d["b"], d1=d1,
+            a=d["a"], b=d["b"], d1=d["d1"],
             d2=numkit.as_numbers(d["d2"], "d2") if "d2" in d else None,
             c_out=numkit.as_numbers(d["c"], "c") if "c" in d else None,
             alpha=d.get("alpha", 0.0),
@@ -86,73 +76,66 @@ def model_from_dict(d: dict) -> tuple[AgentModel, float | None]:
     return model, gamma
 
 
-def _adjacency_graph(value, path) -> DiGraph:
+def _read(path, what: str, parse, inputs: list):
+    """parse(text) of the file at path, whose bytes go to inputs. The one
+    place where an input file's fault becomes a PreconditionError naming
+    the file: unreadable or undecodable bytes, invalid JSON, and parse's
+    KeyError (a missing entry), TypeError or ValueError."""
     try:
-        return digraph_from_adjacency(value)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"{path}: malformed adjacency: {exc}") from exc
-
-
-def _read_text(path, what: str) -> str:
-    try:
-        return Path(path).read_text()
+        raw = Path(path).read_bytes()
+        # the text read_text gives: the locale's encoding, universal newlines
+        text = io.TextIOWrapper(io.BytesIO(raw)).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _read_json(path, what: str):
-    """The JSON value in a file; read and parse errors name the file."""
-    text = _read_text(path, what)
+    inputs.append(raw)
     try:
-        return json.loads(text)
+        return parse(text)
     except json.JSONDecodeError as exc:
-        raise PreconditionError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise PreconditionError(f"{what} {path} is not valid JSON: {exc}") \
+            from exc
+    except KeyError as exc:
+        raise PreconditionError(f"{what} {path} lacks an {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"{path}: {exc}") from exc
+
+
+def _adjacency(data: dict) -> DiGraph:
+    try:
+        return digraph_from_adjacency(data["adjacency"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed adjacency: {exc}") from exc
+
+
+def _model(text: str) -> tuple[AgentModel, float | None, DiGraph | None]:
+    data = json.loads(text)
+    model, gamma = model_from_dict(data)
+    return model, gamma, _adjacency(data) if "adjacency" in data else None
+
+
+def _graph(text: str) -> DiGraph:
+    """An edge list, or a JSON object with an adjacency entry."""
+    return _adjacency(json.loads(text)) if text.lstrip().startswith("{") \
+        else parse_edge_list(text)
+
+
+def _certificate(text: str) -> tuple[np.ndarray, float]:
+    data = json.loads(text)
+    try:
+        return (numkit.as_numbers(data["p"], "p"),
+                numkit.as_numbers(data["scalar"], "scalar", scalar=True))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed certificate file: {exc}") from exc
 
 
 def load_model(path) -> tuple[AgentModel, float | None, DiGraph | None]:
     """Load a JSON model file; returns (model, gamma, embedded graph)."""
-    data = _read_json(path, "model file")
-    try:
-        model, gamma = model_from_dict(data)
-    except PreconditionError as exc:
-        raise PreconditionError(f"{path}: {exc}") from exc
-    g = None
-    if "adjacency" in data:
-        g = _adjacency_graph(data["adjacency"], path)
-    return model, gamma, g
+    return _read(path, "model file", _model, [])
 
 
-def load_graph(path) -> DiGraph:
-    """Load a graph from an edge-list file or a JSON adjacency file."""
-    text = _read_text(path, "graph file")
-    if text.lstrip().startswith("{"):
-        data = _read_json(path, "graph file")
-        if "adjacency" not in data:
-            raise PreconditionError(
-                f"graph file {path} lacks an 'adjacency' entry")
-        return _adjacency_graph(data["adjacency"], path)
-    try:
-        return parse_edge_list(text)
-    except ValueError as exc:
-        raise PreconditionError(f"{path}: {exc}") from exc
-
-
-def load_certificate(path) -> tuple[np.ndarray, float]:
-    """Load a certificate file; returns its (p, scalar) pair."""
-    data = _read_json(path, "certificate")
-    try:
-        p = numkit.as_numbers(data["p"], "p")
-        scalar = numkit.as_numbers(data["scalar"], "scalar", scalar=True)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(
-            f"{path}: malformed certificate file: {exc}") from exc
-    return p, scalar
-
-
-def _provenance(args_dict, extra_parts=()) -> dict:
-    # func, the subcommand function, prints with a memory address
+def _provenance(args_dict, inputs=()) -> dict:
+    # func, the subcommand, prints with an address; a file, by its sha256
     parts = [{k: v for k, v in args_dict.items() if k != "func"},
-             list(extra_parts)]
+             [hashlib.sha256(raw).hexdigest() for raw in inputs]]
     payload = json.dumps(parts, sort_keys=True, default=str).encode()
     return {
         "tool": "consyn",
@@ -223,15 +206,15 @@ def _design_section(design: ProtocolDesign) -> dict:
 
 
 def cmd_graph(ns) -> int:
-    g = load_graph(ns.graph_file)
+    inputs = []
+    g = _read(ns.graph_file, "graph file", _graph, inputs)
     section = _graph_section(analyze(g))
     if not section["strongly_connected"]:
         print("warning: graph is not strongly connected", file=sys.stderr)
     out_dir = _out_dir(ns)
     report = {
         "graph": section,
-        "provenance": _provenance(vars(ns) | {"seed": None},
-                                  [Path(ns.graph_file).read_text()]),
+        "provenance": _provenance(vars(ns) | {"seed": None}, inputs),
     }
     path = _write_report(report, out_dir, "graph_report.json")
     print(f"nodes: {g.n}  edges: {len(g.edges)}")
@@ -249,30 +232,28 @@ def cmd_graph(ns) -> int:
     return 0
 
 
-def _load_inputs(ns) -> tuple[AgentModel, float | None, DiGraph]:
-    """Model, gamma (--gamma over the model file's) and graph of a run."""
-    model, gamma_model, embedded = load_model(ns.model_file)
-    g = load_graph(ns.graph_file) if ns.graph_file else embedded
+def _design(ns, inputs: list) -> ProtocolDesign:
+    """A run's design from its model, graph (or the model's adjacency) and
+    certificate files, whose bytes go to inputs; --gamma over the model's."""
+    model, gamma, g = _read(ns.model_file, "model file", _model, inputs)
+    if ns.graph_file:
+        g = _read(ns.graph_file, "graph file", _graph, inputs)
     if g is None:
         raise PreconditionError("no graph given (file or embedded adjacency)")
-    gamma = ns.gamma if ns.gamma is not None else gamma_model
-    return model, gamma, g
-
-
-def _build_design(ns, model: AgentModel, gamma, g: DiGraph
-                  ) -> ProtocolDesign:
-    cert = load_certificate(ns.cert) if ns.cert else None
-    return synthesize(model, g, ns.mode, gamma, cert=cert,
-                      c_multiplier=ns.c_multiplier)
+    cert = _read(ns.cert, "certificate", _certificate, inputs) if ns.cert \
+        else None
+    return synthesize(model, g, ns.mode, gamma if ns.gamma is None
+                      else ns.gamma, cert=cert, c_multiplier=ns.c_multiplier)
 
 
 def cmd_synth(ns) -> int:
-    design = _build_design(ns, *_load_inputs(ns))
+    inputs = []
+    design = _design(ns, inputs)
     out_dir = _out_dir(ns)
     report = {
         "graph": _graph_section(design.analysis),
         "design": _design_section(design),
-        "provenance": _provenance(vars(ns)),
+        "provenance": _provenance(vars(ns), inputs),
     }
     path = _write_report(report, out_dir, "synth_report.json")
     print(f"mode: {design.mode.value}")
@@ -286,13 +267,14 @@ def cmd_synth(ns) -> int:
 
 def cmd_simulate(ns) -> int:
     check_time_grid(ns.dt, ns.t_end)
-    model, gamma, g = _load_inputs(ns)
     if ns.disturbance != "none" and ns.mode == DesignMode.LEADER_FOLLOWER:
         raise PreconditionError(
             "disturbance rejection for tracking runs is out of scope")
-    design = _build_design(ns, model, gamma, g)
-    x0 = np.zeros((g.n, model.n)) if ns.disturbance != "none" else \
-        np.random.default_rng(ns.seed).uniform(-1.0, 1.0, (g.n, model.n))
+    inputs = []
+    design = _design(ns, inputs)
+    shape = (design.analysis.graph.n, design.model.n)
+    x0 = np.zeros(shape) if ns.disturbance != "none" else \
+        np.random.default_rng(ns.seed).uniform(-1.0, 1.0, shape)
     scenario = Scenario(design=design, x0=x0, disturbance=ns.disturbance,
                         t_end=ns.t_end, dt=ns.dt)
     csv_path = _out_dir(ns) / "trajectory.csv"
@@ -317,7 +299,7 @@ def cmd_simulate(ns) -> int:
             "x0": _listify(x0),
             "trajectory_csv": str(csv_path),
         },
-        "provenance": _provenance(vars(ns)),
+        "provenance": _provenance(vars(ns), inputs),
     }
     path = _write_report(report, csv_path.parent, "simulate_report.json")
     print(f"final consensus error: {summary['final_consensus_error']:.6e}")

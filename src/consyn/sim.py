@@ -70,9 +70,9 @@ class Nonlinearity:
     """Agent nonlinearity from a closed catalog of componentwise forms.
 
     kind is one of zero, sine, saturation, tanh. terms is a tuple of
-    (out_index, in_index, coefficient) triples, 0-based, whose indices must
-    be whole numbers and coefficients numbers (a bool is neither): each adds
-    coefficient * g(x[in_index]) to component out_index of the output,
+    (out_index, in_index, coefficient) triples, 0-based, of whole indices
+    and numbers (a bool is neither) of magnitude at most MODEL_MAX: each
+    adds coefficient * g(x[in_index]) to component out_index of the output,
     where g is the catalog function. The closed catalog keeps models
     serializable and their Lipschitz constant closed-form.
     """
@@ -92,8 +92,10 @@ class Nonlinearity:
                        and float(j).is_integer() for j in (o, i)):
                 raise ValueError("nonlinearity term indices must be integers "
                                  f"(term {k})")
-            norm.append((int(o), int(i), numkit.as_numbers(
-                c, f"the coefficient of nonlinearity term {k}", scalar=True)))
+            name = f"the coefficient of nonlinearity term {k}"
+            c = numkit.as_numbers(c, name, scalar=True)
+            numkit.check_model_numbers(c, name)
+            norm.append((int(o), int(i), c))
         object.__setattr__(self, "terms", tuple(norm))
 
     @staticmethod
@@ -109,16 +111,17 @@ class Nonlinearity:
         signed coefficients of the terms from input i to output o.
 
         Every catalog g has slope 1 at 0, so C is also the Jacobian of f
-        at 0. Each term's indices and coefficient are checked first.
+        at 0. An index outside C is a ValueError that counts the term and
+        the index from 1, as model files write them.
         """
         m = np.zeros((out_dim, n))
-        for k, (o, i, c) in enumerate(self.terms):
+        for k, (o, i, c) in enumerate(self.terms, 1):
             if not 0 <= o < out_dim:
-                raise ValueError(f"nonlinearity output index {o} outside d1")
+                raise ValueError(f"nonlinearity term {k}: output index {o + 1}"
+                                 f" outside 1..{out_dim}, the columns of d1")
             if not 0 <= i < n:
-                raise ValueError(f"nonlinearity input index {i} outside state")
-            numkit.check_model_numbers(
-                c, f"the coefficient of nonlinearity term {k + 1}")
+                raise ValueError(f"nonlinearity term {k}: input index {i + 1}"
+                                 f" outside 1..{n}, the states")
             m[o, i] += c
         return m
 
@@ -171,14 +174,12 @@ class AgentModel:
         for name, val in (("a", a), ("b", b), ("d1", d1), ("d2", d2),
                           ("c_out", c_out), ("alpha", alpha)):
             numkit.check_model_numbers(val, name)
+            object.__setattr__(self, name, val)
         lip = self.f.lipschitz_constant(n, d1.shape[1])
         if alpha + LIPSCHITZ_SLACK < lip:
             raise PreconditionError(
                 f"nonlinearity f has Lipschitz constant {lip}, above the "
                 f"declared alpha = {alpha}")
-        for name, val in (("a", a), ("b", b), ("d1", d1), ("d2", d2),
-                          ("c_out", c_out), ("alpha", alpha)):
-            object.__setattr__(self, name, val)
 
     @property
     def n(self) -> int:
@@ -226,9 +227,9 @@ def check_time_grid(dt: float, t_end: float) -> None:
 @dataclass(frozen=True)
 class Scenario:
     """One run of a design: x0 has a row per node of the design's graph,
-    the time grid 0 < dt <= t_end < inf ends at t_end, and disturbance
-    channel k of agent i carries the wave of the disturbance kind times
-    scales[i, k]. scales has shape (N, m1); None stores unit scales."""
+    the numbers 0 < dt <= t_end < inf make a time grid that ends at t_end,
+    and disturbance channel k of agent i carries the wave of the disturbance
+    kind times scales[i, k]. scales has shape (N, m1); None: unit scales."""
 
     design: ProtocolDesign
     x0: NDArray[np.float64]
@@ -238,6 +239,9 @@ class Scenario:
     dt: float = 1e-3
 
     def __post_init__(self):
+        for name in ("dt", "t_end"):
+            object.__setattr__(self, name, numkit.as_numbers(
+                getattr(self, name), name, scalar=True))
         check_time_grid(self.dt, self.t_end)
         object.__setattr__(self, "disturbance", Disturbance(self.disturbance))
         n_agents, model = self.design.analysis.graph.n, self.design.model

@@ -72,13 +72,14 @@ def problem_for(model: "AgentModel", mode, gamma: Optional[float] = None
                 ) -> lmi.LmiProblem:
     """The inequality a mode's certificate must satisfy.
 
-    gamma is required in hinf mode and ignored in the others.
+    gamma, a number, is required in hinf mode and ignored in the others.
     """
     if DesignMode(mode) is DesignMode.HINF:
         if gamma is None:
             raise PreconditionError(
                 "hinf mode needs an attenuation level gamma")
-        return lmi.LmiProblem(lmi.LmiKind.HINF, model, gamma=gamma)
+        return lmi.LmiProblem(lmi.LmiKind.HINF, model, gamma=numkit.as_numbers(
+            gamma, "gamma", scalar=True))
     return lmi.LmiProblem(lmi.LmiKind.CONSENSUS, model)
 
 
@@ -89,7 +90,7 @@ def _certify(problem: lmi.LmiProblem, cert) -> lmi.LmiCertificate:
     injected = cert is not None
     if injected:
         p, scalar = cert
-        scalar = float(scalar)
+        scalar = numkit.as_numbers(scalar, "scalar", scalar=True)
         if not np.isfinite(scalar):
             raise PreconditionError("the certificate scalar must be "
                                     f"finite, got scalar = {scalar}")
@@ -124,9 +125,11 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
     scalar by the mode's spectral quantity. Either certificate is verified
     against the mode's inequality, and the design's cert.margin is the
     margin lmi.verify measured there. mode is a DesignMode or its string
-    value; gamma is required in hinf mode.
+    value; gamma is required in hinf mode. gamma, c_multiplier and the
+    certificate scalar are numbers (a bool or a string is none).
     """
     mode = DesignMode(mode)
+    c_multiplier = numkit.as_numbers(c_multiplier, "c_multiplier", scalar=True)
     if not 1.0 <= c_multiplier < np.inf:
         raise ValueError(
             "c_multiplier must be finite and >= 1, got "
@@ -169,7 +172,7 @@ def synthesize(model: "AgentModel", graph: DiGraph, mode,
         mode=mode,
         analysis=analysis,
         model=model,
-        gamma=float(gamma) if mode is DesignMode.HINF else None,
+        gamma=problem.gamma,
         c_threshold_simplified=(cert.scalar / simplified_divisor
                                 if simplified_divisor else None),
     )

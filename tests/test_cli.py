@@ -77,6 +77,33 @@ def test_config_hash_is_the_same_in_two_processes(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+@pytest.mark.parametrize("kind, changed", [
+    ("model", '{"a": [[1.0]], "b": [[2.0]], "d1": [[1.0]]}'),
+    ("graph", "nodes 2\n# the same graph\n1 2\n2 1\n"),
+    ("certificate", '{"p": [[1.0]], "scalar": 2.0}'),
+], ids=["model", "graph", "certificate"])
+def test_config_hash_covers_the_input_files(tmp_path, kind, changed):
+    """Each input file counts in config_hash by its bytes: the same bytes
+    give the same hash, other bytes at the same path another one."""
+    files = {"model": tmp_path / "m.json", "graph": tmp_path / "g.txt",
+             "certificate": tmp_path / "cert.json"}
+    write_json(files["model"], {"a": [[-1.0]], "b": [[1.0]], "d1": [[1.0]]})
+    files["graph"].write_text(TWO_NODE)
+    write_json(files["certificate"], WITNESS)
+
+    def config_hash():
+        assert run(["synth", str(files["model"]), str(files["graph"]),
+                    "--mode", "leaderless", "--cert",
+                    str(files["certificate"]), "--out-dir",
+                    str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "synth_report.json").read_text())
+        return report["provenance"]["config_hash"]
+    first = config_hash()
+    assert config_hash() == first
+    files[kind].write_text(changed)
+    assert config_hash() != first
+
+
 def test_graph_command_two_node(tmp_path):
     gfile = tmp_path / "two.txt"
     gfile.write_text(TWO_NODE)

@@ -459,6 +459,11 @@ def test_parse_edge_list_rejects_out_of_range():
         parse_edge_list("nodes 2\n1 3\n")
 
 
+def test_parse_edge_list_rejects_self_loop():
+    with pytest.raises(ValueError, match="^line 3: self-loop on node 2$"):
+        parse_edge_list("nodes 2\n1 2\n2 2\n")
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=30, deadline=None)
 def test_edge_list_round_trip(seed):

@@ -146,6 +146,15 @@ def test_solve_linear_reproduces_reference_gain():
     assert np.max(np.abs(k - benchmark.REFERENCE_GAIN)) < 5e-3
 
 
+def test_solve_linear_rejects_bad_shapes():
+    with pytest.raises(ValueError,
+                       match=r"^a must be square, got shape \(1, 2\)$"):
+        solve_linear([[1.0, 2.0]], [1.0])
+    with pytest.raises(ValueError,
+                       match=r"^shape mismatch: a \(2, 2\), b \(3,\)$"):
+        solve_linear(np.eye(2), np.ones(3))
+
+
 def test_solve_linear_singular_reports_condition():
     with pytest.raises(Exception) as exc:
         solve_linear([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])

@@ -147,11 +147,17 @@ def test_lipschitz_constant_is_exact(spec, seed):
 
 
 def test_agent_model_rejects_bad_term_indices():
-    # checked before the Lipschitz constant, which would index C with them
-    for term in ((2, 0, 1.0), (0, 5, 1.0), (-1, 0, 1.0), (0, -1, 1.0)):
-        with pytest.raises(ValueError, match="index"):
+    # checked before the Lipschitz constant, which would index C with them;
+    # the message counts the term and its indices from 1, as files do
+    for term, named in (
+            ((2, 0, 1.0), "output index 3 outside 1..2, the columns of d1"),
+            ((0, 5, 1.0), "input index 6 outside 1..2, the states"),
+            ((-1, 0, 1.0), "output index 0 outside 1..2, the columns of d1"),
+            ((0, -1, 1.0), "input index 0 outside 1..2, the states")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"nonlinearity term 2: {named}") + "$"):
             AgentModel(a=np.eye(2), b=np.ones((2, 1)), d1=np.eye(2),
-                       alpha=1.0, f=Nonlinearity.sine([term]))
+                       alpha=2.0, f=Nonlinearity.sine([(0, 0, 1.0), term]))
     # int() would read 0.5 as 0 and True as 1: Nonlinearity refuses them
     for index in (0.5, float("inf"), float("nan"), True, np.True_, "1"):
         for term in ((index, 0, 1.0), (0, index, 1.0)):
@@ -160,6 +166,22 @@ def test_agent_model_rejects_bad_term_indices():
     # a whole number of any numeric type is its int
     terms = Nonlinearity.sine([(1.0, np.int64(0), 1)]).terms
     assert terms == ((1, 0, 1.0),) and type(terms[0][0]) is int
+
+
+def test_nonlinearity_checks_its_coefficients_when_built(monkeypatch):
+    """A coefficient too large for the certificate search is refused as the
+    nonlinearity is built, naming its term; C, which the Lipschitz check
+    and every closed loop read, checks no number again."""
+    with pytest.raises(PreconditionError, match="^the coefficient of "
+                       "nonlinearity term 2 is -2e\\+12, beyond 1e\\+12"):
+        Nonlinearity.sine([(0, 0, 1.0), (0, 0, -2e12)])
+    f = Nonlinearity.sine([(0, 0, 1.0), (1, 0, -0.5)])
+    checked = []
+    monkeypatch.setattr(numkit, "check_model_numbers",
+                        lambda m, name: checked.append(name))
+    assert f.lipschitz_constant(2, 2) == pytest.approx(np.sqrt(1.25))
+    assert_allclose(f.matrix(2, 2), [[1.0, 0.0], [-0.5, 0.0]], atol=0.0)
+    assert checked == []
 
 
 def test_library_refuses_a_bool_as_a_number():

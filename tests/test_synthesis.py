@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from consyn import (
     InfeasibleError,
     LmiCertificate,
     PreconditionError,
+    Scenario,
     assemble,
     problem_for,
     synthesize,
@@ -52,6 +54,33 @@ def test_leaderless_three_cycle_witness():
     design = synthesize(model, three_cycle(), "leaderless",
                         cert=consensus_witness())
     assert design.c_threshold == pytest.approx(1.0 / 1.5, abs=1e-12)
+
+
+def witness_design(mode="leaderless", cert=consensus_witness(), **kw):
+    return synthesize(scalar_model(), two_node_graph(), mode, cert=cert, **kw)
+
+
+def witness_run(**kw):
+    return Scenario(witness_design(), np.zeros((2, 1)), **kw)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: witness_design(cert=([[1.0]], True)), "scalar is true"),
+    (lambda: witness_design(cert=([[1.0]], "1.0")), 'scalar is "1.0"'),
+    (lambda: witness_design("hinf", gamma=True), "gamma is true"),
+    (lambda: witness_design("hinf", gamma="2"), 'gamma is "2"'),
+    (lambda: witness_design(c_multiplier=True), "c_multiplier is true"),
+    (lambda: witness_design(c_multiplier="2"), 'c_multiplier is "2"'),
+    (lambda: witness_run(dt=True, t_end=1.0), "dt is true"),
+    (lambda: witness_run(t_end=True), "t_end is true"),
+], ids=["cert-scalar-true", "cert-scalar-string", "gamma-true",
+        "gamma-string", "c-multiplier-true", "c-multiplier-string", "dt-true",
+        "t-end-true"])
+def test_library_scalars_are_numbers(call, named):
+    """synthesize's gamma, c_multiplier and certificate scalar, and a
+    Scenario's dt and t_end, refuse a bool or a string by name."""
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}, not a number$"):
+        call()
 
 
 def test_injected_reference_gain(injected_hinf_design):
