@@ -43,6 +43,9 @@ class DiGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _node(self.n))
+        object.__setattr__(self, "edges", frozenset(
+            (_node(p), _node(c)) for p, c in self.edges))
         if self.n < 2:
             raise ValueError(f"graph needs at least two nodes, got {self.n}")
         for (p, c) in self.edges:
@@ -53,7 +56,15 @@ class DiGraph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "DiGraph":
-        return DiGraph(n=n, edges=frozenset((int(p), int(c)) for p, c in edges))
+        # a tuple, not a set, so that (True, 2) meets the check beside (1, 2)
+        return DiGraph(n=n, edges=tuple(edges))
+
+
+def _node(value) -> int:
+    """A node number or count as an int: a whole number, and no bool."""
+    if not numkit.as_numbers(value, "node number", scalar=True).is_integer():
+        raise ValueError(f"node number {value!r} is not a whole number")
+    return int(value)
 
 
 @dataclass(frozen=True)

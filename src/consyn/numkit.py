@@ -8,7 +8,6 @@ Each numeric tolerance is a constant of the one module that reads it.
 """
 from __future__ import annotations
 
-import functools
 import json
 import numbers
 
@@ -153,19 +152,11 @@ def solve_linear(a: ArrayLike, b: ArrayLike) -> NDArray[np.float64]:
 # binary exponent, from floor(log10 2^e) and the next power of ten in the
 # binades of [2^-G12_E2, 2^G12_E2), about [1.6e-290, 7.9e289]. |x| 10^(11-k)
 # is within 2.3e-4 of its exact value, so rounds as that does unless within
-# G12_TIE of a half-integer; such values, and other binades' (scaled below
-# 1e11), take "%.11e". A G12_PASS-value pass keeps its arrays (about 210
-# bytes a value) in the CPU caches. k spans G12_E0..-G12_E0 - 1.
+# G12_TIE of a half-integer. Those, carries to 1e12, other binades' (scaled
+# below 1e11), inf and NaN take "%.12g" itself. A G12_PASS-value pass keeps
+# its arrays (210 bytes a value) in the CPU caches. k spans G12_E0..-G12_E0-1.
 G12_E2, G12_TIE, G12_PASS, G12_E0 = 963, 1e-3, 4096, -330
 _NEG, _U8, _U56 = -2 * G12_E0, np.uint64(8), np.uint64(56)
-
-
-def _ascii(*codes) -> NDArray[np.uint64]:
-    """Words whose byte j, counted from the low end, is codes[j]. Only
-    uint64 operands: numpy 1.x casts a Python int and a uint64 to float."""
-    return functools.reduce(np.bitwise_or, (
-        np.asarray(c, np.uint64) << np.uint64(8 * j)
-        for j, c in enumerate(codes)))
 
 
 def _words(texts, size: int) -> NDArray[np.uint64]:
@@ -181,11 +172,8 @@ def _g12_tables() -> tuple:
     bits, and how many of 12 digits they leave. By 13 point + digits left:
     the digit bytes that stay, those that move up past the point, the point."""
     x = np.arange(G12_E0, -G12_E0)
-    a, three = np.abs(x), np.abs(x) >= 100
-    tail = _ascii(ord("e"), np.where(x < 0, 45, 43),
-                  48 + a // 10 ** (1 + three) % 10, 48 + a // 10 ** three % 10,
-                  three * (48 + a % 10))
-    tail[-4 - G12_E0:12 - G12_E0] = 0
+    tail = _words([b"e%+03d" % k if k < -4 or k > 11 else b""
+                   for k in x.tolist()], 8)[:, 0]
     point = np.where((x < -4) | (x > 11), 1, np.maximum(x + 1, 0))
     z = np.where((x < 0) & (x > -5), -x, 0)
     heads = _words([sign + b"0.000"[:n + 1] if n else sign
@@ -195,10 +183,8 @@ def _g12_tables() -> tuple:
     fast, low = (e2 >= -G12_E2) & (e2 < G12_E2), e2 * 78913 >> 18
     # other binades: k = 0 scales |x| below 1e-279, k = 311 into 7.9e-11..1.8e8
     k = np.where(fast, low, np.where(e2 < 0, 0, 311)) - G12_E0
-    quad = _ascii(*np.ix_(*[48 + np.arange(10)] * 4)).ravel()
-    left = np.full(10000, 12, dtype=np.intp)
-    for j in range(1, 5):
-        left[::10 ** j] -= 1
+    digits = [b"%04d" % i for i in range(10000)]
+    quad = _words(digits, 8)[:, 0]
     p, s = np.divmod(np.arange(13 * 13), 13)
     keep = np.maximum(p, s).tolist()
     at = np.where((s > p) & (p > 0), p, 16).tolist()
@@ -207,7 +193,8 @@ def _g12_tables() -> tuple:
             np.tile(pow10[np.minimum(11 - x - G12_E0, x.size - 1)], 2),
             heads[np.concatenate([z, z + 5])],
             np.tile(tail, 2), np.tile(13 * point, 2).astype(np.intp), quad,
-            quad << np.uint64(32), left,
+            quad << np.uint64(32),
+            np.array([8 + len(d.rstrip(b"0")) for d in digits], np.intp),
             *(_words(texts, 16).T.copy() for texts in (
                 [b"\xff" * min(c, n) for c, n in zip(at, keep)],
                 [b"\0" * c + b"\xff" * (n - c) for c, n in zip(at, keep)],
@@ -225,13 +212,10 @@ def format_g12(block: NDArray[np.float64]) -> bytes:
 
     Each value takes 32 NUL-padded bytes, whose NULs are then deleted: a
     head and tail by its exponent, and its 12 digits, looked up four at a
-    time, cut after the last nonzero one and given their point by masks. A
-    block holding inf or NaN is formatted by "%" whole.
+    time, cut after the last nonzero one and given their point by masks;
+    or, where the tables cannot place it exactly, its "%.12g" text.
     """
     rows, cols = block.shape
-    if not np.isfinite(block).all():
-        row = ",".join(["%.12g"] * cols) + "\n"
-        return ((row * rows) % tuple(block.ravel().tolist())).encode("ascii")
     block, per = np.ascontiguousarray(block), max(1, G12_PASS // cols)
     sep = np.full((min(per, rows), cols), ord(",") << 56, dtype=np.uint64)
     sep[:, -1] = ord("\n") << 56
@@ -239,23 +223,23 @@ def format_g12(block: NDArray[np.float64]) -> bytes:
                     for lo in range(0, rows, per))
 
 
-def _e11_digits(x: float) -> tuple[int, int]:
-    """The 12 digits, as one integer, and the exponent of "%.11e" % x."""
-    text = "%.11e" % x
-    return int(text[0] + text[2:13]), int(text[14:])
+def _percent_g12(values: list) -> NDArray[np.uint64]:
+    """Each value's "%.12g" text, NUL-padded to 24 bytes, as three words."""
+    return _words([b"%.12g" % v for v in values], 24)
 
 
+@np.errstate(invalid="ignore")
 def _format_pass(x: NDArray[np.float64], sep: NDArray[np.uint64]) -> bytes:
-    """format_g12 of the finite values x, whole rows, with their seps."""
+    """format_g12 of the values x, whole rows, with their seps."""
     ax, e = np.abs(x), x.view(np.int64) >> 52
     kk = _BIN_K[e] + (ax >= _BIN_AFTER[e])
     scaled = ax * _SCALE[kk]
     m = np.rint(scaled)
-    redo = np.flatnonzero((np.abs(scaled - m) > 0.5 - G12_TIE) | (m < 1e11))
+    # inf and NaN fail the first test
+    redo = np.flatnonzero(~(np.abs(scaled - m) <= 0.5 - G12_TIE)
+                          | (m < 1e11) | (m >= 1e12))
     redo = redo[ax[redo] != 0.0]
-    if redo.size:
-        m[redo], k = np.array([_e11_digits(v) for v in ax[redo].tolist()]).T
-        kk[redo] = k - G12_E0 + _NEG * (x[redo] < 0.0)
+    m[redo] = 0.0
     g2 = m.astype(np.intp)
     g0, g1 = g2 // 100000000, g2 // 10000
     g2 -= g1 * 10000
@@ -263,10 +247,7 @@ def _format_pass(x: NDArray[np.float64], sep: NDArray[np.uint64]) -> bytes:
     left = _LEFT[g2]
     z = np.flatnonzero(g2 == 0)
     if z.size:
-        # 1e12, the carry of 999999999999.5, is 1e11 at k + 1; the digits
-        # left end in g1 or g0 (none of a zero)
-        carry = z[g0[z] == 10000]
-        g0[carry], kk[carry] = 1000, kk[carry] + 1
+        # the digits left end in g1 or g0 (none of a zero)
         left[z] = np.where(g1[z] > 0, _LEFT[g1[z]] - 4, _LEFT[g0[z]] - 8)
     j = _POINT13[kk] + left
     lo, hi = _QUAD[g0] | _QUAD32[g1], _QUAD[g2]
@@ -278,4 +259,7 @@ def _format_pass(x: NDArray[np.float64], sep: NDArray[np.uint64]) -> bytes:
     np.bitwise_or(hi & _STAY_HI[j] | _DOT_HI[j] | moved >> _U56,
                   (hi & _MOVE_HI[j]) << _U8, out=words[:, 2])
     np.bitwise_or(_TAIL[kk], sep[:x.size], out=words[:, 3])
+    if redo.size:
+        words[redo, :3] = _percent_g12(x[redo].tolist())
+        words[redo, 3] = sep[redo]
     return words.tobytes().translate(None, b"\0")

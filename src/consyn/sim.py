@@ -580,9 +580,12 @@ class CsvWriter(contextlib.AbstractContextManager):
     nor the CSV if it fails before finish."""
 
     def __init__(self, path, decimation: int = 1):
-        if decimation < 1:
-            raise ValueError("decimation must be >= 1")
-        self.path, self.decimation = path, decimation
+        # checked before the file is created: a bad value leaves no file
+        d = numkit.as_numbers(decimation, "decimation", scalar=True)
+        if not (d.is_integer() and d >= 1):
+            raise ValueError(f"decimation is {decimation!r}, not a whole "
+                             "number >= 1")
+        self.path, self.decimation = path, int(d)
         self._cpus, self._children = _cpu_count(), _Children()
         self._parts, self._cols, self._finishing = [], 0, False
         try:

@@ -53,6 +53,28 @@ def test_digraph_rejects_fewer_than_two_nodes():
         digraph_from_adjacency([[0.0]])
 
 
+def test_digraph_rejects_node_numbers_that_are_not_whole():
+    """1.7 is not truncated to node 1, nor True taken as node 1, and a
+    node count of 2.5 fails at construction, not in analyze."""
+    three = [(1, 2), (2, 3), (3, 1)]
+    for n, edges, named in [
+            (3, [(1.7, 2)] + three[1:], "node number 1.7 is not a whole"),
+            (3, [(True, 2)] + three[1:], "node number is true, not a number"),
+            (3, three + [(1, True)], "node number is true, not a number"),
+            (2.5, [(1, 2), (2, 1)], "node number 2.5 is not a whole"),
+            ("3", three, 'node number is "3", not a number')]:
+        with pytest.raises(ValueError, match=named):
+            DiGraph.from_edges(n, edges)
+    with pytest.raises(ValueError, match="node number 2.5 is not a whole"):
+        DiGraph(n=2.5, edges=frozenset({(1, 2), (2, 1)}))
+    # numpy integers are node numbers, kept as ints
+    g = DiGraph.from_edges(np.int64(3), [(np.int64(1), np.int32(2))]
+                           + three[1:])
+    assert g == DiGraph.from_edges(3, three)
+    assert {type(v) for e in g.edges for v in e} | {type(g.n)} == {int}
+    assert analyze(g).flags.strongly_connected
+
+
 def test_digraph_rejects_out_of_range_nodes():
     with pytest.raises(ValueError):
         DiGraph.from_edges(2, [(1, 3)])

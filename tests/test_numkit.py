@@ -201,6 +201,7 @@ G12_VALUES = st.one_of(
                      st.integers(-4, 4))),
     # subnormals and zeros
     signed(st.integers(0, 2 ** 52 - 1).map(float_of_bits)),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
 )
 
 
@@ -208,6 +209,14 @@ def percent_g12(block) -> bytes:
     """The rows of block as "%.12g" values joined by ",", one row a line."""
     return "".join(",".join("%.12g" % x for x in row) + "\n"
                    for row in block.tolist()).encode("ascii")
+
+
+def percent_g12_taken(block):
+    """format_g12 of block, and the values its "%.12g" fallback took."""
+    with mock.patch.object(numkit, "_percent_g12",
+                           wraps=numkit._percent_g12) as fallback:
+        text = format_g12(block)
+    return text, [v for c in fallback.call_args_list for v in c.args[0]]
 
 
 @given(block=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
@@ -258,19 +267,23 @@ def test_format_g12_at_the_binade_edges():
              for s in (-1, 0, 1)]
     edges += [5e-324, 2.0 ** -1022 - 5e-324, 1.7976931348623157e308]
     block = np.array(edges + [-v for v in edges]).reshape(-1, 6)
-    assert format_g12(block) == percent_g12(block)
+    text, taken = percent_g12_taken(block)
+    assert text == percent_g12(block)
+    # those outside the fast binades take "%.12g", as near-ties inside do
+    fast = 2.0 ** -numkit.G12_E2, 2.0 ** numkit.G12_E2
+    assert {v for v in edges if not fast[0] <= v < fast[1]} <= set(taken)
 
 
 @given(ties=st.lists(NEAR_TIES, min_size=1, max_size=30))
 @settings(max_examples=50, deadline=None)
-def test_format_g12_settles_near_ties_by_e11(ties):
-    """Every near-tie takes the "%.11e" path, the others none."""
-    block = np.array([ties, [1.5] * len(ties)])
-    with mock.patch.object(numkit, "_e11_digits",
-                           wraps=numkit._e11_digits) as e11:
-        assert format_g12(block) == percent_g12(block)
-    assert sorted(c.args[0] for c in e11.call_args_list) == \
-        sorted(abs(x) for x in ties)
+def test_format_g12_settles_near_ties_by_percent_g12(ties):
+    """Every near-tie, inf and NaN takes the "%.12g" fallback, the others
+    none."""
+    fallback = ties + [math.inf, -math.inf, math.nan]
+    block = np.array([fallback, [1.5] * len(fallback)])
+    text, taken = percent_g12_taken(block)
+    assert text == percent_g12(block)
+    assert sorted(map(repr, taken)) == sorted(map(repr, fallback))
 
 
 @pytest.mark.parametrize("shape", [(700, 13), (3, 5000), (4096, 1)])
@@ -285,20 +298,19 @@ def test_format_g12_in_several_passes(shape):
 
 def test_format_g12_with_short_mantissas():
     """Mantissas whose last four digits are 0 (zeros, a time column, short
-    decimals, the carry of 999999999999.5 to 1e12) are formatted on their
-    own subset, and a block with none of them skips that subset."""
+    decimals) are formatted on their own subset; the carry of 999999999999.5
+    to 1e12 and values outside the fast binades take the "%.12g" fallback,
+    zeros not, and a block with none of them takes no fallback."""
     short = np.array([[0.0, -0.0, 0.5, 1.0, -2.25, 10.0, 1e11, 1e12],
                       [999999999999.5, -999999999999.5, 99999999.99995, 1e-5,
                        12345678.0, 0.001, 1e22, -7e-300]])
-    with mock.patch.object(numkit, "_e11_digits",
-                           wraps=numkit._e11_digits) as e11:
-        assert format_g12(short) == percent_g12(short)
-    # zeros, though in no fast binade, take no "%.11e"
-    assert 7e-300 in [c.args[0] for c in e11.call_args_list]
-    assert 0.0 not in [c.args[0] for c in e11.call_args_list]
+    text, taken = percent_g12_taken(short)
+    assert text == percent_g12(short)
+    assert taken == [999999999999.5, -999999999999.5, 99999999.99995,
+                     -7e-300]
     none = np.array([[1.0 / 3.0, -2.0 / 3.0, 123456789.012345, 1e-7 / 3.0]])
     assert not any(("%.11e" % x)[9:13] == "0000" for x in none.ravel())
-    assert format_g12(none) == percent_g12(none)
+    assert percent_g12_taken(none) == (percent_g12(none), [])
 
 
 def test_format_g12_signed_zeros_and_carries_across_passes():

@@ -1103,6 +1103,25 @@ def test_write_csv_decimation(tmp_path):
         write_csv(traj, path, decimation=0)
 
 
+@pytest.mark.parametrize("decimation, named", [
+    (2.5, "decimation is 2.5, not a whole number >= 1"),
+    (0, "decimation is 0, not a whole number >= 1"),
+    (math.nan, "decimation is nan, not a whole number >= 1"),
+    (True, "decimation is true, not a number"),
+    ("3", 'decimation is "3", not a number')])
+def test_write_csv_rejects_a_decimation_before_the_file(tmp_path, decimation,
+                                                        named):
+    """A decimation that is no whole number >= 1 is a ValueError before
+    the CSV is created; a whole float and a numpy integer are taken."""
+    traj = special_trajectory(25)
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        write_csv(traj, tmp_path / "traj.csv", decimation=decimation)
+    assert os.listdir(tmp_path) == []
+    for whole in (10.0, np.int64(10)):
+        write_csv(traj, tmp_path / "traj.csv", decimation=whole)
+        assert (tmp_path / "traj.csv").read_text().count("\n") == 1 + 3
+
+
 # 0.0, -0.0, subnormals, the extremes of the exponent range, integers, and
 # values whose 12th significant digit rounds up (a carry into a new decade
 # included) or down
@@ -1250,6 +1269,41 @@ def test_write_csv_matches_savetxt_bytes(tmp_path, monkeypatch, cpus,
     assert (out_dir / "traj.csv").read_bytes() == \
         (ref_dir / "traj.csv").read_bytes()
     assert os.listdir(out_dir) == ["traj.csv"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("decimation", [1, 10])
+def test_csv_with_inf_and_nan_rows_matches_savetxt_bytes(
+        tmp_path, monkeypatch, cpus, decimation):
+    """A hand-built trajectory (integrate raises before a non-finite
+    state) with inf, -inf and NaN in a tenth of its rows: write_csv, and a
+    CsvWriter whose children take its rows a chunk at a time, give the
+    np.savetxt bytes. They sit in t, V, J_running and the first state
+    component, which C = [1, 0] carries to z with no inf times 0."""
+    monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim, "CSV_FORK_VALUES", 400)
+    steps = 2 * BLOCK * 10 + 3
+    traj = special_trajectory(steps)
+    rng = np.random.default_rng(steps)
+    rows = rng.random(steps) < 0.1
+    for column in (traj.times, traj.states[:, :, 0], traj.v_lyap,
+                   traj.j_running):
+        column[rows] = rng.choice([np.inf, -np.inf, np.nan],
+                                  column[rows].shape)
+    write_csv(traj, tmp_path / "out.csv", decimation)
+    with sim.CsvWriter(tmp_path / "streamed.csv", decimation) as csv:
+        for stop in range(BLOCK, steps, BLOCK):
+            csv(traj, stop)
+        csv.finish(traj)
+    savetxt_reference(traj, tmp_path / "ref.csv", decimation,
+                      *traj.e_and_z())
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert want.count(b"inf") and want.count(b"nan")
+    assert (tmp_path / "out.csv").read_bytes() == want
+    assert (tmp_path / "streamed.csv").read_bytes() == want
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "ref.csv",
+                                            "streamed.csv"]
     assert_no_child_left()
 
 
