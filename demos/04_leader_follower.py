@@ -19,7 +19,7 @@ model = AgentModel(
     b=np.array([[1.0]]),
     d1=np.array([[1.0]]),
     alpha=0.0,
-    f=Nonlinearity.zero(),
+    f=Nonlinearity(),
 )
 cert = (np.array([[1.0]]), 1.0)
 

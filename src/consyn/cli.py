@@ -3,10 +3,10 @@
 Subcommands: graph (spectral analysis), synth (protocol design), simulate
 (closed-loop run with CSV export), repro (built-in six-manipulator benchmark
 bundle). Reports are JSON, trajectories CSV, graphs plain-text edge lists.
-Where the process may use two or more CPUs, repro integrates its attenuation
-run in a forked child while it runs the consensus stage itself; the child
-only integrates, so files, messages and their order, and every byte of
-them, are those of the one-CPU run, which does one stage after the other.
+repro hands its attenuation run to sim._Children, which integrates it in a
+forked child beside the consensus stage where a second CPU is usable, and
+here before that stage otherwise; its outcome is taken after the stage, so
+files, messages and their order, and every byte of them, are the same.
 
 Exit codes: 0 success, 2 precondition violation (including unreadable or
 malformed inputs, an output that cannot be written, named in the message,
@@ -360,22 +360,16 @@ def cmd_repro(ns) -> int:
             write_csv(traj_c, out_dir / "consensus_traj.csv", decimation=10)
             return assess(traj_c)
 
-        if sim._cpu_count() > 1:
-            # a forked child integrates the attenuation run meanwhile
-            children = sim._Children()
-            try:
-                children.fork(lambda: integrate(attenuation_run))
-                run_c = consensus_stage()
-                (traj_h,) = children.reap()
-            finally:
-                children.kill()
-            stage = "attenuation-sim"
-            if isinstance(traj_h, BaseException):
-                raise traj_h
-        else:
+        children = sim._Children()  # forks where a second CPU is usable
+        try:
+            children.fork(lambda: integrate(attenuation_run))
             run_c = consensus_stage()
-            stage = "attenuation-sim"
-            traj_h = integrate(attenuation_run)
+            (traj_h,) = children.reap()
+        finally:
+            children.kill()
+        stage = "attenuation-sim"
+        if isinstance(traj_h, BaseException):
+            raise traj_h
         write_csv(traj_h, out_dir / "attenuation_traj.csv", decimation=10)
         run_h = assess(traj_h, published.gamma)
 

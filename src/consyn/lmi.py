@@ -31,7 +31,6 @@ raises InfeasibleError carrying the search's trace.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, TYPE_CHECKING
@@ -80,16 +79,15 @@ class LmiProblem:
 @dataclass(frozen=True)
 class ProbeRecord:
     """One scalar tried, and whether its Riccati seed was strictly feasible.
-    A probe not centred (infeasible, or feasible above a lower rung that met
-    the margin rule first) has NaN margins and p_min and 0 Newton steps."""
+    A probe not centred (infeasible, or feasible above a lower rung that
+    met the margin rule first) keeps the defaults: NaN, and 0 steps."""
 
     scalar: float
     feasible: bool
-    margin: float
-    required: float
-    p_min: float
-    newton_steps: int
-    seconds: float
+    margin: float = np.nan
+    required: float = np.nan
+    p_min: float = np.nan
+    newton_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -388,21 +386,19 @@ def solve(problem: LmiProblem) -> LmiCertificate:
 
     def probe(s):
         # seed p at s and record the probe; True when the seed is feasible
-        start, seeds[s] = time.perf_counter(), _seed(stacker, s)
-        records.append(ProbeRecord(s, seeds[s] is not None, np.nan, np.nan,
-                                   np.nan, 0, time.perf_counter() - start))
+        seeds[s] = _seed(stacker, s)
+        records.append(ProbeRecord(s, seeds[s] is not None))
         return seeds[s] is not None
 
     def centre(k):
         # centre feasible probe k and record it; True when it meets the rule
-        start, r = time.perf_counter(), records[k]
+        r = records[k]
         p, steps = _center(stacker, seeds[r.scalar], r.scalar)
         points[r.scalar], m = p, assemble(problem, p, r.scalar)
         records[k] = r = replace(
             r, margin=-float(np.linalg.eigvalsh(m)[-1]), newton_steps=steps,
             required=MARGIN_REL * (1.0 + float(np.linalg.norm(m, "fro"))),
-            p_min=float(np.linalg.eigvalsh(p)[0]),
-            seconds=r.seconds + time.perf_counter() - start)
+            p_min=float(np.linalg.eigvalsh(p)[0]))
         return r.margin >= r.required and r.p_min > 0
 
     s = 10.0 * norm_a ** 2

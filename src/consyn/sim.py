@@ -99,10 +99,6 @@ class Nonlinearity:
         object.__setattr__(self, "terms", tuple(norm))
 
     @staticmethod
-    def zero() -> "Nonlinearity":
-        return Nonlinearity("zero", ())
-
-    @staticmethod
     def sine(terms) -> "Nonlinearity":
         return Nonlinearity("sine", tuple(terms))
 
@@ -148,7 +144,7 @@ class AgentModel:
     d2: Optional[NDArray[np.float64]] = None
     c_out: Optional[NDArray[np.float64]] = None
     alpha: float = 0.0
-    f: Nonlinearity = field(default_factory=Nonlinearity.zero)
+    f: Nonlinearity = field(default_factory=Nonlinearity)
 
     def __post_init__(self):
         a = numkit.as_matrix(self.a, "a")
@@ -284,9 +280,11 @@ class Trajectory:
     w_sq: NDArray[np.float64]
 
     def e_and_z(self, rows: slice = slice(None)):
-        """Errors e, (len, N, n), and outputs z = e C^T at the samples rows."""
-        e = self.states[rows] - self.ref[rows, None, :]
-        return e, e @ self.c_out.T
+        """Errors e, (len, N, n), and outputs z = e C^T at the samples rows;
+        NaN, with no warning, where an inf meets an inf or a 0."""
+        with np.errstate(invalid="ignore"):
+            e = self.states[rows] - self.ref[rows, None, :]
+            return e, e @ self.c_out.T
 
 
 def closed_loop(design: ProtocolDesign,
@@ -499,18 +497,24 @@ def _write_rows(traj: Trajectory, out, rows: range, decimation: int,
 
 @dataclass
 class _Children:
-    """The one fork helper: fork runs a task in a child, which pickles its
-    value or exception back over a pipe; reap collects, in fork order, the
-    outcome of each child that has ended (a ChildProcessError if it sent
-    none), or waits for all; kill SIGKILLs and reaps the rest. A write to
-    a page the children share copies it first (a 1.5 ms timer handler once
-    took 36 ms), so work beside them writes fresh pages, as integrate's new
-    samples and repro's consensus stage (2.6 MB) do."""
+    """The one fork helper, which alone places a task: where a second CPU
+    is usable (cpus, read once from _cpu_count), fork runs it in a child
+    that pickles its value or exception back over a pipe, and else here,
+    keeping its value or Exception alike; reap collects, in fork order,
+    each task's outcome once it has ended (a ChildProcessError for a child
+    that sent none), or waits for all; kill SIGKILLs and reaps the rest.
+    A write to a page the children share copies it first (a 1.5 ms timer
+    handler once took 36 ms), so work beside them writes fresh pages, as
+    integrate's new samples and repro's consensus stage (2.6 MB) do."""
 
     outcomes: list = field(default_factory=list)
     running: dict = field(default_factory=dict)
+    cpus: int = field(default_factory=lambda: _cpu_count())  # patched in tests
 
     def fork(self, task: Callable[[], object]) -> None:
+        if self.cpus < 2:
+            self.outcomes.append(_run(task))
+            return
         r, w = os.pipe()
         try:
             if (pid := os.fork()) == 0:
@@ -518,10 +522,7 @@ class _Children:
                 os.close(r)
                 code = 1
                 try:
-                    try:
-                        outcome = task()
-                    except Exception as exc:
-                        outcome = exc
+                    outcome = _run(task)
                     with open(w, "wb") as out:
                         pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
                     code = 0
@@ -552,6 +553,14 @@ class _Children:
         for pid in self.running:
             os.kill(pid, signal.SIGKILL)
         self.reap()
+
+
+def _run(task: Callable[[], object]):
+    """task's value, or the Exception it raised."""
+    try:
+        return task()
+    except Exception as exc:
+        return exc
 
 
 def _outcome(data: bytes, code: int):
@@ -586,7 +595,7 @@ class CsvWriter(contextlib.AbstractContextManager):
             raise ValueError(f"decimation is {decimation!r}, not a whole "
                              "number >= 1")
         self.path, self.decimation = path, int(d)
-        self._cpus, self._children = _cpu_count(), _Children()
+        self._children = _Children()
         self._parts, self._cols, self._finishing = [], 0, False
         try:
             self._out = open(path, "wb")
@@ -637,7 +646,7 @@ class CsvWriter(contextlib.AbstractContextManager):
         batch = -(-CSV_FORK_VALUES // self._cols)
         self._children.reap(wait=False)
         while (-(-stop // self.decimation) - start >= batch
-               and len(self._children.running) < self._cpus - 1):
+               and len(self._children.running) < self._children.cpus - 1):
             self._fork(traj, range(start, start + batch))
             start += batch
 
@@ -648,7 +657,7 @@ class CsvWriter(contextlib.AbstractContextManager):
         if not self._parts:
             _write_rows(traj, self._out, rest, self.decimation, self._cols)
         else:
-            k = min(self._cpus, len(rest))
+            k = min(self._children.cpus, len(rest))
             for i in range(k):
                 self._fork(traj, rest[len(rest) * i // k:
                                       len(rest) * (i + 1) // k])

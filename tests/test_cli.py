@@ -1144,11 +1144,15 @@ def fail_disturbed_runs(monkeypatch, failure):
 def test_repro_is_the_same_on_one_and_two_cpus(tmp_path, monkeypatch,
                                                capsys, disturbance):
     """The attenuation run integrated in a forked child gives the CSVs,
-    stdout and report of the one-CPU run, which integrates it after the
-    consensus stage."""
+    stdout and report of the one-CPU run, which forks nothing: there
+    sim._Children integrates it in process, before the consensus stage."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(sim._cpu_count())
+                        or fork())
     flags = ["--disturbance", disturbance]
     one = repro_on(1, tmp_path, monkeypatch, capsys, *flags)
     two = repro_on(2, tmp_path, monkeypatch, capsys, *flags)
+    assert forks == [2]
     assert one[0] == 0
     assert sorted(one[1]) == ["attenuation_traj.csv", "consensus_traj.csv",
                               "repro_report.json", "stderr", "stdout"]

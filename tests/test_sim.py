@@ -95,7 +95,7 @@ def test_nonlinearity_rejects_unknown_kind():
 def test_nonlinearity_lipschitz_bound():
     f = Nonlinearity.sine([(3, 0, -0.333)])
     assert f.lipschitz_constant(4, 4) == pytest.approx(0.333, abs=1e-15)
-    assert Nonlinearity.zero().lipschitz_constant(4, 4) == 0.0
+    assert Nonlinearity().lipschitz_constant(4, 4) == 0.0
     # sin x - sin x is identically zero; signed sums see it, abs sums do not
     cancel = Nonlinearity.sine([(0, 0, 1.0), (0, 0, -1.0)])
     assert cancel.lipschitz_constant(1, 1) == 0.0
@@ -1183,13 +1183,15 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_children_returns_each_outcome():
+def test_children_returns_each_outcome(monkeypatch):
     """The forked tasks' values, the exceptions they raise with their
     attributes, and a ChildProcessError for a child that ends without
-    reporting, in fork order."""
+    reporting, in fork order, on two CPUs: on one, the SIGKILL task would
+    run in this process."""
     def blow_up():
         raise BlowUpError("too large", last_valid_time=0.25)
 
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
     children = sim._Children()
     try:
         for task in [lambda: np.arange(3.0), blow_up, lambda: os._exit(3),
@@ -1207,6 +1209,35 @@ def test_children_returns_each_outcome():
         "a forked process was killed by signal SIGKILL"]
     assert all(isinstance(e, ChildProcessError) for e in outcomes[2:])
     assert_no_child_left()
+
+
+def test_children_run_each_task_in_process_on_one_cpu(monkeypatch):
+    """With one usable CPU, read when the helper is built, fork runs each
+    task in this process and forks nothing: reap gives the values and the
+    exceptions raised, with their attributes, in fork order, and kill
+    signals nothing and leaves them as they are."""
+    def no_process(*args):
+        raise AssertionError("started or signalled a process")
+
+    def blow_up():
+        raise BlowUpError("too large", last_valid_time=0.25)
+
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 1)
+    children = sim._Children()
+    monkeypatch.setattr(sim, "_cpu_count", lambda: 2)
+    for name in ("fork", "kill", "waitpid"):
+        monkeypatch.setattr(os, name, no_process)
+    for task in [lambda: np.arange(3.0), blow_up, lambda: "last"]:
+        children.fork(task)
+    outcomes = children.reap()
+    assert outcomes[0].tolist() == [0.0, 1.0, 2.0]
+    assert isinstance(outcomes[1], BlowUpError)
+    assert (str(outcomes[1]), outcomes[1].last_valid_time) == \
+        ("too large", 0.25)
+    assert outcomes[2] == "last"
+    children.kill()
+    assert children.reap() is outcomes and len(outcomes) == 3
+    assert not children.running
 
 
 def running(pid: int) -> bool:
@@ -1237,6 +1268,7 @@ def test_children_child_ends_when_its_parent_is_killed(tmp_path):
                 time.sleep(0.01)
             os.kill(os.getpid(), signal.SIGKILL)
 
+        sim._cpu_count = lambda: 2
         sim._Children().fork(task)
         die()
     """
@@ -1279,16 +1311,17 @@ def test_csv_with_inf_and_nan_rows_matches_savetxt_bytes(
     """A hand-built trajectory (integrate raises before a non-finite
     state) with inf, -inf and NaN in a tenth of its rows: write_csv, and a
     CsvWriter whose children take its rows a chunk at a time, give the
-    np.savetxt bytes. They sit in t, V, J_running and the first state
-    component, which C = [1, 0] carries to z with no inf times 0."""
+    np.savetxt bytes. They sit in t, V, J_running and both state
+    components: C = [1, 0] carries the first to z, and meets the second's
+    inf with a 0, which makes z NaN, as in the table, with no warning."""
     monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(sim, "CSV_FORK_VALUES", 400)
     steps = 2 * BLOCK * 10 + 3
     traj = special_trajectory(steps)
     rng = np.random.default_rng(steps)
     rows = rng.random(steps) < 0.1
-    for column in (traj.times, traj.states[:, :, 0], traj.v_lyap,
-                   traj.j_running):
+    for column in (traj.times, traj.states[:, :, 0], traj.states[:, :, 1],
+                   traj.v_lyap, traj.j_running):
         column[rows] = rng.choice([np.inf, -np.inf, np.nan],
                                   column[rows].shape)
     write_csv(traj, tmp_path / "out.csv", decimation)
