@@ -348,8 +348,9 @@ def integrate(scenario: Scenario,
     time: a chunk of CSV_BLOCK_ROWS samples is checked row by row only if
     one of its values reaches BLOWUP_NORM / (2 sqrt(N n)), and the steps
     after a crossing are dropped. Each chunk is then finished: its
-    reference, V, ||z||^2 and J_running, a cumsum carried on from the chunk
-    before. Then on_rows(traj, end of the chunk) is called, if given.
+    reference, V (one e P^-1 product a sample, in an array kept for the
+    run: the same bits in any chunk), ||z||^2 and J_running, carried on
+    from the chunk before by cumsum; then on_rows(traj, chunk end), if given.
     """
     design, kind, dt = scenario.design, scenario.disturbance, scenario.dt
     scales, model = scenario.scales, design.model
@@ -373,6 +374,7 @@ def integrate(scenario: Scenario,
     p_inv = numkit.solve_linear(design.cert.p, np.eye(n))
     h2, h, h6, two = (np.array(a) for a in (dt / 2, dt, dt / 6, 2.0))
     y, k1, k2, k3, k4 = np.empty((5, n_agents, n))
+    ep = np.empty((CSV_BLOCK_ROWS, n_agents, n))
     # ||x|| <= sqrt(N n) max |x_ij|; the factor 2 covers the rounding
     peak = BLOWUP_NORM / 2 / math.sqrt(n_agents * n)
     for lo in range(0, steps + 1, CSV_BLOCK_ROWS):
@@ -401,12 +403,12 @@ def integrate(scenario: Scenario,
                         raise BlowUpError(
                             f"state norm crossed {BLOWUP_NORM:.1e} at "
                             f"t = {t + dt:.6g}", last_valid_time=t)
-        # einsum orders a lone sample's sum differently: add the one before
-        sl = slice(min(lo, steps - 1), hi)
+        sl = slice(lo, hi)
         if lf is None:
             np.einsum("j,tjk->tk", weights, states[sl], out=ref[sl])
         e, z = traj.e_and_z(sl)
-        v[sl] = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
+        ep_sl = np.matmul(e, p_inv, out=ep[:hi - lo])
+        v[sl] = (np.einsum("tik,tik->ti", ep_sl, e) * weights).sum(axis=1)
         z_sq[sl] = (z ** 2).sum(axis=(1, 2))
         # the steps into samples max(lo, 1)..hi - 1, added to J_running[lo - 1]
         run = slice(max(lo, 1) - 1, hi)

@@ -754,7 +754,7 @@ def whole_run_derivation(scenario, traj):
     omega = (square_wave(times, scenario.disturbance)[:, None, None]
              * scenario.scales)
     p_inv = numkit.solve_linear(design.cert.p, np.eye(model.n))
-    v = np.einsum("i,tik,kl,til->t", weights, e, p_inv, e)
+    v = (np.einsum("tik,tik->ti", e @ p_inv, e) * weights).sum(axis=1)
     z2 = (z ** 2).sum(axis=(1, 2))
     gamma = design.gamma or 0.0
     integrand = z2 - gamma ** 2 * (omega ** 2).sum(axis=(1, 2))
@@ -820,18 +820,59 @@ def test_blockwise_derivation_is_the_whole_run_bit_for_bit(
 
 @pytest.mark.parametrize("mode", sorted(GRAPHS))
 def test_lone_last_sample_is_the_whole_run_bit_for_bit(mode):
-    """Runs whose last chunk holds one sample: einsum sums V over a lone
-    sample of 2 agents with 2 states in another order than over several,
-    so integrate derives that sample beside the one before it."""
+    """Runs whose last chunk holds one sample, at 2 agents with 2 states
+    and at the network shape, 64 agents with 4: integrate derives that
+    sample alone, and its reference, V and ||z||^2 still equal the
+    whole-run expressions bit for bit."""
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        design = random_design(rng, "sine", mode, 2, 2, 2, 1, 1)
-        scenario = Scenario(design=design, x0=rng.uniform(-1.0, 1.0, (2, 2)),
-                            t_end=BLOCK * 1e-2, dt=1e-2)
+        n_agents, n = (2, 2) if seed % 2 else (64, 4)
+        design = random_design(rng, "sine", mode, n_agents, n, 2, 1, 1)
+        scenario = Scenario(
+            design=design, x0=rng.uniform(-1.0, 1.0, (n_agents, n)),
+            disturbance="bipolar" if seed % 4 < 2 else "none",
+            scales=rng.uniform(-2.0, 2.0, (n_agents, 1)),
+            t_end=BLOCK * 1e-3, dt=1e-3)
         traj = integrate(scenario)
-        _, _, v, z2, _ = whole_run_derivation(scenario, traj)
+        assert len(traj.times) % BLOCK == 1
+        e, _, v, z2, _ = whole_run_derivation(scenario, traj)
+        assert (traj.states - traj.ref[:, None, :]).tobytes() == e.tobytes()
         assert traj.v_lyap.tobytes() == v.tobytes()
         assert traj.z_sq.tobytes() == z2.tobytes()
+
+
+@pytest.mark.parametrize("n_agents", [6, 64])
+@pytest.mark.parametrize("disturbance", ["none", "bipolar"])
+def test_v_is_the_weighted_quadratic_form_to_rounding(n_agents,
+                                                      disturbance):
+    """V(t) is sum_i w_i e_i^T P^-1 e_i to within a dot product's rounding
+    bound (Higham 2002, section 3.1): of order (N + n) eps times the sum
+    of the terms' magnitudes, against a math.fsum of the terms
+    w_i e_ik (P^-1)_kl e_il, on the benchmark model at 6 and 64 agents."""
+    rng = np.random.default_rng(n_agents)
+    graph = (benchmark.benchmark_graph() if n_agents == 6
+             else random_balanced_sc_digraph(rng, n_agents))
+    design = dataclasses.replace(synthesize(
+        benchmark.manipulator_model(), graph, "hinf", benchmark.GAMMA,
+        cert=(benchmark.REFERENCE_P, benchmark.REFERENCE_EPSILON)),
+        c=benchmark.REFERENCE_C)
+    scenario = Scenario(
+        design=design,
+        x0=(rng.uniform(-1.0, 1.0, (n_agents, 4)) if disturbance == "none"
+            else np.zeros((n_agents, 4))),
+        disturbance=disturbance, scales=rng.uniform(-2.0, 2.0, (n_agents, 1)),
+        t_end=1.0, dt=1e-3)
+    traj = integrate(scenario)
+    e, _ = traj.e_and_z()
+    w = design.analysis.weights
+    p_inv = numkit.solve_linear(design.cert.p, np.eye(4))
+    bound = (n_agents + 4) * np.finfo(float).eps
+    for t in range(0, len(traj.times), 37):
+        terms = (w[:, None, None] * e[t][:, :, None] * p_inv
+                 * e[t][:, None, :]).ravel()
+        exact = math.fsum(terms.tolist())
+        assert (abs(traj.v_lyap[t] - exact)
+                <= bound * math.fsum(np.abs(terms).tolist()))
 
 
 def test_run_memory_is_the_states_plus_a_few_blocks(tmp_path):
