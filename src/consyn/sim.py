@@ -6,8 +6,8 @@ n bytes. The design fixes the model, the graph and the error reference:
 e_i = x_i - sum_j r_j x_j for leaderless and disturbance runs, the leader
 offset v_i = x_i - x_lead for tracking runs; e and the outputs z are
 derived where used. integrate finishes the run a chunk at a time, and
-CsvWriter formats each finished chunk's rows in forked children while
-the next ones integrate, on a multi-CPU machine, with the same bytes.
+on a multi-CPU machine CsvWriter's forked child formats finished rows
+straight into the CSV while the next ones integrate, with the same bytes.
 """
 from __future__ import annotations
 
@@ -582,13 +582,14 @@ class CsvWriter(contextlib.AbstractContextManager):
     z{agent}_{component}..., V, J_running (1-based); every decimation-th
     sample as "%.12g", the bytes of np.savetxt. The file is created at
     once, so an unwritable path fails before the run. On two or more CPUs,
-    a forked child formats each CSV_FORK_VALUES values of final rows while
-    fewer children than CPUs but one are busy; finish then splits the rest
-    into a range per CPU, a child each, and appends their part files in
-    order. Where no child took rows, finish writes every row itself: for a
-    finished run, forking costs more than it saves. An OSError ending the
-    block is raised naming path; no child or part file outlives the block,
-    nor the CSV if it fails before finish."""
+    a forked child formats each CSV_FORK_VALUES values of final rows
+    straight into the CSV, one child at a time, so the rows land in order;
+    finish then splits the rest into a range per CPU, a child each, each
+    into an unnamed part file, and appends the parts in order once every
+    child has ended. Where no child took rows, finish writes every row
+    itself: for a finished run, forking costs more than it saves. An
+    OSError ending the block is raised naming path; any exception ending
+    it removes the CSV, and no child outlives the block."""
 
     def __init__(self, path, decimation: int = 1):
         # checked before the file is created: a bad value leaves no file
@@ -598,7 +599,7 @@ class CsvWriter(contextlib.AbstractContextManager):
                              "number >= 1")
         self.path, self.decimation = path, int(d)
         self._children = _Children()
-        self._parts, self._cols, self._finishing = [], 0, False
+        self._rows, self._cols = [], 0
         try:
             self._out = open(path, "wb")
         except OSError as exc:
@@ -607,9 +608,7 @@ class CsvWriter(contextlib.AbstractContextManager):
     def __exit__(self, kind, exc, tb) -> None:
         self._children.kill()
         self._out.close()
-        for _, part in self._parts:
-            os.unlink(part)
-        if kind is not None and not self._finishing:
+        if kind is not None:
             os.unlink(self.path)
         if isinstance(exc, OSError):
             raise OSError(f"cannot write {self.path}: {exc}") from exc
@@ -627,49 +626,46 @@ class CsvWriter(contextlib.AbstractContextManager):
             self._cols = len(header)
             self._out.write((",".join(header) + "\n").encode("ascii"))
             self._out.flush()
-        return self._parts[-1][0].stop if self._parts else 0
+        return self._rows[-1].stop if self._rows else 0
 
-    def _fork(self, traj: Trajectory, rows: range) -> None:
-        fd, part = tempfile.mkstemp(
-            suffix=".part", dir=os.path.dirname(os.path.abspath(self.path)))
-        self._parts.append((rows, part))
+    def _fork(self, traj: Trajectory, rows: range, out) -> None:
+        self._rows.append(rows)
 
         def task():
-            with open(fd, "wb") as out:
-                _write_rows(traj, out, rows, self.decimation, self._cols)
-        try:
-            self._children.fork(task)
-        finally:
-            os.close(fd)
+            _write_rows(traj, out, rows, self.decimation, self._cols)
+            out.flush()  # a child ends by os._exit, which flushes nothing
+        self._children.fork(task)
 
     def __call__(self, traj: Trajectory, stop: int) -> None:
         """Take the samples before stop, which are final."""
         start = self._next_row(traj)
         batch = -(-CSV_FORK_VALUES // self._cols)
         self._children.reap(wait=False)
-        while (-(-stop // self.decimation) - start >= batch
-               and len(self._children.running) < self._children.cpus - 1):
-            self._fork(traj, range(start, start + batch))
-            start += batch
+        if (-(-stop // self.decimation) - start >= batch
+                and self._children.cpus > 1 and not self._children.running):
+            self._fork(traj, range(start, start + batch), self._out)
 
     def finish(self, traj: Trajectory) -> None:
         """Write the rows not handed out and wait for every child."""
-        self._finishing = True
         rest = range(self._next_row(traj), len(traj.times[::self.decimation]))
-        if not self._parts:
+        k = min(self._children.cpus, len(rest)) if self._rows else 0
+        if not self._rows:
             _write_rows(traj, self._out, rest, self.decimation, self._cols)
-        else:
-            k = min(self._children.cpus, len(rest))
-            for i in range(k):
+        with contextlib.ExitStack() as stack:
+            parts = [stack.enter_context(tempfile.TemporaryFile(
+                dir=os.path.dirname(os.path.abspath(self.path))))
+                for _ in range(k)]
+            for i, part in enumerate(parts):
                 self._fork(traj, rest[len(rest) * i // k:
-                                      len(rest) * (i + 1) // k])
-        for (rows, _), outcome in zip(self._parts, self._children.reap()):
-            if isinstance(outcome, BaseException):
-                raise OSError(f"the process formatting rows {rows.start + 1}"
-                              f"-{rows.stop} failed: {outcome}")
-        for _, part in self._parts:
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, self._out)
+                                      len(rest) * (i + 1) // k], part)
+            for rows, outcome in zip(self._rows, self._children.reap()):
+                if isinstance(outcome, BaseException):
+                    raise OSError("the process formatting rows "
+                                  f"{rows.start + 1}-{rows.stop} failed: "
+                                  f"{outcome}")
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, self._out)
         self._out.close()
 
 

@@ -1027,6 +1027,38 @@ def test_simulate_blow_up_after_streaming_leaves_nothing(
     assert_no_child_left()
 
 
+def test_killed_simulate_leaves_only_its_csv(tmp_path):
+    """A streamed 64-agent simulate SIGKILLed once trajectory.csv has grown
+    past its header leaves no other file: mid-run rows go straight into
+    the CSV, and finish's part files have no name. On a one-CPU runner
+    nothing forks, the rows are all written after the run, and this
+    passes trivially."""
+    gfile = tmp_path / "cycle.txt"
+    gfile.write_text(cycle(64))
+    out = tmp_path / "out"
+    header = len(",".join(["t"] + [f"{name}{i}_1" for name in "xez"
+                                   for i in range(1, 65)] + ["V", "J_running"])
+                 + "\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "consyn.cli", "simulate",
+         write_json(tmp_path / "m.json", SCALAR_MODEL), str(gfile),
+         "--mode", "leaderless", "--t-end", "30", "--out-dir", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while proc.poll() is None and time.monotonic() < deadline:
+            csv = out / "trajectory.csv"
+            if csv.exists() and csv.stat().st_size > header:
+                break
+            time.sleep(0.001)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    assert os.listdir(out) == ["trajectory.csv"]
+
+
 def test_simulate_overflow_exit_code(tmp_path):
     """A run whose arithmetic overflows exits 4 with no RuntimeWarning."""
     model = write_json(tmp_path / "m.json", SCALAR_MODEL)

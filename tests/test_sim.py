@@ -1354,9 +1354,23 @@ def test_csv_with_inf_and_nan_rows_matches_savetxt_bytes(
     CsvWriter whose children take its rows a chunk at a time, give the
     np.savetxt bytes. They sit in t, V, J_running and both state
     components: C = [1, 0] carries the first to z, and meets the second's
-    inf with a 0, which makes z NaN, as in the table, with no warning."""
+    inf with a 0, which makes z NaN, as in the table, with no warning.
+    Each mid-run child is forked while no other runs, and part files, at
+    most one per CPU, are made only in finish; on one CPU, neither."""
     monkeypatch.setattr(sim, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(sim, "CSV_FORK_VALUES", 400)
+    events, fork = [], sim._Children.fork
+    temporary_file = tempfile.TemporaryFile
+
+    def counted_fork(children, task):
+        events.append(len(children.running))
+        fork(children, task)
+
+    def counted_file(*args, **kwargs):
+        events.append("part")
+        return temporary_file(*args, **kwargs)
+    monkeypatch.setattr(sim._Children, "fork", counted_fork)
+    monkeypatch.setattr(sim.tempfile, "TemporaryFile", counted_file)
     steps = 2 * BLOCK * 10 + 3
     traj = special_trajectory(steps)
     rng = np.random.default_rng(steps)
@@ -1369,7 +1383,13 @@ def test_csv_with_inf_and_nan_rows_matches_savetxt_bytes(
     with sim.CsvWriter(tmp_path / "streamed.csv", decimation) as csv:
         for stop in range(BLOCK, steps, BLOCK):
             csv(traj, stop)
+        events.append("finish")
         csv.finish(traj)
+    if cpus == 1:
+        assert events == ["finish"]
+    else:
+        assert set(events[:events.index("finish")]) == {0}
+        assert 1 <= events.count("part") <= cpus
     savetxt_reference(traj, tmp_path / "ref.csv", decimation,
                       *traj.e_and_z())
     want = (tmp_path / "ref.csv").read_bytes()
@@ -1413,23 +1433,28 @@ def fail_in(where: str, how: str, monkeypatch):
 ])
 def test_write_csv_failure_names_the_path(tmp_path, monkeypatch, where, how):
     """A worker, or the calling process, that cannot write its rows raises
-    OSError naming the CSV, and leaves no child and no temporary file."""
+    OSError naming the CSV and why, and leaves no child and no file."""
+    why = "a forked process was killed by signal SIGKILL" if how == "kill" \
+        else "no room"
+    if where == "child":
+        why = f"the process formatting rows 1-1 failed: {why}"
     write = fail_in(where, how, monkeypatch)
     path = tmp_path / "traj.csv"
-    with pytest.raises(OSError, match=re.escape(str(path))):
+    with pytest.raises(OSError) as exc:
         write(path)
-    assert os.listdir(tmp_path) == ["traj.csv"]
+    assert str(exc.value) == f"cannot write {path}: {why}"
+    assert os.listdir(tmp_path) == []
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("where", ["parent", "append"])
 def test_write_csv_other_error_cleans_up(tmp_path, monkeypatch, where):
     """An error that is not an OSError in the calling process propagates
-    as itself, after the workers are reaped and their files deleted."""
+    as itself, after the workers are reaped and the CSV removed."""
     write = fail_in(where, "error", monkeypatch)
     with pytest.raises(RuntimeError, match="no room"):
         write(tmp_path / "traj.csv")
-    assert os.listdir(tmp_path) == ["traj.csv"]
+    assert os.listdir(tmp_path) == []
     assert_no_child_left()
 
 
@@ -1471,7 +1496,7 @@ def streamed_run(path, on_rows=None):
 
 def in_children(monkeypatch, rows):
     """Replace sim._write_rows by rows(*args) in forked children only, and
-    let the writer hand out one-row batches to two of them at a time."""
+    let the writer, on three CPUs, hand out one-row batches."""
     parent, write_rows = os.getpid(), sim._write_rows
 
     def flaky_rows(*args):
@@ -1486,8 +1511,7 @@ def in_children(monkeypatch, rows):
 def test_streamed_worker_failure_names_the_csv(tmp_path, monkeypatch):
     """A child that cannot write the rows it took during the run makes
     finish raise OSError naming the CSV and the first failed rows, after
-    every child is reaped and every part file deleted; the CSV keeps its
-    header."""
+    every child is reaped, and removes the CSV."""
     def no_room(*args):
         raise OSError("no room")
     in_children(monkeypatch, no_room)
@@ -1496,21 +1520,21 @@ def test_streamed_worker_failure_names_the_csv(tmp_path, monkeypatch):
         streamed_run(path)
     assert str(exc.value) == (f"cannot write {path}: the process formatting "
                               "rows 1-1 failed: no room")
-    assert os.listdir(tmp_path) == ["traj.csv"]
-    assert path.read_text() == "t,x1_1,x2_1,e1_1,e2_1,z1_1,z2_1,V,J_running\n"
+    assert os.listdir(tmp_path) == []
     assert_no_child_left()
 
 
 def test_interrupted_run_leaves_no_child_and_no_file(tmp_path, monkeypatch):
-    """A KeyboardInterrupt during integration, while two children still
-    format the rows they took, kills and reaps them at once and removes
-    their part file and the CSV."""
+    """A KeyboardInterrupt during integration, while the one mid-run child
+    still formats the rows it took into the CSV, the only file, kills and
+    reaps it at once and removes the CSV."""
     in_children(monkeypatch, lambda *args: time.sleep(60))
 
     def interrupt(csv, traj, stop):
         csv(traj, stop)
         if stop > BLOCK:
-            assert len(list(tmp_path.glob("*.part"))) == 2
+            assert len(csv._children.running) == 1
+            assert os.listdir(tmp_path) == ["traj.csv"]
             raise KeyboardInterrupt
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
